@@ -202,6 +202,13 @@ class JsonReport {
       }
       return *this;
     }
+    /// A zero-tolerance correctness count (tools/bench_diff.py gates
+    /// *_failures fields at zero). Any non-zero count also makes BenchMain
+    /// exit 1 once the report is written.
+    Row& Failures(const char* key, size_t count) {
+      Get().failures_ += count;
+      return Num(key, static_cast<double>(count));
+    }
 
    private:
     friend class JsonReport;
@@ -233,6 +240,7 @@ class JsonReport {
   void set_bench_name(const char* name) { bench_name_ = name; }
   void set_path(std::string path) { path_ = std::move(path); }
   bool enabled() const { return !path_.empty(); }
+  size_t failures() const { return failures_; }
 
   Row& AddRow() { return rows_.emplace_back(); }
 
@@ -255,6 +263,7 @@ class JsonReport {
   std::string bench_name_ = "?";
   std::string path_;
   std::deque<Row> rows_;
+  size_t failures_ = 0;
 };
 
 /// Shorthand for call sites: Report().Str("scheme", ...).Num("cpr", ...).
@@ -262,7 +271,8 @@ inline JsonReport::Row& Report() { return JsonReport::Get().AddRow(); }
 
 /// Uniform main() for the bench binaries: parses `--json <path>`, runs
 /// the bench, and flushes the report. Exit codes: 0 ok, 1 runtime error
-/// (JSON write failed), 2 usage error.
+/// (JSON write failed, or a row recorded correctness failures), 2 usage
+/// error.
 inline int BenchMain(int argc, char** argv, const char* name, void (*run)()) {
   JsonReport& report = JsonReport::Get();
   report.set_bench_name(name);
@@ -280,14 +290,18 @@ inline int BenchMain(int argc, char** argv, const char* name, void (*run)()) {
     return 1;
   }
   if (report.enabled()) std::printf("\n  JSON report written\n");
+  if (report.failures() > 0) {
+    std::fprintf(stderr, "%zu correctness failure(s)\n", report.failures());
+    return 1;
+  }
   return 0;
 }
 
 inline void PrintHeader(const char* title) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title);
-  std::printf("  (keys per dataset: %zu%s; see EXPERIMENTS.md for the paper-vs-\n"
-              "   measured comparison)\n",
+  std::printf("  (keys per dataset: %zu%s; see the README's Benchmarks\n"
+              "   section for the scale knobs and the tracked set)\n",
               NumKeys(), FullScale() ? ", FULL scale" : "");
   std::printf("================================================================\n");
 }

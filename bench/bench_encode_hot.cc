@@ -6,8 +6,8 @@
 //   sorted_b32   — EncodeBatch over sorted runs of 32 (traced shared-
 //                  prefix reuse for bounded-lookahead schemes)
 //   shuffled_b32 — EncodeBatch over shuffled runs of 32 (no reusable
-//                  prefixes: exercises the interleaved EncodeMulti
-//                  descent — the ALM schemes' batch win lives here too)
+//                  prefixes: the per-key EncodeSpan loop behind the
+//                  batch API)
 //
 // `mode` is a row-identity field in tools/bench_diff.py, so each series
 // is gated independently; cycles_per_byte joins the latency family and

@@ -30,7 +30,9 @@ void RunTree(const char* dataset, const char* tree_name,
       hits += tree.Lookup(built.MapKey(keys[q]), &v);
     }
     double us = t.Seconds() * 1e6 / static_cast<double>(queries.size());
-    if (hits != queries.size()) std::printf("  !! lookup misses\n");
+    // Every query key was inserted, so a miss is a correctness failure.
+    const size_t misses = queries.size() - hits;
+    if (misses > 0) std::printf("  !! %zu lookup misses\n", misses);
     double mem_mb = static_cast<double>(tree.MemoryBytes() +
                                         built.dict_memory) /
                     (1024.0 * 1024.0);
@@ -40,7 +42,8 @@ void RunTree(const char* dataset, const char* tree_name,
         .Str("tree", tree_name)
         .Str("config", built.config.name)
         .Num("point_us", us)
-        .Num("mem_mb", mem_mb);
+        .Num("mem_mb", mem_mb)
+        .Failures("lookup_failures", misses);
   }
 }
 

@@ -16,8 +16,8 @@ void Run() {
   std::sort(keys.begin(), keys.end());
   size_t limit = FullScale() ? (size_t{1} << 16) : (size_t{1} << 14);
 
-  std::printf("  %-13s %12s %12s %12s %12s\n", "Scheme", "b=1 ns/ch",
-              "b=2 ns/ch", "b=32 ns/ch", "full xT");
+  std::printf("  %-13s %12s %12s %12s\n", "Scheme", "b=1 ns/ch",
+              "b=2 ns/ch", "b=32 ns/ch");
   for (Scheme scheme : {Scheme::kSingleChar, Scheme::kDoubleChar,
                         Scheme::kThreeGrams, Scheme::kFourGrams,
                         Scheme::kAlm, Scheme::kAlmImproved}) {
@@ -53,23 +53,6 @@ void Run() {
       // tools/bench_diff.py, so SIMD wins land in the gate).
       std::snprintf(field, sizeof(field), "mchars_per_sec_b%zu", batch);
       row.Num(field, static_cast<double>(chars) / secs / 1e6);
-    }
-    // Whole-set batch with the threaded fan-out (num_threads = 0 lets the
-    // encoder pick hardware concurrency); one chunk per thread, so the
-    // batch-reuse benefit and the fan-out compose.
-    {
-      Timer t;
-      size_t bits = 0;
-      auto enc = hope->EncodeBatch(keys, &bits, /*num_threads=*/0);
-      double secs = t.Seconds();
-      double ns = secs * 1e9 / static_cast<double>(chars);
-      // Consume the result so the encode can't be dead-code-eliminated.
-      size_t sink = bits + (enc.empty() ? 0 : enc.back().size());
-      if (sink == size_t(-1)) std::printf("!");
-      std::printf(" %12.1f", ns);
-      row.Num("ns_per_char_full_parallel", ns);
-      row.Num("mchars_per_sec_full_parallel",
-              static_cast<double>(chars) / secs / 1e6);
     }
     std::printf("%s\n",
                 (scheme == Scheme::kAlm || scheme == Scheme::kAlmImproved)

@@ -106,7 +106,7 @@ inline int PopCount64T(uint64_t x) {
   return Hw ? PopCount64Hw(x) : PopCount64(x);
 }
 
-/// Hints the prefetcher at the next pointer of an interleaved descent.
+/// Hints the prefetcher at an address a later step of the walk will load.
 inline void PrefetchRead(const void* p) { __builtin_prefetch(p, 0, 3); }
 
 // ---------------------------------------------------------------------------

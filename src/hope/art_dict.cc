@@ -10,10 +10,7 @@
 // Node4/16 child scans are SIMD (one compare + movemask, after Leis et
 // al. §5); Node48/256 carry a 256-bit presence bitmap so the predecessor
 // child is one branch-free PrevSetBit instead of a backward slot scan.
-// EncodeSpan devirtualizes the per-key loop and EncodeMulti interleaves a
-// group of independent descents so their cache misses overlap — ART is
-// the deepest dictionary (arbitrary-length boundaries), so it benefits
-// the most.
+// EncodeSpan devirtualizes the per-key loop.
 #include <cstring>
 #include <stdexcept>
 
@@ -175,60 +172,6 @@ class ArtDict : public Dictionary {
     }
   }
 
-  // Interleaved multi-key descent: advance kGroup independent lookups
-  // round-robin, one node visit each per step, so the group's pointer
-  // chases miss the cache concurrently instead of back-to-back. This is
-  // what gives the ALM family real batch scaling — its descents are the
-  // deepest and the per-node dependency chain cannot be vectorized.
-  void EncodeMulti(const std::string_view* keys, size_t n, std::string* out,
-                   size_t* bits) const override {
-    if (n < 2 || !UseInterleavedDescent(MemoryBytes())) {
-      Dictionary::EncodeMulti(keys, n, out, bits);
-      return;
-    }
-    Cursor cur[kGroup];
-    size_t next = 0;
-    auto load = [&](Cursor& c) {
-      while (next < n) {
-        c.key = keys[next];
-        c.out_idx = next++;
-        if (c.key.empty()) {  // empty key: empty encoding, zero bits
-          out[c.out_idx].clear();
-          bits[c.out_idx] = 0;
-          continue;
-        }
-        c.pos = 0;
-        c.writer.Clear();
-        c.writer.ReserveBits(c.key.size() * 8);
-        StartLookup(c);
-        c.live = true;
-        return true;
-      }
-      c.live = false;
-      return false;
-    };
-    int nlive = 0;
-    for (auto& c : cur)
-      if (load(c)) nlive++;
-    while (nlive > 0) {
-      for (auto& c : cur) {
-        if (!c.live) continue;
-        int32_t entry = Step(c);
-        if (entry < 0) continue;
-        LookupResult r = Result(entry);
-        c.writer.Append(r.code);
-        c.pos += r.consumed;
-        if (c.pos < c.key.size()) {
-          StartLookup(c);
-        } else {
-          out[c.out_idx] = c.writer.TakeBytes();
-          bits[c.out_idx] = c.writer.total_bits();
-          if (!load(c)) nlive--;
-        }
-      }
-    }
-  }
-
   size_t NumEntries() const override { return num_entries_; }
 
   size_t MemoryBytes() const override {
@@ -242,79 +185,6 @@ class ArtDict : public Dictionary {
   const char* Name() const override { return "art"; }
 
  private:
-  static constexpr int kGroup = 8;
-
-  /// One in-flight lookup of the interleaved walk: output state plus the
-  /// micro-state of the descent (mirrors LookupEntry's locals).
-  struct Cursor {
-    std::string_view key;
-    size_t out_idx = 0;
-    size_t pos = 0;  ///< encode position within key
-    BitWriter writer;
-    bool live = false;
-    // descent micro-state
-    bool resolving = false;
-    int32_t cand_entry = -1;
-    const ArtNode* cand_subtree = nullptr;
-    const ArtNode* node = nullptr;
-    size_t d = 0;
-  };
-
-  void StartLookup(Cursor& c) const {
-    c.resolving = false;
-    c.cand_entry = -1;
-    c.cand_subtree = nullptr;
-    c.node = root_;
-    c.d = 0;
-  }
-
-  /// Advances one lookup by one node visit. Returns the resolved entry id,
-  /// or -1 while the descent is still in flight. Step-for-step equivalent
-  /// to LookupEntry (pinned by simd_equivalence_test).
-  int32_t Step(Cursor& c) const {
-    if (c.resolving) {
-      // Max-descent: the largest boundary in the candidate subtree.
-      const ArtNode* mc = PrevChild(c.node, 256);
-      if (!mc) {
-        HOPE_DCHECK(c.node->term_entry >= 0);
-        return c.node->term_entry;
-      }
-      c.node = mc;
-      simd::PrefetchRead(mc);
-      return -1;
-    }
-    const ArtNode* node = c.node;
-    if (node->term_entry >= 0) {
-      c.cand_entry = node->term_entry;
-      c.cand_subtree = nullptr;
-    }
-    std::string_view rest = c.key.substr(c.pos);
-    if (c.d >= rest.size()) return Finish(c);
-    uint8_t b = static_cast<uint8_t>(rest[c.d]);
-    if (const ArtNode* prev = PrevChild(node, b)) c.cand_subtree = prev;
-    const ArtNode* next = FindChild(node, b);
-    if (!next) return Finish(c);
-    c.node = next;
-    c.d++;
-    simd::PrefetchRead(next);
-    return -1;
-  }
-
-  /// The walk diverged (or the key ran out): either the candidate is an
-  /// already-resolved terminator entry, or switch to max-descent of the
-  /// candidate sibling subtree.
-  int32_t Finish(Cursor& c) const {
-    if (c.cand_subtree) {
-      c.resolving = true;
-      c.node = c.cand_subtree;
-      simd::PrefetchRead(c.node);
-      return -1;
-    }
-    HOPE_DCHECK_MSG(c.cand_entry >= 0,
-                    "complete dictionary: \"\" is a boundary");
-    return c.cand_entry;
-  }
-
   int32_t LookupEntry(std::string_view src) const {
     int32_t cand_entry = -1;
     const ArtNode* cand_subtree = nullptr;

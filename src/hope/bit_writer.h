@@ -34,7 +34,7 @@ class BitWriter {
   }
 
   /// Pre-sizes the backing buffer for an expected output size; purely an
-  /// allocation hint (EncodeRange estimates a bit budget per chunk).
+  /// allocation hint (the encoder reserves 8 bits per source byte).
   void ReserveBits(size_t bits) { buf_.reserve(bits / 8 + 8); }
 
   /// Rewinds the writer to its state after the first `bits` bits were

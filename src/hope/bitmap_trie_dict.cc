@@ -14,11 +14,7 @@
 // two node visits — bitmap tests, ranks and the candidate bookkeeping —
 // and pairs that diverge within those levels collapse to their fully
 // resolved predecessor entry. A parallel 256-entry table answers the
-// 1-byte tail lookups every key ends with. Batch encoding can additionally
-// interleave a group
-// of independent descents (EncodeMulti) so their cache misses overlap;
-// that only pays once the trie outgrows the cache (see
-// Dictionary::UseInterleavedDescent).
+// 1-byte tail lookups every key ends with.
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -152,150 +148,7 @@ class BitmapTrieDict : public Dictionary {
     }
   }
 
-  // Interleaved multi-key descent: advance kGroup independent lookups
-  // round-robin, one node visit each per step, so the group's cache
-  // misses are in flight together instead of serialized.
-  void EncodeMulti(const std::string_view* keys, size_t n, std::string* out,
-                   size_t* bits) const override {
-    if (n < 2 || !UseInterleavedDescent(MemoryBytes())) {
-      Dictionary::EncodeMulti(keys, n, out, bits);
-      return;
-    }
-    Cursor cur[kGroup];
-    size_t next = 0;
-    auto load = [&](Cursor& c) {
-      while (next < n) {
-        c.key = keys[next];
-        c.out_idx = next++;
-        if (c.key.empty()) {  // empty key: empty encoding, zero bits
-          out[c.out_idx].clear();
-          bits[c.out_idx] = 0;
-          continue;
-        }
-        c.pos = 0;
-        c.writer.Clear();
-        c.writer.ReserveBits(c.key.size() * 8);
-        StartLookup(c);
-        c.live = true;
-        return true;
-      }
-      c.live = false;
-      return false;
-    };
-    int nlive = 0;
-    for (auto& c : cur)
-      if (load(c)) nlive++;
-    while (nlive > 0) {
-      for (auto& c : cur) {
-        if (!c.live) continue;
-        int64_t entry = Step(c);
-        if (entry < 0) continue;
-        LookupResult r = Result(entry);
-        c.writer.Append(r.code);
-        c.pos += r.consumed;
-        if (c.pos < c.key.size()) {
-          StartLookup(c);
-        } else {
-          out[c.out_idx] = c.writer.TakeBytes();
-          bits[c.out_idx] = c.writer.total_bits();
-          if (!load(c)) nlive--;
-        }
-      }
-    }
-  }
-
  private:
-  static constexpr int kGroup = 8;
-
-  /// One in-flight lookup of the interleaved walk: output state plus the
-  /// micro-state of the descent (mirrors LookupEntry's locals).
-  struct Cursor {
-    std::string_view key;
-    size_t out_idx = 0;
-    size_t pos = 0;  ///< encode position within key
-    BitWriter writer;
-    bool live = false;
-    // descent micro-state
-    bool resolving = false;
-    int32_t cand_entry = -1;
-    int cand_level = -1;
-    uint32_t cand_node = 0;
-    uint32_t cand_rank = 0;
-    uint32_t node = 0;
-    int d = 0;
-  };
-
-  void StartLookup(Cursor& c) const {
-    c.resolving = false;
-    c.cand_entry = -1;
-    c.cand_level = -1;
-    c.cand_node = 0;
-    c.cand_rank = 0;
-    c.node = 0;
-    c.d = 0;
-  }
-
-  /// Advances one lookup by one node visit. Returns the resolved entry id,
-  /// or -1 while the descent is still in flight. Step-for-step equivalent
-  /// to LookupEntry (pinned by simd_equivalence_test).
-  int64_t Step(Cursor& c) const {
-    if (c.resolving) {
-      const TrieNode& nd = levels_[c.d][c.node];
-      unsigned total = nd.Total();
-      if (total == 0) {
-        HOPE_DCHECK(nd.term_entry >= 0);
-        return nd.term_entry;
-      }
-      if (c.d == n_ - 1) return nd.entry_base + total - 1;
-      c.node = nd.child_base + total - 1;
-      c.d++;
-      simd::PrefetchRead(&levels_[c.d][c.node]);
-      return -1;
-    }
-    const TrieNode& nd = levels_[c.d][c.node];
-    if (nd.term_entry >= 0) {
-      c.cand_entry = nd.term_entry;
-      c.cand_level = -1;
-    }
-    std::string_view rest = c.key.substr(c.pos);
-    if (static_cast<size_t>(c.d) >= rest.size()) return FinishOrResolve(c);
-    unsigned b = static_cast<uint8_t>(rest[c.d]);
-    if (c.d == n_ - 1) {
-      unsigned k = nd.RankBelow(b + 1);
-      if (k > 0) return nd.entry_base + k - 1;
-      return FinishOrResolve(c);
-    }
-    unsigned k = nd.RankBelow(b);
-    if (k > 0) {
-      c.cand_level = c.d;
-      c.cand_node = c.node;
-      c.cand_rank = k - 1;
-      c.cand_entry = -1;
-    }
-    if (!nd.GetBit(b)) return FinishOrResolve(c);
-    c.node = nd.child_base + k;
-    c.d++;
-    simd::PrefetchRead(&levels_[c.d][c.node]);
-    return -1;
-  }
-
-  /// The walk diverged (or the key ran out): either the candidate is an
-  /// already-resolved terminator entry, or switch to max-descent of the
-  /// candidate sibling subtree.
-  int64_t FinishOrResolve(Cursor& c) const {
-    if (c.cand_level < 0) {
-      HOPE_DCHECK_MSG(c.cand_entry >= 0,
-                      "complete dictionary: root has a boundary");
-      return c.cand_entry;
-    }
-    const TrieNode& nd = levels_[c.cand_level][c.cand_node];
-    c.node = nd.child_base + c.cand_rank;
-    c.d = c.cand_level + 1;
-    c.resolving = true;
-    simd::PrefetchRead(&levels_[c.d][c.node]);
-    return -1;
-  }
-
   // The descent is rank-only: `k = RankBelow(b)` answers every question a
   // level asks. At the last level the predecessor among the node's
   // entries is the (RankBelow(b + 1) - 1)-th — one masked popcount

@@ -1,27 +1,8 @@
 #include "hope/dictionary.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/check.h"
 
 namespace hope {
-
-bool Dictionary::UseInterleavedDescent(size_t memory_bytes) {
-  // Measured on the tracked bench set: with the dictionary resident in
-  // the cache hierarchy the straight devirtualized loop beats the
-  // interleaved walk by 1.5-2x (there are no misses to overlap, and the
-  // round-robin cursor state machine defeats the branch predictor) — and
-  // the bench host's 260 MiB LLC keeps even 2^16-entry dictionaries
-  // resident, so the auto threshold is deliberately conservative: only a
-  // working set clearly past common LLC sizes interleaves by default.
-  constexpr size_t kAutoThresholdBytes = size_t{64} << 20;
-  if (const char* env = std::getenv("HOPE_INTERLEAVE")) {
-    if (std::strcmp(env, "always") == 0) return true;
-    if (std::strcmp(env, "never") == 0) return false;
-  }
-  return memory_bytes >= kAutoThresholdBytes;
-}
 
 void Dictionary::EncodeSpan(std::string_view src, size_t base,
                             BitWriter* writer,
@@ -43,17 +24,6 @@ void Dictionary::EncodeSpan(std::string_view src, size_t base,
     writer->Append(r.code);
     rest.remove_prefix(r.consumed);
     pos += r.consumed;
-  }
-}
-
-void Dictionary::EncodeMulti(const std::string_view* keys, size_t n,
-                             std::string* out, size_t* bits) const {
-  BitWriter writer;
-  for (size_t i = 0; i < n; i++) {
-    writer.Clear();
-    EncodeSpan(keys[i], 0, &writer, nullptr);
-    out[i] = writer.TakeBytes();
-    bits[i] = writer.total_bits();
   }
 }
 

@@ -59,23 +59,6 @@ class Dictionary {
   /// simd_equivalence_test).
   virtual void EncodeSpan(std::string_view src, size_t base, BitWriter* writer,
                           std::vector<EncodeTrace>* trace) const;
-
-  /// Encodes n independent keys, writing the padded bytes into out[i] and
-  /// exact bit lengths into bits[i]. Default is a per-key EncodeSpan loop;
-  /// the trie-backed dictionaries override it with an interleaved
-  /// group-of-G descent that overlaps cache misses across keys. Per-key
-  /// output must stay byte-identical to EncodeSpan.
-  virtual void EncodeMulti(const std::string_view* keys, size_t n,
-                           std::string* out, size_t* bits) const;
-
- protected:
-  /// Whether EncodeMulti should interleave independent descents, given the
-  /// dictionary's resident size. Cache-resident dictionaries lose to the
-  /// straight per-key loop (the cursor state machine costs more than the
-  /// misses it hides), so interleaving only pays past a working-set
-  /// threshold. HOPE_INTERLEAVE=always|never overrides for testing and for
-  /// deployments that know their cache budget.
-  static bool UseInterleavedDescent(size_t memory_bytes);
 };
 
 /// Factory functions. `entries` must be sorted by left bound, with the

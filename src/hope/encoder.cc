@@ -1,52 +1,26 @@
 #include "hope/encoder.h"
 
-#include <algorithm>
-#include <thread>
+#include <limits>
 
 #include "common/simd.h"
 
 namespace hope {
 
-std::string Encoder::EncodeWithTrace(std::string_view key, size_t resume_src,
-                                     BitWriter* writer,
-                                     std::vector<EncodeTrace>* trace) const {
-  dict_->EncodeSpan(key, resume_src, writer, trace);
-  if (trace)
-    trace->push_back({static_cast<uint32_t>(key.size()),
-                      static_cast<uint32_t>(writer->total_bits())});
-  return writer->TakeBytes();
-}
-
 std::string Encoder::Encode(std::string_view key, size_t* bit_len) const {
   BitWriter writer;
   writer.ReserveBits(key.size() * 8);
-  std::string out = EncodeWithTrace(key, 0, &writer, nullptr);
+  dict_->EncodeSpan(key, 0, &writer, nullptr);
+  std::string out = writer.TakeBytes();
   if (bit_len) *bit_len = writer.total_bits();
   if (observer_) observer_->OnEncode(key, writer.total_bits());
   return out;
 }
 
-void Encoder::EncodeRange(const std::vector<std::string>& keys, size_t begin,
-                          size_t end, std::vector<std::string>* out,
-                          size_t* bits_sum) const {
+std::vector<std::string> Encoder::EncodeBatch(
+    const std::vector<std::string>& keys, size_t* total_bits) const {
+  std::vector<std::string> out(keys.size());
   size_t bits = 0;
   const size_t lookahead = dict_->MaxLookahead();
-  const size_t n = end - begin;
-  if (n == 0) {
-    *bits_sum = 0;
-    return;
-  }
-  if (n == 1) {
-    // Single key: no prefix to reuse and no batch to fan out — encode
-    // straight through the devirtualized span with zero setup.
-    const std::string& key = keys[begin];
-    BitWriter writer;
-    writer.ReserveBits(key.size() * 8);
-    (*out)[begin] = EncodeWithTrace(key, 0, &writer, nullptr);
-    *bits_sum = writer.total_bits();
-    if (observer_) observer_->OnEncode(key, writer.total_bits());
-    return;
-  }
 
   // Shared-prefix reuse (Appendix B) only ever fires when some adjacent
   // pair shares at least `lookahead` leading bytes. The prescan is a
@@ -54,52 +28,35 @@ void Encoder::EncodeRange(const std::vector<std::string>& keys, size_t begin,
   // unbounded-lookahead dictionaries (ALM family) can never reuse.
   bool any_reuse = false;
   if (lookahead != std::numeric_limits<size_t>::max()) {
-    for (size_t i = begin + 1; i < end && !any_reuse; i++)
-      any_reuse =
-          simd::SharedPrefixAtLeast(keys[i - 1], keys[i], lookahead);
+    for (size_t i = 1; i < keys.size() && !any_reuse; i++)
+      any_reuse = simd::SharedPrefixAtLeast(keys[i - 1], keys[i], lookahead);
   }
 
+  BitWriter writer;
   if (!any_reuse) {
-    // No prefix to reuse: hand the whole run to the dictionary's
-    // multi-key path (interleaved descent in the trie-backed impls when
-    // the working set warrants it). Per-key output is byte-identical to
-    // Encode, so slicing and path choice never change the encoding.
-    // Typical batch widths fit the stack buffers; larger runs (e.g. the
-    // full-parallel chunks) fall back to heap scratch.
-    constexpr size_t kStackBatch = 64;
-    std::string_view views_buf[kStackBatch];
-    size_t bits_buf[kStackBatch];
-    std::vector<std::string_view> views_heap;
-    std::vector<size_t> bits_heap;
-    std::string_view* views = views_buf;
-    size_t* key_bits = bits_buf;
-    if (n > kStackBatch) {
-      views_heap.resize(n);
-      bits_heap.resize(n);
-      views = views_heap.data();
-      key_bits = bits_heap.data();
+    // No prefix to reuse: encode each key straight through the
+    // devirtualized span, recycling one writer's buffer across keys.
+    for (size_t i = 0; i < keys.size(); i++) {
+      writer.Clear();
+      dict_->EncodeSpan(keys[i], 0, &writer, nullptr);
+      writer.CopyBytesTo(&out[i]);
+      bits += writer.total_bits();
+      if (observer_) observer_->OnEncode(keys[i], writer.total_bits());
     }
-    for (size_t i = 0; i < n; i++) views[i] = keys[begin + i];
-    dict_->EncodeMulti(views, n, out->data() + begin, key_bits);
-    for (size_t i = 0; i < n; i++) {
-      bits += key_bits[i];
-      if (observer_) observer_->OnEncode(views[i], key_bits[i]);
-    }
-    *bits_sum = bits;
-    return;
+    if (total_bits) *total_bits = bits;
+    return out;
   }
 
   // The writer's state flows from key to key: after encoding key i-1 it
   // holds exactly that key's bits, so reusing a shared prefix is a rewind
   // (TruncateToBits) rather than a copy back out of the previous output.
   std::vector<EncodeTrace> trace;
-  BitWriter writer;
-  writer.ReserveBits(keys[begin].size() * 8);
-  for (size_t i = begin; i < end; i++) {
+  writer.ReserveBits(keys[0].size() * 8);
+  for (size_t i = 0; i < keys.size(); i++) {
     const std::string& key = keys[i];
     size_t resume = 0;
     size_t resume_bits = 0;
-    if (i > begin) {
+    if (i > 0) {
       size_t l = simd::LcpLen(keys[i - 1], key);
       // Reuse lookups [0, j): every reused lookup must have inspected
       // only bytes inside the common prefix, i.e.
@@ -122,77 +79,11 @@ void Encoder::EncodeRange(const std::vector<std::string>& keys, size_t begin,
     dict_->EncodeSpan(key, resume, &writer, &trace);
     trace.push_back({static_cast<uint32_t>(key.size()),
                      static_cast<uint32_t>(writer.total_bits())});
-    writer.CopyBytesTo(&(*out)[i]);
+    writer.CopyBytesTo(&out[i]);
     bits += writer.total_bits();
     if (observer_) observer_->OnEncode(key, writer.total_bits());
   }
-  *bits_sum = bits;
-}
-
-std::vector<std::string> Encoder::EncodeBatch(
-    const std::vector<std::string>& keys, size_t* total_bits,
-    unsigned num_threads) const {
-  std::vector<std::string> out(keys.size());
-  if (num_threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    num_threads = hw ? hw : 1;
-  }
-  // Chunked fan-out: each worker runs the sequential algorithm on a
-  // contiguous slice. Per-key encodings do not depend on the slicing, so
-  // the output is identical to the single-threaded path; only the
-  // shared-prefix reuse at the (num_threads - 1) chunk seams is forgone.
-  if (keys.size() < kParallelBatchMin) num_threads = 1;
-  num_threads = static_cast<unsigned>(
-      std::min<size_t>(num_threads, std::max<size_t>(keys.size(), 1)));
-  if (num_threads <= 1) {
-    size_t bits = 0;
-    EncodeRange(keys, 0, keys.size(), &out, &bits);
-    if (total_bits) *total_bits = bits;
-    return out;
-  }
-
-  std::vector<size_t> chunk_bits(num_threads, 0);
-  std::vector<std::exception_ptr> errors(num_threads);
-  std::vector<std::thread> workers;
-  workers.reserve(num_threads - 1);
-  const size_t per = (keys.size() + num_threads - 1) / num_threads;
-  auto run_chunk = [this, &keys, &out, &chunk_bits, &errors](unsigned t,
-                                                            size_t begin,
-                                                            size_t end) {
-    try {
-      EncodeRange(keys, begin, end, &out, &chunk_bits[t]);
-    } catch (...) {
-      // Captured and rethrown on the calling thread after the join — an
-      // exception escaping a worker would otherwise std::terminate.
-      errors[t] = std::current_exception();
-    }
-  };
-  unsigned spawned = 1;  // chunk 0 runs on the calling thread
-  try {
-    for (unsigned t = 1; t < num_threads; t++) {
-      size_t begin = std::min(keys.size(), per * t);
-      size_t end = std::min(keys.size(), begin + per);
-      workers.emplace_back(run_chunk, t, begin, end);
-      spawned = t + 1;
-    }
-  } catch (const std::system_error&) {
-    // Thread creation failed (e.g. process thread limit): finish the
-    // unspawned chunks on this thread rather than aborting the batch.
-  }
-  run_chunk(0, 0, std::min(keys.size(), per));
-  for (unsigned t = spawned; t < num_threads; t++) {
-    size_t begin = std::min(keys.size(), per * t);
-    size_t end = std::min(keys.size(), begin + per);
-    run_chunk(t, begin, end);
-  }
-  for (auto& w : workers) w.join();
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);
-  if (total_bits) {
-    size_t bits = 0;
-    for (size_t b : chunk_bits) bits += b;
-    *total_bits = bits;
-  }
+  if (total_bits) *total_bits = bits;
   return out;
 }
 

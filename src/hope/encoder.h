@@ -17,11 +17,11 @@
 
 namespace hope {
 
-/// Observes every completed encode. Implementations must be thread-safe:
-/// EncodeBatch may invoke the observer from its worker threads, and
-/// multiple readers may share one encoder. Used by the dynamic dictionary
-/// manager to sample recent keys and track the achieved compression rate
-/// without the core library depending on it.
+/// Observes every completed encode, once per key, on the encoding thread.
+/// Implementations must be thread-safe: multiple readers may share one
+/// encoder. Used by the dynamic dictionary manager to sample recent keys
+/// and track the achieved compression rate without the core library
+/// depending on it.
 class EncodeObserver {
  public:
   virtual ~EncodeObserver() = default;
@@ -41,17 +41,11 @@ class Encoder {
   /// Encodes a sorted run of keys, skipping re-encoding of shared
   /// prefixes where the dictionary's bounded lookahead proves the lookups
   /// identical (Appendix B). Runs without reusable prefixes (including
-  /// the unbounded-lookahead ALM family) go through the dictionary's
-  /// multi-key path, which interleaves independent descents to overlap
-  /// cache misses.
-  ///
-  /// `num_threads` fans the batch out over contiguous chunks (keys are
-  /// independent, so the output is byte-identical for any thread count):
-  /// 1 = sequential, 0 = hardware concurrency. Batches smaller than
-  /// kParallelBatchMin always take the deterministic sequential path.
+  /// the unbounded-lookahead ALM family) encode key by key. Every key's
+  /// output is byte-identical to Encode; `total_bits` (optional) receives
+  /// the sum of the exact bit lengths.
   std::vector<std::string> EncodeBatch(const std::vector<std::string>& keys,
-                                       size_t* total_bits = nullptr,
-                                       unsigned num_threads = 1) const;
+                                       size_t* total_bits = nullptr) const;
 
   /// Pair encoding for closed-range queries (batch of two).
   std::pair<std::string, std::string> EncodePair(std::string_view a,
@@ -65,21 +59,7 @@ class Encoder {
   void set_observer(EncodeObserver* observer) { observer_ = observer; }
   EncodeObserver* observer() const { return observer_; }
 
-  /// Minimum batch size before EncodeBatch considers spawning threads.
-  static constexpr size_t kParallelBatchMin = 4096;
-
  private:
-  std::string EncodeWithTrace(std::string_view key, size_t resume_src,
-                              BitWriter* writer,
-                              std::vector<EncodeTrace>* trace) const;
-
-  /// Sequential batch core over keys[begin, end), writing into
-  /// out[begin, end) (preallocated by the caller). Shared-prefix reuse
-  /// applies within the range; `bits_sum` receives the range's bit total.
-  void EncodeRange(const std::vector<std::string>& keys, size_t begin,
-                   size_t end, std::vector<std::string>* out,
-                   size_t* bits_sum) const;
-
   std::unique_ptr<Dictionary> dict_;
   EncodeObserver* observer_ = nullptr;
 };

@@ -73,9 +73,8 @@ class Hope {
   }
 
   std::vector<std::string> EncodeBatch(const std::vector<std::string>& keys,
-                                       size_t* total_bits = nullptr,
-                                       unsigned num_threads = 1) const {
-    return encoder_->EncodeBatch(keys, total_bits, num_threads);
+                                       size_t* total_bits = nullptr) const {
+    return encoder_->EncodeBatch(keys, total_bits);
   }
 
   std::pair<std::string, std::string> EncodePair(std::string_view a,

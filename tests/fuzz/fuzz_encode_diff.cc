@@ -1,17 +1,16 @@
 // Differential fuzz target for the encode hot path: for fuzz-derived
-// keys, every devirtualized/SIMD leg — EncodeSpan (traced and untraced),
-// EncodeMulti's interleaved descent, and the Encode facade — must be
-// byte-identical to the naive per-symbol virtual Lookup loop, across
+// keys, every devirtualized/SIMD leg — EncodeSpan (traced and untraced)
+// and the Encode facade — must be byte-identical to the naive per-symbol virtual Lookup loop, across
 // every compatible scheme × dictionary implementation. This is the
 // fuzzing twin of simd_equivalence_test: the unit test pins curated
 // keys, the fuzzer feeds adversarial ones (NULs, 0xFF runs, boundary
 // straddles) into exactly the same oracle.
 //
-// The CMake registration replays the corpus under HOPE_FUSED=never,
-// HOPE_INTERLEAVE=never, and HOPE_POPCNT=never (plus the HOPE_NO_SIMD
-// CI build), so each escape hatch's path diffs against the same scalar
-// reference. Env vars are read at dictionary construction / descent
-// time, before any fuzz input arrives.
+// The CMake registration replays the corpus under HOPE_FUSED=never and
+// HOPE_POPCNT=never (plus the HOPE_NO_SIMD CI build), so each escape
+// hatch's path diffs against the same scalar reference. Env vars are
+// read at dictionary construction / descent time, before any fuzz input
+// arrives.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -134,18 +133,6 @@ void DiffOneDict(const Hope& hope, const std::vector<std::string>& keys) {
                    "Encode facade diverged from the Lookup loop");
     HOPE_CHECK_MSG(hope.Decode(enc, bits) == key,
                    "decode(encode(key)) is not the key");
-  }
-
-  // EncodeMulti over the whole batch — the interleaved descent.
-  std::vector<std::string_view> views(keys.begin(), keys.end());
-  std::vector<std::string> out(keys.size());
-  std::vector<size_t> bits(keys.size());
-  dict.EncodeMulti(views.data(), views.size(), out.data(), bits.data());
-  for (size_t i = 0; i < keys.size(); i++) {
-    size_t ref_bits = 0;
-    std::string ref = RefEncode(dict, keys[i], &ref_bits, nullptr);
-    HOPE_CHECK_MSG(out[i] == ref && bits[i] == ref_bits,
-                   "EncodeMulti diverged from the Lookup loop");
   }
 }
 

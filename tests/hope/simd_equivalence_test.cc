@@ -1,7 +1,6 @@
 // Differential coverage for the devirtualized/SIMD encode hot path: for
 // every scheme × dictionary implementation, EncodeSpan (one virtual call
-// per key), EncodeMulti (interleaved multi-key descent), and the batch
-// paths must produce encodings byte-identical to the naive per-symbol
+// per key) and the batch paths must produce encodings byte-identical to the naive per-symbol
 // Lookup loop — the scalar reference the seed encoder used. Runs on both
 // CI rows, so the SIMD tiers and the HOPE_NO_SIMD portable fallbacks are
 // each proven against the same reference.
@@ -146,26 +145,6 @@ TEST_F(SimdEquivalenceTest, EncodeSpanMatchesLookupLoop) {
   });
 }
 
-TEST_F(SimdEquivalenceTest, EncodeMultiMatchesLookupLoop) {
-  auto keys = TestKeys();
-  // Shuffle so the interleaved descent sees unrelated neighbors (the
-  // arrangement EncodeRange hands it).
-  std::shuffle(keys.begin(), keys.end(), std::mt19937_64(14));
-  ForEachDict([&](const Hope& hope, Scheme, DictImpl) {
-    const Dictionary& dict = hope.dict();
-    std::vector<std::string_view> views(keys.begin(), keys.end());
-    std::vector<std::string> out(keys.size());
-    std::vector<size_t> bits(keys.size());
-    dict.EncodeMulti(views.data(), views.size(), out.data(), bits.data());
-    for (size_t i = 0; i < keys.size(); i++) {
-      size_t ref_bits = 0;
-      std::string ref = RefEncode(dict, keys[i], &ref_bits);
-      ASSERT_EQ(out[i], ref) << "key: " << keys[i];
-      ASSERT_EQ(bits[i], ref_bits) << "key: " << keys[i];
-    }
-  });
-}
-
 /// RAII env toggle for the A/B escape hatches; restores on scope exit so
 /// a failing leg cannot leak configuration into later tests.
 struct EnvGuard {
@@ -179,13 +158,9 @@ struct EnvGuard {
 TEST_F(SimdEquivalenceTest, EscapeHatchPathsMatchLookupLoop) {
   // HOPE_FUSED=never pins the classic rank-only walk (fused dispatch
   // table off — read at dictionary construction, and ForEachDict builds
-  // fresh) and HOPE_INTERLEAVE=always forces the round-robin multi-key
-  // descent even on cache-resident dictionaries: together they exercise
-  // the two paths the auto-tuning skips at test scale.
+  // fresh), the path the bitmap trie skips by default.
   EnvGuard fused("HOPE_FUSED", "never");
-  EnvGuard interleave("HOPE_INTERLEAVE", "always");
-  auto keys = TestKeys();
-  std::shuffle(keys.begin(), keys.end(), std::mt19937_64(16));
+  const auto keys = TestKeys();
   ForEachDict([&](const Hope& hope, Scheme, DictImpl) {
     const Dictionary& dict = hope.dict();
     for (const std::string& key : keys) {
@@ -195,16 +170,6 @@ TEST_F(SimdEquivalenceTest, EscapeHatchPathsMatchLookupLoop) {
       dict.EncodeSpan(key, 0, &w, nullptr);
       ASSERT_EQ(w.TakeBytes(), ref) << "key: " << key;
       ASSERT_EQ(w.total_bits(), ref_bits);
-    }
-    std::vector<std::string_view> views(keys.begin(), keys.end());
-    std::vector<std::string> out(keys.size());
-    std::vector<size_t> bits(keys.size());
-    dict.EncodeMulti(views.data(), views.size(), out.data(), bits.data());
-    for (size_t i = 0; i < keys.size(); i++) {
-      size_t ref_bits = 0;
-      std::string ref = RefEncode(dict, keys[i], &ref_bits);
-      ASSERT_EQ(out[i], ref) << "key: " << keys[i];
-      ASSERT_EQ(bits[i], ref_bits);
     }
   });
 }
