@@ -4,8 +4,9 @@
 //
 // Single-Char and Double-Char have fixed dictionary sizes (2^8 and
 // 256*257); the variable schemes sweep 2^8 .. 2^14 by default and up to
-// 2^18 under HOPE_BENCH_FULL=1 (the paper's sweep), where the quadratic
-// Hu-Tucker build dominates run time.
+// 2^18 under HOPE_BENCH_FULL=1 (the paper's sweep). Hu-Tucker code
+// assignment takes milliseconds at every size; build time is symbol
+// selection.
 #include "bench/bench_common.h"
 
 namespace hope::bench {

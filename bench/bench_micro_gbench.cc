@@ -65,16 +65,30 @@ void BM_DictLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_DictLookup);
 
-void BM_HuTucker(benchmark::State& state) {
+// Hu-Tucker construction over n weights in two families. Uniform random
+// weights are the adversarial case (merged nodes travel far left);
+// Zipf-distributed weights in shuffled order resemble real dictionaries,
+// whose interval frequencies are skewed but not sorted.
+std::vector<double> HuTuckerWeights(size_t n, bool zipf) {
   std::mt19937_64 rng(7);
-  std::vector<double> weights(static_cast<size_t>(state.range(0)));
-  for (auto& w : weights)
-    w = std::uniform_real_distribution<double>(0, 1)(rng);
+  std::vector<double> weights(n);
+  for (size_t i = 0; i < n; i++)
+    weights[i] = zipf ? 1.0 / static_cast<double>(i + 1)
+                      : std::uniform_real_distribution<double>(0, 1)(rng);
+  if (zipf) std::shuffle(weights.begin(), weights.end(), rng);
+  return weights;
+}
+
+void BM_HuTucker(benchmark::State& state, bool zipf) {
+  auto weights = HuTuckerWeights(static_cast<size_t>(state.range(0)), zipf);
   for (auto _ : state)
     benchmark::DoNotOptimize(HuTuckerCodes(weights));
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_HuTucker)->RangeMultiplier(4)->Range(256, 1 << 14)->Complexity();
+BENCHMARK_CAPTURE(BM_HuTucker, uniform, false)
+    ->RangeMultiplier(4)->Range(256, 1 << 16)->Complexity();
+BENCHMARK_CAPTURE(BM_HuTucker, zipf, true)
+    ->RangeMultiplier(4)->Range(256, 1 << 16)->Complexity();
 
 template <typename Tree>
 void BM_TreeLookup(benchmark::State& state) {

@@ -40,9 +40,10 @@
 //
 // Scale: HOPE_BENCH_KEYS keys (default 200000); the acceptance run uses
 // 1000000+. Single-Char dictionaries keep retrain cost (23ms) out of
-// the serving story — Double-Char's fixed 2^16-symbol Hu-Tucker build
-// (~1.4s) would turn every post-rebalance retrain into a bench-length
-// stall without telling us anything about the serving layer.
+// the serving story — Double-Char's fixed 2^16-symbol dictionary
+// (~0.07 s to build from a 1% sample of 2M emails, ~0.2 s from URLs)
+// would add a 65,792-entry table to every post-rebalance retrain without
+// telling us anything about the serving layer.
 #include <chrono>
 #include <thread>
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -10,12 +11,6 @@
 namespace hope {
 
 namespace {
-
-// A work-list item during the Garsia-Wachs combination phase.
-struct WorkItem {
-  double weight;
-  int32_t node;  // index into the merge-tree node array
-};
 
 struct MergeNode {
   int32_t left = -1;   // -1 for leaves
@@ -37,41 +32,72 @@ std::vector<int> GarsiaWachsDepthsFloored(const std::vector<double>& weights,
   std::vector<MergeNode> nodes(n);
   nodes.reserve(2 * n);
 
+  // The Garsia-Wachs work list, bracketed by infinite sentinels, is kept
+  // in two parallel arrays (weights and merge-tree node ids) laid out as
+  // [stack | gap | unread input]: the logical list is positions [0, top)
+  // followed by [next, n + 2). Merges and insertions only ever touch the
+  // list left of the scan point, which is always on the stack, so no merge
+  // shifts the unread tail; a lookahead step moves item `next` onto the
+  // stack top. Each merge frees one slot, so the gap only grows.
   const double kInf = std::numeric_limits<double>::infinity();
-  std::vector<WorkItem> list;
-  list.reserve(n + 2);
-  list.push_back({kInf, -1});  // left sentinel
-  for (size_t i = 0; i < n; i++)
-    list.push_back({std::max(weights[i], floor_w), static_cast<int32_t>(i)});
-  list.push_back({kInf, -1});  // right sentinel
+  std::vector<double> weight(n + 2);
+  std::vector<int32_t> node(n + 2);
+  weight[0] = kInf;  // left sentinel
+  node[0] = -1;
+  for (size_t i = 0; i < n; i++) {
+    weight[i + 1] = std::max(weights[i], floor_w);
+    node[i + 1] = static_cast<int32_t>(i);
+  }
+  weight[n + 1] = kInf;  // right sentinel
+  node[n + 1] = -1;
+  size_t top = 2;  // the stack starts as [left sentinel, first item]
+  size_t next = 2;
+  auto push = [&] {
+    weight[top] = weight[next];
+    node[top++] = node[next++];
+  };
+  // Moves stack positions [first, last) to start at d_first.
+  auto shift = [&](size_t first, size_t last, size_t d_first) {
+    std::memmove(weight.data() + d_first, weight.data() + first,
+                 (last - first) * sizeof(double));
+    std::memmove(node.data() + d_first, node.data() + first,
+                 (last - first) * sizeof(int32_t));
+  };
 
-  // Repeatedly find the leftmost i (1-based into list) such that
-  // list[i-1].weight <= list[i+1].weight, merge (i-1, i), and move the
-  // merged node left past all smaller weights. Scanning resumes near the
-  // insertion point: positions to its left were already verified to have
-  // no local minimum and are unchanged.
-  size_t scan = 1;
+  // Repeatedly find the leftmost i such that list[i-1] <= list[i+1],
+  // merge (i-1, i), and move the merged node left past all smaller
+  // weights. Scanning resumes near the insertion point: positions to its
+  // left were already verified to have no local minimum and are unchanged.
+  size_t i = 1;
   for (size_t merges = 0; merges < n - 1; merges++) {
-    // Find leftmost local-minimum pair.
-    size_t i = std::max<size_t>(scan, 1);
-    while (!(list[i - 1].weight <= list[i + 1].weight)) i++;
-    // Merge list[i-1] and list[i].
-    double w = list[i - 1].weight + list[i].weight;
+    // Find the leftmost local-minimum pair: first among the positions
+    // still on the stack, then by pulling lookahead items (list[i+1] is
+    // weight[next] once i reaches the stack top). The right sentinel
+    // always stops the scan.
+    while (i + 1 < top && !(weight[i - 1] <= weight[i + 1])) i++;
+    if (i + 1 == top) {
+      while (!(weight[top - 2] <= weight[next])) push();
+      i = top - 1;
+    }
+    // Merge list[i-1] and list[i] and remove both from the stack.
+    double w = weight[i - 1] + weight[i];
     int32_t id = static_cast<int32_t>(nodes.size());
-    nodes.push_back({list[i - 1].node, list[i].node});
-    // Remove both items.
-    list.erase(list.begin() + static_cast<long>(i - 1),
-               list.begin() + static_cast<long>(i + 1));
+    nodes.push_back({node[i - 1], node[i]});
+    shift(i + 1, top, i - 1);
+    top -= 2;
     // Move left: insert after the rightmost element with weight >= w.
-    size_t j = i - 1;  // insertion candidate position (item now at j is the
-                       // one that followed the pair)
-    while (list[j - 1].weight < w) j--;
-    list.insert(list.begin() + static_cast<long>(j), {w, id});
-    scan = j > 1 ? j - 1 : 1;
+    size_t j = i - 1;
+    while (weight[j - 1] < w) j--;
+    shift(j, top, j + 1);
+    weight[j] = w;
+    node[j] = id;
+    top++;
+    i = j > 1 ? j - 1 : 1;
   }
 
-  HOPE_DCHECK(list.size() == 3);  // two sentinels + root
-  int32_t root = list[1].node;
+  // Two sentinels + root remain.
+  HOPE_DCHECK(top == 2 && next == n + 1);
+  int32_t root = node[1];
 
   // Compute leaf depths by iterative DFS over the merge tree.
   std::vector<std::pair<int32_t, int>> stack;

@@ -3,11 +3,21 @@
 // The paper assigns Hu-Tucker codes to dictionary intervals (§4.2). We
 // compute the same optimal alphabetic binary tree with the Garsia-Wachs
 // algorithm, which is provably cost-equivalent to Hu-Tucker and has a
-// simpler O(n^2) combination phase (near-linear in practice thanks to
-// scan resumption). Codes are emitted in alphabetic order, so
-// c_0 < c_1 < ... < c_{n-1} as bit strings, and the code set is
-// prefix-free — exactly the properties §3.1 requires for an
-// order-preserving dictionary.
+// simpler combination phase.
+//
+// Cost: the work list is kept as [stack | gap | unread input], so a merge
+// never shifts the unread tail. A merge memmoves only the stack items
+// between its insertion point and the stack top, and the scan rereads
+// them, so its cost is proportional to how far the merged item moves
+// left; each item the scan pulls from the input costs one step. Real
+// dictionary weights keep those moves short: Double-Char's 65,792
+// intervals take ~5 ms, every 3-/4-Grams and ALM-Improved dictionary a
+// few ms. Only adversarial shapes make the moves long and the phase
+// quadratic (2^16 sorted or uniform random weights: 0.5-3 s).
+//
+// Codes are emitted in alphabetic order, so c_0 < c_1 < ... < c_{n-1} as
+// bit strings, and the code set is prefix-free — exactly the properties
+// §3.1 requires for an order-preserving dictionary.
 #pragma once
 
 #include <cstdint>

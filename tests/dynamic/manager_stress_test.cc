@@ -41,9 +41,9 @@ TEST(ManagerStressTest, ReadersSurviveConsecutivePublishes) {
   DriftingWorkload drift(dopt);
   auto phase0 = drift.Phase(0);
 
-  // Single-Char keeps each published dictionary cheap to build: the test
-  // exercises swap concurrency, and expensive Hu-Tucker builds only slow
-  // sanitizer runs down (TSan on one core timed out with Double-Char).
+  // Single-Char keeps each published dictionary small (256 entries, vs
+  // Double-Char's 65,792): the test exercises swap concurrency, not
+  // compression, and bigger builds only slow sanitizer runs down.
   auto opts = StressOptions();
   opts.scheme = Scheme::kSingleChar;
   DictionaryManager mgr(

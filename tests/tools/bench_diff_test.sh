@@ -164,6 +164,36 @@ sed -e 's/"op": "lookup"/"op": "erase"/' "$serving" \
   > "$work/serving_op.json"
 expect 0 "$serving" "$work/serving_op.json"
 
+# Figure rows: dataset / tree / config / dict_size are identity, so rows
+# that differ only in one of them are compared separately (fig12's
+# per-tree rows, fig9's 4K vs 16K rows) instead of collapsing onto one
+# key where the last row silently wins.
+fig="$work/fig.json"
+cat > "$fig" <<'EOF'
+{
+  "bench": "fig12_point_queries",
+  "keys": 1000,
+  "rows": [
+    {"dataset": "Email", "tree": "ART", "config": "3-Grams",
+     "dict_size": "16K", "lookup_ns": 100.0, "cpr": 2.0},
+    {"dataset": "Email", "tree": "HOT", "config": "3-Grams",
+     "dict_size": "16K", "lookup_ns": 200.0, "cpr": 2.0},
+    {"dataset": "Email", "tree": "ART", "config": "3-Grams",
+     "dict_size": "4K", "lookup_ns": 100.0, "cpr": 1.5}
+  ]
+}
+EOF
+cp "$fig" "$work/fig_same.json"
+expect 0 "$fig" "$work/fig_same.json"
+# A latency regression in the HOT row only: caught, not masked by the
+# ART row it differs from only in "tree".
+sed 's/"lookup_ns": 200.0/"lookup_ns": 400.0/' "$fig" > "$work/fig_tree.json"
+expect 1 "$fig" "$work/fig_tree.json"
+# A CPR regression in the 4K row only: caught, not masked by the 16K row
+# it differs from only in "dict_size".
+sed 's/"cpr": 1.5/"cpr": 1.0/' "$fig" > "$work/fig_dict.json"
+expect 1 "$fig" "$work/fig_dict.json"
+
 # Telemetry rows: telemetry_* health rates take --telemetry-threshold
 # (default 0.5), telemetry_*_ns ride the latency family, *_rejects and
 # *check_failures are zero-tolerance correctness, and "mode" is

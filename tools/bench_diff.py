@@ -13,11 +13,11 @@ present in BOTH is compared (files only in one side are reported but do
 not fail the run — new benches appear, retired ones disappear).
 
 Rows are matched across files by a fixed whitelist of identity fields
-(series / scheme / phase / op / shard counts); volatile descriptive
-strings such as shard_epochs are neither identity nor metrics, so a
-benign rebuild-count shift cannot un-match a row and silently exempt
-its CPR from the gate. Within matched rows, only recognized metric
-families are compared:
+(series / scheme / phase / op / shard counts / dataset / tree / config /
+dict_size); volatile descriptive strings such as shard_epochs are
+neither identity nor metrics, so a benign rebuild-count shift cannot
+un-match a row and silently exempt its CPR from the gate. Within
+matched rows, only recognized metric families are compared:
 
   higher is better:  *cpr* (compression rate), *gain*,
                      *ops_per_sec and *chars_per_sec* (throughput — the
@@ -76,7 +76,7 @@ from pathlib import Path
 # un-match the row and silently skip its metric comparison.
 ID_FIELDS = {
     "series", "scheme", "phase", "op", "num_shards", "victim_shard",
-    "mix_fraction_b", "mode",
+    "mix_fraction_b", "mode", "dataset", "tree", "config", "dict_size",
 }
 
 

@@ -616,10 +616,9 @@ int CmdServe(int argc, char** argv) {
     run_phase(p + 1 == drift.num_phases() ? "drift(last)" : "drift", p,
               /*write_frac=*/0.10, /*scan_frac=*/0.005);
     // The policy wants sustained imbalance across consecutive polls
-    // past its cooldown, and the background worker can be parked inside
-    // a multi-second dictionary build (Double-Char's fixed 2^16-symbol
-    // Hu-Tucker takes ~1.4s regardless of the size limit), so poll the
-    // router directly here instead of waiting for the worker's cycle.
+    // past its cooldown, and the background worker only polls once per
+    // cycle, between rebuild sweeps over every shard, so poll the router
+    // directly here instead of waiting for the worker's cycle.
     // Published plans apply under live traffic: the loop's maintenance
     // thread migrates keys while the next phase's requests stream in.
     rebuilder.Nudge();
