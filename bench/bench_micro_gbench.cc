@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
 
 #include "art/art.h"
@@ -106,6 +107,39 @@ BENCHMARK(BM_TreeLookup<Art>)->Name("BM_ArtLookup");
 BENCHMARK(BM_TreeLookup<Hot>)->Name("BM_HotLookup");
 BENCHMARK(BM_TreeLookup<BTree>)->Name("BM_BTreeLookup");
 BENCHMARK(BM_TreeLookup<PrefixBTree>)->Name("BM_PrefixBTreeLookup");
+
+// Loads n emails into a B+tree in sorted or shuffled order (the sorted
+// load is the bulk-load case the append fast path and the right-spine
+// splits serve), reporting node + key bytes per key and the height.
+void BM_BTreeLoad(benchmark::State& state, bool sorted) {
+  static const auto* all = new std::vector<std::string>(
+      GenerateEmails(size_t{1} << 20, 43));
+  std::vector<std::string> keys(all->begin(), all->begin() + state.range(0));
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  if (!sorted) std::shuffle(keys.begin(), keys.end(), std::mt19937_64(44));
+  double bytes_per_key = 0, height = 0;
+  for (auto _ : state) {
+    auto tree = std::make_unique<BTree>();
+    for (size_t i = 0; i < keys.size(); i++) tree->Insert(keys[i], i);
+    state.PauseTiming();
+    bytes_per_key = static_cast<double>(tree->MemoryBytes()) /
+                    static_cast<double>(keys.size());
+    height = tree->Height();
+    tree.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(keys.size()));
+  state.counters["bytes_per_key"] = bytes_per_key;
+  state.counters["height"] = height;
+}
+BENCHMARK_CAPTURE(BM_BTreeLoad, sorted, true)
+    ->RangeMultiplier(4)->Range(1 << 14, 1 << 20)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BTreeLoad, shuffled, false)
+    ->RangeMultiplier(4)->Range(1 << 14, 1 << 20)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SurfMayContain(benchmark::State& state) {
   auto sorted = EmailKeys();

@@ -64,12 +64,24 @@ void BTree::Insert(std::string_view key, uint64_t value) {
     leaf->keys[0] = Intern(key);
     leaf->values[0] = value;
     leaf->count = 1;
-    root_ = leaf;
+    root_ = rightmost_ = leaf;
     node_bytes_ += sizeof(LeafNode);
     size_ = 1;
     return;
   }
-  SplitResult split = InsertRec(root_, key, value);
+  // A key past the maximum belongs at the end of the rightmost leaf, and
+  // no separator changes: each is a lower bound of its right subtree, and
+  // the maximum only grows. While that leaf has room, skip the descent.
+  LeafNode* last = rightmost_;
+  if (last->count < kSlots &&
+      key > std::string_view(*last->keys[last->count - 1])) {
+    last->keys[last->count] = Intern(key);
+    last->values[last->count] = value;
+    last->count++;
+    size_++;
+    return;
+  }
+  SplitResult split = InsertRec(root_, key, value, /*spine=*/true);
   if (split.right) {
     auto* new_root = new InnerNode();
     new_root->leaf = false;
@@ -83,7 +95,7 @@ void BTree::Insert(std::string_view key, uint64_t value) {
 }
 
 BTree::SplitResult BTree::InsertRec(Node* node, std::string_view key,
-                                    uint64_t value) {
+                                    uint64_t value, bool spine) {
   if (node->leaf) {
     auto* leaf = static_cast<LeafNode*>(node);
     int pos = LowerBound(leaf->keys, leaf->count, key);
@@ -102,29 +114,36 @@ BTree::SplitResult BTree::InsertRec(Node* node, std::string_view key,
       size_++;
       return {};
     }
-    // Split the leaf, then insert into the proper half.
     auto* right = new LeafNode();
     right->leaf = true;
     node_bytes_ += sizeof(LeafNode);
-    int half = kSlots / 2;
-    right->count = static_cast<uint16_t>(kSlots - half);
-    for (int i = 0; i < right->count; i++) {
-      right->keys[i] = leaf->keys[half + i];
-      right->values[i] = leaf->values[half + i];
+    if (spine && pos == kSlots) {
+      // Append split: this leaf stays full, the new one starts with the key.
+      right->keys[0] = Intern(key);
+      right->values[0] = value;
+      right->count = 1;
+      size_++;
+    } else {
+      // Split in half, then insert into the proper half.
+      int half = kSlots / 2;
+      right->count = static_cast<uint16_t>(kSlots - half);
+      for (int i = 0; i < right->count; i++) {
+        right->keys[i] = leaf->keys[half + i];
+        right->values[i] = leaf->values[half + i];
+      }
+      leaf->count = static_cast<uint16_t>(half);
+      InsertRec(pos <= half ? leaf : right, key, value, /*spine=*/false);
     }
-    leaf->count = static_cast<uint16_t>(half);
     right->next = leaf->next;
     leaf->next = right;
-    if (pos <= half)
-      InsertRec(leaf, key, value);
-    else
-      InsertRec(right, key, value);
+    if (leaf == rightmost_) rightmost_ = right;
     return {right, right->keys[0]};
   }
 
   auto* inner = static_cast<InnerNode*>(node);
   int idx = UpperBound(inner->keys, inner->count, key);
-  SplitResult child_split = InsertRec(inner->children[idx], key, value);
+  SplitResult child_split = InsertRec(inner->children[idx], key, value,
+                                      spine && idx == inner->count);
   if (!child_split.right) return {};
 
   if (inner->count < kSlots) {
@@ -137,30 +156,31 @@ BTree::SplitResult BTree::InsertRec(Node* node, std::string_view key,
     inner->count++;
     return {};
   }
-  // Split the inner node: middle key moves up.
+  // Split the inner node: lay out its keys and children with the pending
+  // separator in place, keep `left` keys here, move the next one up and
+  // the rest to a new right node. An append split on the right spine
+  // keeps kSlots - 1 keys and leaves the new right node one key and the
+  // last two children; any other split leaves kMinFill keys on each side.
+  const std::string* keys[kSlots + 1];
+  Node* children[kSlots + 2];
+  std::copy(inner->keys, inner->keys + idx, keys);
+  keys[idx] = child_split.separator;
+  std::copy(inner->keys + idx, inner->keys + kSlots, keys + idx + 1);
+  std::copy(inner->children, inner->children + idx + 1, children);
+  children[idx + 1] = child_split.right;
+  std::copy(inner->children + idx + 1, inner->children + kSlots + 1,
+            children + idx + 2);
+  int left = spine && idx == kSlots ? kSlots - 1 : kMinFill;
   auto* right = new InnerNode();
   right->leaf = false;
   node_bytes_ += sizeof(InnerNode);
-  int mid = kSlots / 2;
-  const std::string* up_key = inner->keys[mid];
-  right->count = static_cast<uint16_t>(kSlots - mid - 1);
-  for (int i = 0; i < right->count; i++) {
-    right->keys[i] = inner->keys[mid + 1 + i];
-    right->children[i] = inner->children[mid + 1 + i];
-  }
-  right->children[right->count] = inner->children[kSlots];
-  inner->count = static_cast<uint16_t>(mid);
-  // Insert the pending separator into the proper half.
-  InnerNode* target = idx <= mid ? inner : right;
-  int tpos = idx <= mid ? idx : idx - mid - 1;
-  for (int i = target->count; i > tpos; i--) {
-    target->keys[i] = target->keys[i - 1];
-    target->children[i + 1] = target->children[i];
-  }
-  target->keys[tpos] = child_split.separator;
-  target->children[tpos + 1] = child_split.right;
-  target->count++;
-  return {right, up_key};
+  right->count = static_cast<uint16_t>(kSlots - left);
+  std::copy(keys + left + 1, keys + kSlots + 1, right->keys);
+  std::copy(children + left + 1, children + kSlots + 2, right->children);
+  std::copy(keys, keys + left, inner->keys);
+  std::copy(children, children + left + 1, inner->children);
+  inner->count = static_cast<uint16_t>(left);
+  return {right, keys[left]};
 }
 
 bool BTree::Erase(std::string_view key) {
@@ -173,7 +193,7 @@ bool BTree::Erase(std::string_view key) {
     if (root_->count == 0) {
       delete static_cast<LeafNode*>(root_);
       node_bytes_ -= sizeof(LeafNode);
-      root_ = nullptr;
+      root_ = rightmost_ = nullptr;
     }
   } else if (root_->count == 0) {
     Node* child = static_cast<InnerNode*>(root_)->children[0];
@@ -238,7 +258,10 @@ void BTree::RebalanceChild(InnerNode* parent, int idx) {
       parent->keys[idx] = r->keys[0];
       return;
     }
-    // Merge with a sibling (always fits: < kMinFill + <= kMinFill slots).
+    // Merge with a sibling. It always fits: a merge runs only when the
+    // child is below kMinFill and no sibling holds more than kMinFill, so
+    // the merged node has at most 2 * kMinFill - 1 = 15 entries. An
+    // under-filled right-spine node only makes it smaller.
     auto* dst = left ? static_cast<LeafNode*>(left) : c;
     auto* src = left ? c : static_cast<LeafNode*>(right);
     int sep = left ? idx - 1 : idx;
@@ -248,6 +271,7 @@ void BTree::RebalanceChild(InnerNode* parent, int idx) {
     }
     dst->count = static_cast<uint16_t>(dst->count + src->count);
     dst->next = src->next;
+    if (src == rightmost_) rightmost_ = dst;
     delete src;
     node_bytes_ -= sizeof(LeafNode);
     for (int i = sep; i + 1 < parent->count; i++) {
@@ -284,7 +308,8 @@ void BTree::RebalanceChild(InnerNode* parent, int idx) {
     r->count--;
     return;
   }
-  // Merge inner nodes around the parent separator.
+  // Merge inner nodes around the parent separator: at most
+  // kMinFill + 1 + (kMinFill - 1) = kSlots keys.
   auto* dst = left ? static_cast<InnerNode*>(left) : c;
   auto* src = left ? c : static_cast<InnerNode*>(right);
   int sep = left ? idx - 1 : idx;
@@ -354,42 +379,55 @@ int BTree::Height() const {
   return h;
 }
 
-std::string BTree::CheckRec(const Node* node, const std::string** lo,
-                            const std::string** hi, int depth,
-                            int expect_depth) const {
+std::string BTree::CheckRec(const Node* node, const std::string* lo,
+                            const std::string* hi, int depth,
+                            int expect_depth, bool spine,
+                            std::vector<const LeafNode*>* leaves) const {
+  if (node->count == 0) return "empty node";
+  if (node != root_ && !spine && node->count < kMinFill)
+    return "node below kMinFill off the right spine";
   if (node->leaf) {
     if (depth != expect_depth) return "leaves at different depths";
     const auto* leaf = static_cast<const LeafNode*>(node);
-    if (leaf->count == 0) return "empty leaf";
     for (int i = 0; i + 1 < leaf->count; i++)
       if (!(*leaf->keys[i] < *leaf->keys[i + 1]))
         return "leaf keys out of order";
-    if (*lo && !(**lo <= *leaf->keys[0])) return "leaf below lower bound";
-    if (*hi && !(*leaf->keys[leaf->count - 1] < **hi))
+    if (lo && !(*lo <= *leaf->keys[0])) return "leaf below lower bound";
+    if (hi && !(*leaf->keys[leaf->count - 1] < *hi))
       return "leaf above upper bound";
+    leaves->push_back(leaf);
     return "";
   }
   const auto* inner = static_cast<const InnerNode*>(node);
-  if (inner->count == 0) return "empty inner node";
   for (int i = 0; i + 1 < inner->count; i++)
     if (!(*inner->keys[i] < *inner->keys[i + 1]))
       return "inner keys out of order";
   for (int i = 0; i <= inner->count; i++) {
-    const std::string* clo = i == 0 ? *lo : inner->keys[i - 1];
-    const std::string* chi = i == inner->count ? *hi : inner->keys[i];
-    std::string err =
-        CheckRec(inner->children[i], &clo, &chi, depth + 1, expect_depth);
+    const std::string* clo = i == 0 ? lo : inner->keys[i - 1];
+    const std::string* chi = i == inner->count ? hi : inner->keys[i];
+    std::string err = CheckRec(inner->children[i], clo, chi, depth + 1,
+                               expect_depth, spine && i == inner->count,
+                               leaves);
     if (!err.empty()) return err;
   }
   return "";
 }
 
 std::string BTree::CheckInvariants() const {
-  if (!root_) return "";
-  int depth = Height();
-  const std::string* lo = nullptr;
-  const std::string* hi = nullptr;
-  return CheckRec(root_, &lo, &hi, 1, depth);
+  if (!root_) return rightmost_ ? "rightmost leaf in an empty tree" : "";
+  // The walk collects the leaves in key order; the chain must match it.
+  std::vector<const LeafNode*> leaves;
+  std::string err = CheckRec(root_, nullptr, nullptr, 1, Height(),
+                             /*spine=*/true, &leaves);
+  if (!err.empty()) return err;
+  const LeafNode* leaf = leaves.front();
+  for (size_t i = 1; i < leaves.size(); i++) {
+    if (leaf->next != leaves[i]) return "leaf chain skips or reorders a leaf";
+    leaf = leaf->next;
+  }
+  if (leaf->next) return "leaf chain runs past the last leaf";
+  if (leaf != rightmost_) return "rightmost leaf is not the chain's end";
+  return "";
 }
 
 }  // namespace hope

@@ -4,6 +4,20 @@
 // owned by an internal arena with stable addresses; MemoryBytes() counts
 // nodes plus key bytes, since the index stores the keys (Fig. 7: B+trees
 // store full keys and benefit most from key compression).
+//
+// Split policy. A full node that overflows splits in half (an inner node
+// leaves kMinFill keys on each side), except on the right spine (the last
+// child at every level) when the overflow is at the node's end. Then the
+// old node stays full (an inner node gives up only its last key and
+// child) and the new right node takes only the new key (a leaf) or the
+// last child and the new one (an inner node), the rule PostgreSQL and
+// SQLite use for rightmost pages. A sorted load therefore fills every
+// leaf, and a key past the maximum goes straight into the rightmost leaf,
+// without a descent, while that leaf has room.
+//
+// Fill rule. Every node except the root and the right spine holds at
+// least kMinFill entries (keys); right-spine nodes may hold fewer, and
+// Erase rebalances them like any other node once they drop below it.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +44,8 @@ class BTree {
   /// Point lookup.
   bool Lookup(std::string_view key, uint64_t* value) const;
 
-  /// Removes a key with classic borrow/merge rebalancing (nodes stay at
-  /// least half full, the tree shrinks when the root empties). Returns
+  /// Removes a key with classic borrow/merge rebalancing (the fill rule
+  /// above holds, the tree shrinks when the root empties). Returns
   /// false if the key was absent. Note: the interned key bytes stay in
   /// the append-only arena; a delete-heavy long-lived index would pair
   /// this with arena compaction.
@@ -50,8 +64,11 @@ class BTree {
   /// Tree height (levels), for diagnostics.
   int Height() const;
 
-  /// Validates B+tree invariants (ordering, fill, leaf chain); returns an
-  /// error description or "" if consistent. Test hook.
+  /// Validates B+tree invariants: key ordering and separator bounds,
+  /// uniform leaf depth, the fill rule above, and the leaf chain (walking
+  /// `next` from the leftmost leaf visits every leaf once, in key order,
+  /// and ends at the rightmost one). Returns an error description or ""
+  /// if consistent. Test hook.
   std::string CheckInvariants() const;
 
  private:
@@ -80,16 +97,20 @@ class BTree {
   static constexpr int kMinFill = kSlots / 2;
 
   const std::string* Intern(std::string_view key);
-  SplitResult InsertRec(Node* node, std::string_view key, uint64_t value);
+  // `spine`: node is the last child at every level above it.
+  SplitResult InsertRec(Node* node, std::string_view key, uint64_t value,
+                        bool spine);
   bool EraseRec(Node* node, std::string_view key);
   void RebalanceChild(InnerNode* parent, int idx);
   const LeafNode* FindLeaf(std::string_view key) const;
   void FreeRec(Node* node);
-  std::string CheckRec(const Node* node, const std::string** lo,
-                       const std::string** hi, int depth,
-                       int expect_depth) const;
+  std::string CheckRec(const Node* node, const std::string* lo,
+                       const std::string* hi, int depth, int expect_depth,
+                       bool spine,
+                       std::vector<const LeafNode*>* leaves) const;
 
   Node* root_ = nullptr;
+  LeafNode* rightmost_ = nullptr;  // last leaf of the chain; the append target
   std::deque<std::string> arena_;  // stable key storage
   size_t size_ = 0;
   size_t key_bytes_ = 0;

@@ -1,0 +1,120 @@
+// Fuzz target: differential BTree operations against std::map.
+//
+// The input is a stream of operations, one selector byte each:
+//   0 append-max  a key past the current maximum (its successor plus a
+//                 short suffix), the path the rightmost-leaf fast path and
+//                 the right-spine append splits serve
+//   1 insert      an arbitrary short key
+//   2 overwrite   a new value for an existing key (the maximum, or the
+//                 first key at or after a probe)
+//   3 erase       the first key at or after a probe, or the probe itself
+//   4 lookup      an arbitrary probe
+//   5 scan        up to 32 values from an arbitrary start key
+// Every result must match the shadow map; the tree's invariants (order,
+// fill, leaf chain, rightmost leaf) must hold at the end.
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "btree/btree.h"
+#include "common/check.h"
+#include "tests/fuzz/fuzz_input.h"
+
+namespace {
+
+/// A short key greater than `key`: bump its last byte below 0xFF and drop
+/// what follows; a key of 0xFF bytes only (or the empty key) grows by one.
+std::string Successor(const std::string& key) {
+  std::string next = key;
+  while (!next.empty() && static_cast<uint8_t>(next.back()) == 0xFF)
+    next.pop_back();
+  if (next.empty()) return key + '\0';
+  next.back() = static_cast<char>(static_cast<uint8_t>(next.back()) + 1);
+  return next;
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  hope::fuzz::FuzzInput in(data, size);
+  hope::BTree tree;
+  std::map<std::string, uint64_t> shadow;
+  uint64_t value = 0;
+  while (in.remaining() > 0) {
+    value++;
+    switch (in.TakeByte() % 6) {
+      case 0: {
+        std::string key = shadow.empty() ? in.TakeString(8)
+                                         : Successor(shadow.rbegin()->first) +
+                                               in.TakeString(3);
+        HOPE_CHECK_MSG(shadow.empty() || key > shadow.rbegin()->first,
+                       "append key is not past the maximum");
+        tree.Insert(key, value);
+        shadow[key] = value;
+        break;
+      }
+      case 1: {
+        std::string key = in.TakeString(8);
+        tree.Insert(key, value);
+        shadow[key] = value;
+        break;
+      }
+      case 2: {
+        if (shadow.empty()) break;
+        std::string probe = in.TakeString(8);
+        auto it = probe.empty() ? std::prev(shadow.end())
+                                : shadow.lower_bound(probe);
+        if (it == shadow.end()) it = std::prev(shadow.end());
+        tree.Insert(it->first, value);
+        it->second = value;
+        break;
+      }
+      case 3: {
+        std::string key = in.TakeString(8);
+        auto it = shadow.lower_bound(key);
+        if (in.TakeBool() && it != shadow.end()) key = it->first;
+        bool erased = shadow.erase(key) == 1;
+        HOPE_CHECK_MSG(tree.Erase(key) == erased, "erase disagrees with map");
+        break;
+      }
+      case 4: {
+        std::string key = in.TakeString(8);
+        auto it = shadow.find(key);
+        uint64_t got = 0;
+        bool found = tree.Lookup(key, &got);
+        HOPE_CHECK_MSG(found == (it != shadow.end()),
+                       "lookup hit/miss disagrees with map");
+        HOPE_CHECK_MSG(!found || got == it->second,
+                       "lookup value disagrees with map");
+        break;
+      }
+      default: {
+        std::string start = in.TakeString(8);
+        size_t count = in.TakeByte() % 32;
+        std::vector<uint64_t> got;
+        HOPE_CHECK_MSG(tree.Scan(start, count, &got) == got.size(),
+                       "scan count disagrees with its output");
+        auto it = shadow.lower_bound(start);
+        for (uint64_t v : got) {
+          HOPE_CHECK_MSG(it != shadow.end() && it->second == v,
+                         "scan value disagrees with map");
+          ++it;
+        }
+        HOPE_CHECK_MSG(got.size() == count || it == shadow.end(),
+                       "scan stopped early");
+        break;
+      }
+    }
+    HOPE_CHECK_MSG(tree.size() == shadow.size(), "size disagrees with map");
+  }
+  HOPE_CHECK_MSG(tree.CheckInvariants().empty(), "B+tree invariant broken");
+  std::vector<uint64_t> all;
+  tree.Scan("", shadow.size() + 1, &all);
+  HOPE_CHECK_MSG(all.size() == shadow.size(), "full scan size disagrees");
+  size_t i = 0;
+  for (const auto& kv : shadow)
+    HOPE_CHECK_MSG(all[i++] == kv.second, "full scan disagrees with map");
+  return 0;
+}

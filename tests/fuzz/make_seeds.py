@@ -12,6 +12,7 @@ the replayed file.
 Usage: python3 make_seeds.py [corpus-dir]   (default: ./corpus)
 """
 import os
+import random
 import struct
 import sys
 
@@ -183,6 +184,56 @@ def gen_telemetry(d: str):
     write(d, "many_metrics", bytes([200]) * 120)
 
 
+def gen_btree_ops(d: str):
+    # [op][operands...] per operation, op = selector byte % 6:
+    # 0 append-max [len][suffix], 1 insert [len][key], 2 overwrite
+    # [len][probe], 3 erase [len][probe][take-next bool], 4 lookup
+    # [len][key], 5 scan [len][start][count]. A few thousand ascending
+    # appends drive the right-spine append splits through three levels.
+    append = bytes([0, 0])
+    erase_min = bytes([3, 0, 1])
+    tail = bytes([4, 0, 5, 0, 31])
+    write(d, "ascending", append * 1500 + tail)
+    write(d, "descending", b"".join(
+        bytes([1, 2]) + struct.pack(">H", n) for n in range(600, 0, -1))
+        + tail)
+    # Append, then erase down to empty from the top with an append after
+    # every second erase (so each merge that frees the rightmost leaf is
+    # followed by an append through the fast path), then append again.
+    def successor(key):
+        head = key.rstrip(b"\xff")
+        return key + b"\0" if not head else head[:-1] + bytes([head[-1] + 1])
+
+    keys = [b""]
+    for _ in range(399):
+        keys.append(successor(keys[-1]))
+    ops = [append] * 400
+    while keys:
+        for _ in range(2):
+            if keys:
+                top = keys.pop()
+                ops.append(bytes([3, len(top)]) + top + bytes([1]))
+        if keys:
+            keys.append(successor(keys[-1]))
+            ops.append(append)
+    write(d, "append_erase_all_append",
+          b"".join(ops) + append * 400 + erase_min * 100 + tail)
+    rng = random.Random(14)
+    ops = []
+    for _ in range(2000):
+        op = rng.choices(range(6), weights=[50, 20, 5, 15, 5, 5])[0]
+        key = bytes(rng.randrange(256) for _ in range(rng.randrange(5)))
+        if op == 0:
+            ops.append(bytes([0, len(key[:3])]) + key[:3])
+        elif op == 3:
+            ops.append(bytes([3, len(key)]) + key + bytes([rng.randrange(2)]))
+        elif op == 5:
+            ops.append(bytes([5, len(key)]) + key + bytes([rng.randrange(32)]))
+        else:
+            ops.append(bytes([op, len(key)]) + key)
+    write(d, "mixed", b"".join(ops) + tail)
+
+
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else \
         os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus")
@@ -192,6 +243,7 @@ def main():
         "fuzz_encode_diff": gen_encode_diff,
         "fuzz_parse": gen_parse,
         "fuzz_telemetry_export": gen_telemetry,
+        "fuzz_btree_ops": gen_btree_ops,
     }
     for target, gen in gens.items():
         d = os.path.join(root, target)

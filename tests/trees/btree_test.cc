@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <map>
+#include <random>
+
 #include "tests/trees/tree_test_utils.h"
 
 namespace hope {
@@ -70,6 +75,114 @@ TEST(BTreeTest, HeightIsLogarithmic) {
   // fanout >= 8 after splits: height <= log_8(10000) + 2 ~ 7.
   EXPECT_LE(t.Height(), 7);
   EXPECT_GE(t.Height(), 3);
+}
+
+// Zero-padded decimal keys sort like their numbers; the random suffix
+// varies key lengths without changing that order.
+std::string NumKey(uint64_t n, std::mt19937_64* rng) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%012llu",
+                static_cast<unsigned long long>(n));
+  std::string key(buf);
+  for (uint64_t i = (*rng)() % 4; i > 0; i--)
+    key.push_back(static_cast<char>('a' + (*rng)() % 26));
+  return key;
+}
+
+void MatchShadow(const BTree& t,
+                 const std::map<std::string, uint64_t>& shadow) {
+  ASSERT_EQ(t.CheckInvariants(), "");
+  ASSERT_EQ(t.size(), shadow.size());
+  std::vector<uint64_t> vals;
+  ASSERT_EQ(t.Scan("", shadow.size() + 1, &vals), shadow.size());
+  size_t i = 0;
+  for (const auto& kv : shadow) ASSERT_EQ(vals[i++], kv.second) << kv.first;
+}
+
+// Differential test of the append fast path and the right-spine splits:
+// ascending appends mixed with random inserts, overwrites of the maximum
+// and erases (random ones and of the maximum, which merges the rightmost
+// leaf away), then an erase of everything and a second load into the
+// emptied tree.
+TEST(BTreeTest, AppendsMixedWithUpdatesMatchShadow) {
+  for (uint64_t round = 0; round < 20; round++) {
+    SCOPED_TRACE(round);
+    std::mt19937_64 rng(300 + round);
+    BTree t;
+    std::map<std::string, uint64_t> shadow;
+    uint64_t next = 0, value = 0;
+    for (int phase = 0; phase < 2; phase++) {
+      for (int op = 0; op < 3000; op++) {
+        value++;
+        uint64_t r = rng() % 100;
+        if (r < 55 || shadow.empty()) {
+          std::string key = NumKey(next++, &rng);
+          t.Insert(key, value);
+          shadow[key] = value;
+        } else if (r < 75) {
+          std::string key = NumKey(rng() % next, &rng);
+          t.Insert(key, value);
+          shadow[key] = value;
+        } else if (r < 80) {
+          t.Insert(shadow.rbegin()->first, value);
+          shadow.rbegin()->second = value;
+        } else if (r < 85) {
+          std::string key = shadow.rbegin()->first;
+          ASSERT_TRUE(t.Erase(key));
+          shadow.erase(key);
+        } else {
+          // A random key: often present, sometimes absent.
+          std::string key = NumKey(rng() % next, &rng);
+          auto it = shadow.lower_bound(key);
+          if (rng() % 4 != 0 && it != shadow.end()) key = it->first;
+          ASSERT_EQ(t.Erase(key), shadow.erase(key) == 1) << key;
+        }
+        if (op % 500 == 499) {
+          ASSERT_NO_FATAL_FAILURE(MatchShadow(t, shadow));
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(MatchShadow(t, shadow));
+      std::vector<std::string> keys;
+      for (const auto& kv : shadow) keys.push_back(kv.first);
+      std::shuffle(keys.begin(), keys.end(), rng);
+      for (size_t i = 0; i < keys.size(); i++) {
+        ASSERT_TRUE(t.Erase(keys[i]));
+        shadow.erase(keys[i]);
+        if (i % 250 == 0) {
+          ASSERT_NO_FATAL_FAILURE(MatchShadow(t, shadow));
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(MatchShadow(t, shadow));
+      EXPECT_EQ(t.Height(), 0);
+    }
+  }
+}
+
+// A sorted load fills its leaves through the append splits, so it needs
+// fewer node bytes than the same keys inserted in random order (whose
+// half splits leave leaves ~70% full); with half splits only it needs
+// ~1.4x more.
+TEST(BTreeTest, SortedLoadFillsLeaves) {
+  auto keys = GenerateEmails(100000, 57);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  auto shuffled = keys;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(58));
+  BTree sorted_tree, shuffled_tree;
+  size_t key_bytes = 0;
+  for (size_t i = 0; i < keys.size(); i++) {
+    sorted_tree.Insert(keys[i], i);
+    shuffled_tree.Insert(shuffled[i], i);
+    key_bytes += keys[i].size();
+  }
+  ASSERT_EQ(sorted_tree.CheckInvariants(), "");
+  ASSERT_EQ(shuffled_tree.CheckInvariants(), "");
+  ASSERT_EQ(sorted_tree.size(), keys.size());
+  EXPECT_LT(sorted_tree.MemoryBytes() - key_bytes,
+            shuffled_tree.MemoryBytes() - key_bytes);
+  int full_height = static_cast<int>(
+      std::ceil(std::log(static_cast<double>(keys.size())) / std::log(16.0)));
+  EXPECT_LE(sorted_tree.Height(), full_height + 1);
 }
 
 }  // namespace
