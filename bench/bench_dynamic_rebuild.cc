@@ -10,12 +10,11 @@
 // 2. Localized drift (URL corpus, kUrlStyle model): only one shard's key
 //    range blends toward query-style URLs while the rest of the keyspace
 //    stays stable. A ShardedDictionaryManager (per-range dictionaries,
-//    independent epochs, one shared BackgroundRebuilder) is compared
-//    against a single global managed dictionary on the same stream. The
-//    sharded manager should rebuild only the drifted shard — the other
-//    shards' epochs stay at 0 — while matching or beating the global
-//    manager's final compression. Series "localized_phase"/
-//    "localized_summary" in the JSON.
+//    independent epochs) is compared against a single global managed
+//    dictionary on the same stream. The sharded manager should rebuild
+//    only the drifted shard — the other shards' epochs stay at 0 — while
+//    matching or beating the global manager's final compression. Series
+//    "localized_phase"/"localized_summary" in the JSON.
 //
 // 3. Hotspot migration (URL corpus, kHotspotMigrate model): traffic
 //    walks from the lower half of the key space to the upper half. A
@@ -23,9 +22,15 @@
 //    shard; the re-balancing manager (weight-imbalance policy, versioned
 //    router, reservoir-derived boundaries) re-derives the boundaries
 //    online and spreads the hot range back across all shards, while a
-//    ShardedVersionedIndex follows the RebalancePlans and must keep
+//    ConcurrentShardedIndex follows the RebalancePlans and must keep
 //    lookups and cross-shard scans correct across every migration.
 //    Series "rebalance_phase"/"rebalance_summary" in the JSON.
+//
+// Experiments 2 and 3 compare where two managers end up, so their
+// rebuild and rebalance polls run synchronously at phase boundaries,
+// with no rejection backoff and no rebalance cooldown (both are
+// wall-clock gates): a background worker's timing against the key
+// stream would make the compared CPRs and spreads vary run to run.
 #include <chrono>
 #include <map>
 #include <thread>
@@ -34,9 +39,9 @@
 #include "btree/btree.h"
 #include "dynamic/background_rebuilder.h"
 #include "dynamic/dictionary_manager.h"
-#include "dynamic/sharded_index.h"
 #include "dynamic/sharded_manager.h"
 #include "dynamic/versioned_index.h"
+#include "serve/concurrent_index.h"
 #include "workload/drift.h"
 #include "workload/localized_drift.h"
 
@@ -47,8 +52,8 @@ using dynamic::BackgroundRebuilder;
 using dynamic::DictionaryManager;
 using dynamic::MakeCompressionDropPolicy;
 using dynamic::ShardedDictionaryManager;
-using dynamic::ShardedVersionedIndex;
 using dynamic::VersionedIndex;
+using serve::ConcurrentShardedIndex;
 
 DictionaryManager::Options ManagerOptions(Scheme scheme, size_t limit) {
   DictionaryManager::Options mopt;
@@ -164,7 +169,7 @@ void RunGlobalDrift() {
       .Num("rebuilds", static_cast<double>(mgr.rebuilds_published()))
       .Num("rebuilds_rejected", static_cast<double>(mgr.rebuilds_rejected()))
       .Num("index_lookups_checked", static_cast<double>(index_checked))
-      .Num("index_lookups_wrong", static_cast<double>(index_wrong))
+      .Num("index_lookup_failures", static_cast<double>(index_wrong))
       .Num("index_migrated", static_cast<double>(migrated));
 }
 
@@ -198,6 +203,7 @@ void RunLocalizedDrift() {
     mopt.stats.sample_every = 2;
     mopt.stats.ewma_alpha = 0.005;
     mopt.min_cpr_gain = 0.01;
+    mopt.rebuild_backoff_seconds = 0;  // one poll per phase boundary
     return mopt;
   };
   auto policy = [] { return MakeCompressionDropPolicy(0.03, 256); };
@@ -210,13 +216,6 @@ void RunLocalizedDrift() {
   DictionaryManager global(Hope::Build(scheme, sample, limit),
                            manager_options(), policy(), phase0);
 
-  // One shared worker loop polls all shards; the global manager gets its
-  // own so the comparison stays apples-to-apples.
-  BackgroundRebuilder::Options ropt;
-  ropt.poll_interval = std::chrono::milliseconds(10);
-  BackgroundRebuilder sharded_rebuilder(&sharded, ropt);
-  BackgroundRebuilder global_rebuilder(&global, ropt);
-
   // Confine the drift to the shard owning the most part-B weight.
   LocalizedDrift localized_drift(drift, sharded);
   const size_t victim = localized_drift.victim();
@@ -224,7 +223,7 @@ void RunLocalizedDrift() {
     std::printf("  note: corpus too small for a drifting shard; "
                 "stream stays stable\n");
 
-  ShardedVersionedIndex<BTree> index(&sharded);
+  ConcurrentShardedIndex<BTree> index(&sharded);
   size_t index_checked = 0, index_wrong = 0;
 
   auto phase_stream = [&](size_t phase) {
@@ -245,13 +244,8 @@ void RunLocalizedDrift() {
       sharded.Encode(keys[i]);
       if (i % 16 == 0) index.Insert(keys[i], i);
     }
-    for (int spin = 0;
-         spin < 200 && (global.ShouldRebuild() || sharded.ShouldRebuild());
-         spin++) {
-      global_rebuilder.Nudge();
-      sharded_rebuilder.Nudge();
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+    global.RebuildNow();
+    sharded.RebuildPending();
     for (size_t i = 0; i < keys.size(); i += 64) {
       uint64_t v = 0;
       index_checked++;
@@ -277,9 +271,6 @@ void RunLocalizedDrift() {
         .Num("victim_epoch", static_cast<double>(epochs[victim]))
         .Str("shard_epochs", EpochsString(epochs));
   }
-  sharded_rebuilder.Stop();
-  global_rebuilder.Stop();
-
   auto final_keys = phase_stream(drift.num_phases() - 1);
   auto global_clone = global.Acquire().hope->Clone();
   double global_final = MeasureCpr(*global_clone, final_keys);
@@ -289,7 +280,10 @@ void RunLocalizedDrift() {
   for (size_t s = 0; s < epochs.size(); s++)
     if (s != victim) max_other_epoch = std::max(max_other_epoch, epochs[s]);
   bool localized = epochs[victim] > 0 && max_other_epoch == 0;
-  size_t migrated = index.MigrateAll();
+  // No plan is pending, so one poll only drains the old generations the
+  // victim shard's swaps opened.
+  const size_t old_generations = index.TotalGenerations() - num_shards;
+  index.PollMigration();
 
   std::printf("\n  final: global %.3fx vs sharded %.3fx (%+.1f%%); "
               "victim epoch %llu, other shards' max epoch %llu -> %s\n",
@@ -299,8 +293,8 @@ void RunLocalizedDrift() {
               static_cast<unsigned long long>(max_other_epoch),
               localized ? "rebuilds localized" : "NOT localized");
   std::printf("  index: %zu/%zu spot lookups correct across swaps, "
-              "%zu entries migrated on drain\n",
-              index_checked - index_wrong, index_checked, migrated);
+              "%zu old generations drained by an idle poll\n",
+              index_checked - index_wrong, index_checked, old_generations);
   Report()
       .Str("series", "localized_summary")
       .Num("num_shards", static_cast<double>(sharded.num_shards()))
@@ -317,8 +311,9 @@ void RunLocalizedDrift() {
            static_cast<double>(sharded.rebuilds_published()))
       .Str("shard_epochs", EpochsString(epochs))
       .Num("index_lookups_checked", static_cast<double>(index_checked))
-      .Num("index_lookups_wrong", static_cast<double>(index_wrong))
-      .Num("index_migrated", static_cast<double>(migrated));
+      .Num("index_lookup_failures", static_cast<double>(index_wrong))
+      .Num("index_generations_drained",
+           static_cast<double>(old_generations));
 }
 
 void RunRebalance() {
@@ -347,6 +342,7 @@ void RunRebalance() {
     mopt.stats.ewma_alpha = 0.005;
     mopt.stats.reservoir_halflife = 512;
     mopt.min_cpr_gain = 0.01;
+    mopt.rebuild_backoff_seconds = 0;  // one poll per phase boundary
     return mopt;
   };
   auto policy = [] { return MakeCompressionDropPolicy(0.03, 256); };
@@ -363,21 +359,27 @@ void RunRebalance() {
       sample, sopt, policy,
       dynamic::MakeWeightImbalancePolicy(kImbalanceThreshold,
                                          /*min_keys=*/2000,
-                                         /*cooldown_seconds=*/0.5,
+                                         /*cooldown_seconds=*/0,
                                          /*consecutive_polls=*/2));
-
-  BackgroundRebuilder::Options ropt;
-  ropt.poll_interval = std::chrono::milliseconds(10);
-  BackgroundRebuilder fixed_rebuilder(&fixed, ropt);
-  BackgroundRebuilder rebal_rebuilder(&rebal, ropt);
 
   // The index rides the re-balancing manager: its entries must follow
   // every RebalancePlan, and lookups + cross-shard scans must stay
   // correct across the migrations. `model` is the ground truth.
-  ShardedVersionedIndex<BTree> index(&rebal);
+  ConcurrentShardedIndex<BTree> index(&rebal);
   std::map<std::string, uint64_t> model;
   size_t lookups_checked = 0, lookups_wrong = 0;
   size_t scans_checked = 0, scans_wrong = 0;
+
+  // One worker-loop sweep, run at each phase boundary: rebuild polls,
+  // rebalance polls past the policy's two-poll hysteresis (the first
+  // folds the phase's traffic into the weights), then the index's
+  // maintenance loop applies any published plan.
+  auto maintain = [&] {
+    fixed.RebuildPending();
+    rebal.RebuildPending();
+    for (int poll = 0; poll < 3; poll++) rebal.PollRebalance();
+    while (!index.MigrationIdle()) index.PollMigration();
+  };
 
   auto check_scan = [&](const std::string& start, size_t count) {
     std::vector<uint64_t> got;
@@ -408,21 +410,7 @@ void RunRebalance() {
         model[keys[i]] = i;
       }
     }
-    // Bounded reaction window: rebuilds drain on demand, and a fixed tail
-    // of polls lets the traffic-weight EWMA and the rebalance hysteresis
-    // observe the phase (ShouldRebuild covers only the rebuild half).
-    for (int spin = 0;
-         spin < 200 && (fixed.ShouldRebuild() || rebal.ShouldRebuild());
-         spin++) {
-      fixed_rebuilder.Nudge();
-      rebal_rebuilder.Nudge();
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    for (int spin = 0; spin < 30; spin++) {
-      fixed_rebuilder.Nudge();
-      rebal_rebuilder.Nudge();
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+    maintain();
 
     for (size_t i = 0; i < keys.size(); i += 64) {
       if (i % (16 * 64) != 0) continue;  // only keys the index holds
@@ -463,9 +451,6 @@ void RunRebalance() {
   // Settle passes: the hotspot stops moving (the blend saturates at pure
   // B past the last phase), so the re-deriving router gets to converge —
   // the steady state a live system would reach once a migration ends.
-  // The rebalance poll is driven synchronously here: convergence is the
-  // acceptance signal and must not hinge on how often a loaded machine
-  // schedules the background worker.
   auto final_keys = drift.Phase(drift.num_phases());
   for (int round = 0; round < 6; round++) {
     if (StreamSpread(rebal, final_keys) <= kImbalanceThreshold) break;
@@ -473,21 +458,14 @@ void RunRebalance() {
       fixed.Encode(k);
       rebal.Encode(k);
     }
-    fixed.RebuildPending();
-    rebal.RebuildPending();
-    // Past the policy's cooldown, then enough polls to clear hysteresis.
-    std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    for (int poll = 0; poll < 3; poll++) rebal.PollRebalance();
+    maintain();
   }
-  fixed_rebuilder.Stop();
-  rebal_rebuilder.Stop();
 
   double fixed_final = MeasureShardedCpr(fixed, final_keys);
   double rebal_final = MeasureShardedCpr(rebal, final_keys);
   double fixed_spread = StreamSpread(fixed, final_keys);
   double rebal_spread = StreamSpread(rebal, final_keys);
-  index.MigrateAll();  // drain generations so a final full check is flat
-  size_t migrated = index.entries_rebalanced();
+  size_t migrated = index.entries_migrated();
   bool balanced = rebal_spread <= kImbalanceThreshold;
 
   std::printf("\n  final: fixed %.3fx spread %.2f vs re-balanced %.3fx "
@@ -518,9 +496,9 @@ void RunRebalance() {
       .Num("fixed_rebuilds", static_cast<double>(fixed.rebuilds_published()))
       .Num("rebal_rebuilds", static_cast<double>(rebal.rebuilds_published()))
       .Num("index_lookups_checked", static_cast<double>(lookups_checked))
-      .Num("index_lookups_wrong", static_cast<double>(lookups_wrong))
+      .Num("index_lookup_failures", static_cast<double>(lookups_wrong))
       .Num("index_scans_checked", static_cast<double>(scans_checked))
-      .Num("index_scans_wrong", static_cast<double>(scans_wrong))
+      .Num("index_scan_failures", static_cast<double>(scans_wrong))
       .Num("index_migrated", static_cast<double>(migrated));
 }
 

@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the hot code paths: per-scheme
-// encoding, dictionary lookups, Hu-Tucker construction, and search-tree
-// point operations. Complements the per-figure harnesses with
+// encoding, dictionary lookups, Hu-Tucker construction, search-tree
+// point operations, and the sharded index's single-threaded cost.
+// Complements the per-figure harnesses with
 // statistically robust single-operation timings.
 #include <benchmark/benchmark.h>
 
@@ -11,10 +12,12 @@
 #include "art/art.h"
 #include "btree/btree.h"
 #include "datasets/datasets.h"
+#include "dynamic/sharded_manager.h"
 #include "hope/hope.h"
 #include "hope/hu_tucker.h"
 #include "hot/hot.h"
 #include "prefix_btree/prefix_btree.h"
+#include "serve/concurrent_index.h"
 #include "surf/surf.h"
 
 namespace hope {
@@ -140,6 +143,64 @@ BENCHMARK_CAPTURE(BM_BTreeLoad, sorted, true)
 BENCHMARK_CAPTURE(BM_BTreeLoad, shuffled, false)
     ->RangeMultiplier(4)->Range(1 << 14, 1 << 20)
     ->Unit(benchmark::kMillisecond);
+
+// Single-threaded insert, lookup and 50-key scan through the sharded
+// serving index (4 shards, Single-Char, B+tree) over n shuffled emails:
+// what a caller without contention pays for the shard locks, EBR pins
+// and double-route checks. Insert times a full load per iteration.
+enum class ShardedOp { kInsert, kLookup, kScan };
+
+void BM_ShardedIndexOps(benchmark::State& state, ShardedOp op) {
+  static const auto* all = new std::vector<std::string>(
+      GenerateEmails(size_t{1} << 20, 45));
+  std::vector<std::string> keys(all->begin(), all->begin() + state.range(0));
+  std::shuffle(keys.begin(), keys.end(), std::mt19937_64(46));
+  dynamic::ShardedDictionaryManager::Options opts;
+  opts.num_shards = 4;
+  opts.shard.scheme = Scheme::kSingleChar;
+  dynamic::ShardedDictionaryManager mgr(SampleKeys(keys, 0.01), opts);
+  using Index = serve::ConcurrentShardedIndex<BTree>;
+  auto load = [&] {
+    auto index = std::make_unique<Index>(&mgr);
+    for (size_t i = 0; i < keys.size(); i++) index->Insert(keys[i], i);
+    return index;
+  };
+  int64_t ops = 0;
+  if (op == ShardedOp::kInsert) {
+    for (auto _ : state) {
+      auto index = load();
+      state.PauseTiming();
+      index.reset();
+      state.ResumeTiming();
+      ops += static_cast<int64_t>(keys.size());
+    }
+  } else {
+    auto index = load();
+    std::vector<uint64_t> out;
+    size_t i = 0;
+    uint64_t v = 0;
+    for (auto _ : state) {
+      if (op == ShardedOp::kLookup) {
+        benchmark::DoNotOptimize(index->Lookup(keys[i], &v));
+      } else {
+        out.clear();
+        benchmark::DoNotOptimize(index->Scan(keys[i], 50, &out));
+      }
+      i = (i + 1) % keys.size();
+      ops++;
+    }
+  }
+  state.counters["time_per_op"] = benchmark::Counter(
+      static_cast<double>(ops),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_ShardedIndexOps, insert, ShardedOp::kInsert)
+    ->RangeMultiplier(4)->Range(1 << 16, 1 << 20)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ShardedIndexOps, lookup, ShardedOp::kLookup)
+    ->RangeMultiplier(4)->Range(1 << 16, 1 << 20);
+BENCHMARK_CAPTURE(BM_ShardedIndexOps, scan50, ShardedOp::kScan)
+    ->RangeMultiplier(4)->Range(1 << 16, 1 << 20);
 
 void BM_SurfMayContain(benchmark::State& state) {
   auto sorted = EmailKeys();

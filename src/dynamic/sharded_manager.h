@@ -43,8 +43,9 @@
 // that routed through the previous RouterVersion keeps encoding through
 // the shard it picked (every shard dictionary encodes every key; only
 // compression quality is range-tuned). Index entries do have to follow
-// their new owner — ShardedVersionedIndex::ApplyRebalance (sharded
-// index.h) consumes the RebalancePlan and migrates the moved ranges.
+// their new owner — ConcurrentShardedIndex::PollMigration
+// (serve/concurrent_index.h) consumes the RebalancePlan and migrates the
+// moved ranges.
 #pragma once
 
 #include <algorithm>
@@ -117,7 +118,7 @@ class RouterVersion {
 
 /// The key ranges that change owner between two consecutive router
 /// versions. Produced by ShardedDictionaryManager::RebalanceNow() and
-/// consumed by ShardedVersionedIndex::ApplyRebalance(), which migrates
+/// consumed by ConcurrentShardedIndex::PollMigration(), which migrates
 /// the moved entries. Shards not named in any move keep their range (and
 /// their dictionaries and epochs) untouched.
 struct RebalancePlan {
@@ -307,7 +308,7 @@ class ShardedDictionaryManager {
     std::shared_ptr<const RouterVersion> router;
   };
 
-  /// Registers a consumer of the plan history (a ShardedVersionedIndex),
+  /// Registers a consumer of the plan history (a ConcurrentShardedIndex),
   /// pinned at the current router version.
   IndexRegistration RegisterIndex();
 

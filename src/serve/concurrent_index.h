@@ -1,7 +1,13 @@
-// ConcurrentShardedIndex<Tree>: the serving-grade counterpart of
-// dynamic/sharded_index.h — same per-shard VersionedIndex storage, but
-// built for many reader threads and per-shard serialized writers
-// instead of one coarse single-writer loop.
+// ConcurrentShardedIndex<Tree>: the index counterpart of the
+// ShardedDictionaryManager. One VersionedIndex per shard, each behind its
+// own shared_mutex: keys route through the manager's RouterVersion to the
+// shard that owns their range, so a dictionary swap in shard i only opens
+// a new generation in shard i's index. Within a shard HOPE encodings
+// preserve order, and shard i's range precedes shard i+1's, so a scan
+// that walks shards in boundary order comes back in global key order.
+// Built for many reader threads and per-shard serialized writers; a
+// single-threaded caller pays only uncontended locks
+// (bench_micro_gbench BM_ShardedIndexOps).
 //
 // Read path (lock-free in shape, in the style of the btree24 optimistic
 // DataStructureWrapper): routing state is published through atomic raw
@@ -52,7 +58,9 @@
 // shard mutexes in ascending shard index when two are held (batch
 // commits). Readers take only one shard lock at a time.
 //
-// The manager must outlive the index, as with ShardedVersionedIndex.
+// Plans are applied only by PollMigration() (a maintenance loop runs
+// `while (!MigrationIdle()) PollMigration();`), Scan() and Resync();
+// point operations never migrate. The manager must outlive the index.
 #pragma once
 
 #include <atomic>
@@ -237,6 +245,31 @@ class ConcurrentShardedIndex {
   }
 
   size_t num_shards() const { return shards_.size(); }
+
+  /// Sum of per-shard generation counts (== num_shards() once every
+  /// shard is drained to its newest dictionary).
+  size_t TotalGenerations() const {
+    size_t n = 0;
+    for (const auto& shard : shards_) {
+      ReaderLock lk(shard->mu);
+      n += shard->index.NumGenerations();
+    }
+    return n;
+  }
+
+  /// Full catch-up without plan history: finishes any in-flight plan,
+  /// then re-routes every entry through the manager's current router.
+  /// O(total entries) — the recovery path PollMigration takes on a
+  /// pruned history gap. Returns entries moved between shards.
+  size_t Resync() HOPE_EXCLUDES(migration_mu_) {
+    MutexLock mlk(migration_mu_);
+    size_t moved = 0;
+    while (mig_.plan) {
+      size_t budget = ~size_t{0} >> 1;
+      moved += StepLocked(&budget);
+    }
+    return moved + ResyncLocked();
+  }
 
   /// Lifetime counters.
   uint64_t plans_applied() const {
@@ -462,8 +495,9 @@ class ConcurrentShardedIndex {
   }
 
   /// Callable only with no plan in flight. Recovery for a pruned-history
-  /// gap (unreachable while registered — kept for the same contract
-  /// reason as ShardedVersionedIndex::Resync). All shard locks are held
+  /// gap: PlansSince's nullopt means the incremental history is gone, and
+  /// the only correct recovery is a full re-route (unreachable while
+  /// registered, but the contract is explicit). All shard locks are held
   /// across the re-route, so readers block briefly; the sequence bump
   /// retries any lookup that raced the router swap.
   //

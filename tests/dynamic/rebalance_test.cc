@@ -1,7 +1,9 @@
 // Online shard re-balancing: weighted boundary derivation, router
 // diffing, the versioned router swap (lock-free for readers), the
-// weight-imbalance policy's hysteresis, and the index-side plan
-// application that migrates moved key ranges between shards.
+// weight-imbalance policy's hysteresis, and the range extraction the
+// index side migrates moved keys with (the plan application itself is
+// covered in tests/serve/sharded_index_test.cc and
+// tests/serve/concurrent_index_test.cc).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,8 +18,8 @@
 
 #include "btree/btree.h"
 #include "dynamic/background_rebuilder.h"
-#include "dynamic/sharded_index.h"
 #include "dynamic/sharded_manager.h"
+#include "dynamic/versioned_index.h"
 
 namespace hope::dynamic {
 namespace {
@@ -382,140 +384,6 @@ TEST(ShardedManagerRebalanceTest, RouteAndAcquireStaySafeAcrossSwaps) {
   for (int i = 0; i < 10 && mgr.reclaimer().pending() > 0; i++)
     mgr.reclaimer().TryReclaim();
   EXPECT_EQ(mgr.reclaimer().reclaimed(), swaps);
-}
-
-struct IndexFixture {
-  std::vector<std::string> keys;
-  std::unique_ptr<ShardedDictionaryManager> mgr;
-
-  explicit IndexFixture(size_t n = 100, size_t shards = 4) {
-    keys = NumberedKeys(n);
-    auto opts = SmallShardOptions(shards);
-    opts.traffic_ewma_alpha = 1.0;
-    opts.min_rebalance_corpus = 16;
-    mgr = std::make_unique<ShardedDictionaryManager>(keys, opts);
-  }
-
-  /// Skews traffic into [lo, hi) and forces a router publish.
-  std::shared_ptr<const RebalancePlan> SkewAndRebalance(size_t lo,
-                                                        size_t hi) {
-    for (int round = 0; round < 5; round++)
-      for (size_t i = lo; i < hi; i++) mgr->Encode(keys[i]);
-    mgr->UpdateTrafficWeights();
-    return mgr->RebalanceNow(/*force=*/true);
-  }
-};
-
-TEST(ShardedIndexRebalanceTest, ApplyRebalanceMigratesMovedRanges) {
-  IndexFixture fx;
-  ShardedVersionedIndex<BTree> index(fx.mgr.get());
-  for (size_t i = 0; i < fx.keys.size(); i++) index.Insert(fx.keys[i], i);
-  EXPECT_EQ(index.router_version(), 0u);
-
-  auto plan = fx.SkewAndRebalance(75, 100);
-  ASSERT_NE(plan, nullptr);
-
-  // The index trails the manager until it syncs; the sync migrates the
-  // moved ranges between the per-shard indexes.
-  EXPECT_EQ(index.router_version(), 0u);
-  size_t moved = index.SyncRouter();
-  EXPECT_GT(moved, 0u);
-  EXPECT_EQ(index.router_version(), 1u);
-  EXPECT_EQ(index.size(), fx.keys.size());
-
-  // Every entry now lives in the shard its new router names: lookups,
-  // overwrites and erases keep routing consistently.
-  for (size_t i = 0; i < fx.keys.size(); i++) {
-    uint64_t v = 0;
-    ASSERT_TRUE(index.Lookup(fx.keys[i], &v)) << fx.keys[i];
-    EXPECT_EQ(v, i);
-  }
-  index.Insert(fx.keys[10], 999);
-  uint64_t v = 0;
-  ASSERT_TRUE(index.Lookup(fx.keys[10], &v));
-  EXPECT_EQ(v, 999u);
-  EXPECT_TRUE(index.Erase(fx.keys[10]));
-  EXPECT_FALSE(index.Lookup(fx.keys[10], &v));
-}
-
-TEST(ShardedIndexRebalanceTest, LazySyncAppliesStackedPlans) {
-  IndexFixture fx;
-  ShardedVersionedIndex<BTree> index(fx.mgr.get());
-  for (size_t i = 0; i < fx.keys.size(); i++) index.Insert(fx.keys[i], i);
-
-  // Two rebalances while the index sleeps: hotspot at the top, then at
-  // the bottom.
-  ASSERT_NE(fx.SkewAndRebalance(75, 100), nullptr);
-  ASSERT_NE(fx.SkewAndRebalance(0, 25), nullptr);
-  EXPECT_EQ(fx.mgr->router_version(), 2u);
-
-  // The next regular operation catches up through both plans.
-  uint64_t v = 0;
-  ASSERT_TRUE(index.Lookup(fx.keys[50], &v));
-  EXPECT_EQ(v, 50u);
-  EXPECT_EQ(index.router_version(), 2u);
-  for (size_t i = 0; i < fx.keys.size(); i++) {
-    ASSERT_TRUE(index.Lookup(fx.keys[i], &v)) << fx.keys[i];
-    EXPECT_EQ(v, i);
-  }
-}
-
-TEST(ShardedIndexRebalanceTest, ScanStaysOrderedImmediatelyAfterMigration) {
-  IndexFixture fx;
-  ShardedVersionedIndex<BTree> index(fx.mgr.get());
-  for (size_t i = 0; i < fx.keys.size(); i++) index.Insert(fx.keys[i], i);
-
-  ASSERT_NE(fx.SkewAndRebalance(75, 100), nullptr);
-
-  // Scan without an explicit SyncRouter: the scan itself catches up and
-  // must come back in global key order across the migrated boundaries.
-  std::vector<uint64_t> out;
-  size_t produced = index.Scan("", fx.keys.size() + 10, &out);
-  EXPECT_EQ(index.router_version(), 1u);
-  ASSERT_EQ(produced, fx.keys.size());
-  for (size_t i = 0; i < out.size(); i++) EXPECT_EQ(out[i], i) << i;
-
-  // Bounded mid-range scan across the new boundaries.
-  out.clear();
-  produced = index.Scan(fx.keys[40], 30, &out);
-  ASSERT_EQ(produced, 30u);
-  for (size_t i = 0; i < out.size(); i++) EXPECT_EQ(out[i], 40 + i) << i;
-}
-
-// The recovery path behind the PlansSince sentinel: when incremental
-// plan history is unavailable, Resync() re-routes every entry through
-// the manager's current router and lands on the same state the plan
-// replay would have produced.
-TEST(ShardedIndexRebalanceTest, ResyncRebuildsRoutingWithoutPlanHistory) {
-  IndexFixture fx;
-  ShardedVersionedIndex<BTree> index(fx.mgr.get());
-  for (size_t i = 0; i < fx.keys.size(); i++) index.Insert(fx.keys[i], i);
-
-  // Two stacked rebalances the index has not applied.
-  ASSERT_NE(fx.SkewAndRebalance(75, 100), nullptr);
-  ASSERT_NE(fx.SkewAndRebalance(0, 25), nullptr);
-  EXPECT_EQ(index.router_version(), 0u);
-
-  size_t moved = index.Resync();
-  EXPECT_EQ(index.router_version(), 2u);
-  EXPECT_EQ(index.resyncs(), 1u);
-  EXPECT_GT(moved, 0u);
-  EXPECT_EQ(index.size(), fx.keys.size());
-
-  // Every key lives in the shard the current router names, so lookups
-  // and ordered cross-shard scans behave exactly as after a plan-by-
-  // plan catch-up.
-  uint64_t v = 0;
-  for (size_t i = 0; i < fx.keys.size(); i++) {
-    ASSERT_TRUE(index.Lookup(fx.keys[i], &v)) << fx.keys[i];
-    EXPECT_EQ(v, i);
-  }
-  std::vector<uint64_t> out;
-  ASSERT_EQ(index.Scan("", fx.keys.size(), &out), fx.keys.size());
-  for (size_t i = 0; i < out.size(); i++) EXPECT_EQ(out[i], i) << i;
-
-  // The resync reported its version, releasing the plan pins.
-  EXPECT_EQ(fx.mgr->plans_retained(), 0u);
 }
 
 TEST(VersionedIndexTest, ExtractRangeRemovesAndReturnsOrderedEntries) {

@@ -3,9 +3,12 @@
 // transparency while a rebalance plan is applied in bounded batches:
 // double-routed lookups, erases racing the migration of their own
 // range, inserts landing in the post-plan owner mid-flight, and scan
-// ordering across an in-flight plan.
+// ordering across an in-flight plan. Also the paths a serving loop
+// rarely takes: the boundary walk's scan edge cases, the idle drain of
+// swapped-in dictionary generations, and the full-resync recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -15,6 +18,8 @@
 #include "dynamic/sharded_manager.h"
 #include "serve/concurrent_index.h"
 #include "serve/server_loop.h"
+#include "telemetry/registry.h"
+#include "telemetry/trace_log.h"
 
 namespace hope::serve {
 namespace {
@@ -57,16 +62,20 @@ struct Fixture {
     for (size_t i = 0; i < keys.size(); i++) index->Insert(keys[i], i);
   }
 
-  /// Publishes a forced rebalance whose boundaries chase traffic on the
-  /// top quarter of the key space; returns the plan (never null here).
-  std::shared_ptr<const dynamic::RebalancePlan> ForcePlan() {
+  /// Publishes a forced rebalance whose boundaries chase traffic on
+  /// keys [lo, hi) — by default the top quarter of the key space;
+  /// returns the plan (never null here).
+  std::shared_ptr<const dynamic::RebalancePlan> ForcePlan(size_t lo,
+                                                          size_t hi) {
     for (int round = 0; round < 5; round++)
-      for (size_t i = keys.size() * 3 / 4; i < keys.size(); i++)
-        mgr->Encode(keys[i]);
+      for (size_t i = lo; i < hi; i++) mgr->Encode(keys[i]);
     mgr->UpdateTrafficWeights();
     auto plan = mgr->RebalanceNow(/*force=*/true);
     EXPECT_NE(plan, nullptr);
     return plan;
+  }
+  std::shared_ptr<const dynamic::RebalancePlan> ForcePlan() {
+    return ForcePlan(keys.size() * 3 / 4, keys.size());
   }
 
   void ExpectAllPresent(const char* where) {
@@ -232,10 +241,7 @@ TEST(ConcurrentIndexTest, BackToBackPlansApplyInOrder) {
   fx.ForcePlan();
   // A second plan lands while the first is unapplied; traffic hammers
   // the bottom quarter this time so boundaries swing back.
-  for (int round = 0; round < 5; round++)
-    for (size_t i = 0; i < fx.keys.size() / 4; i++) fx.mgr->Encode(fx.keys[i]);
-  fx.mgr->UpdateTrafficWeights();
-  ASSERT_NE(fx.mgr->RebalanceNow(/*force=*/true), nullptr);
+  ASSERT_NE(fx.ForcePlan(0, fx.keys.size() / 4), nullptr);
   EXPECT_EQ(fx.mgr->router_version(), 2u);
 
   size_t steps = 0;
@@ -273,6 +279,145 @@ TEST(ConcurrentIndexTest, DictionarySwapMidPlanStaysConsistent) {
   EXPECT_EQ(fx.index->Scan(fx.keys[0], fx.keys.size(), &out),
             fx.keys.size());
   for (size_t i = 0; i < out.size(); i++) EXPECT_EQ(out[i], i) << i;
+}
+
+// Edge cases of the boundary walk: an empty mid-range shard, a zero
+// count, a start at the last boundary or past every key, and a count
+// that lands exactly on a shard boundary.
+TEST(ConcurrentIndexTest, ScanEdgeCases) {
+  Fixture fx;
+  auto router = fx.mgr->router();  // pin the version; boundaries() refs it
+  const auto& boundaries = router->boundaries();
+  ASSERT_GE(boundaries.size(), 2u);
+
+  // Empty mid-range shard 1 so the scan has to step over it.
+  std::vector<size_t> live;  // indexes of the keys left, ascending
+  size_t first_shard = 0;
+  for (size_t i = 0; i < fx.keys.size(); i++) {
+    const size_t s = fx.mgr->Route(fx.keys[i]);
+    if (s == 1) {
+      ASSERT_TRUE(fx.index->Erase(fx.keys[i]));
+      continue;
+    }
+    live.push_back(i);
+    if (s == 0) first_shard++;
+  }
+  ASSERT_LT(live.size(), fx.keys.size());
+  ASSERT_GT(first_shard, 0u);
+  auto expect_prefix = [&](const std::vector<uint64_t>& out, size_t from) {
+    for (size_t i = 0; i < out.size(); i++)
+      ASSERT_EQ(out[i], live[from + i]) << i;
+  };
+
+  // A count larger than everything: global order, shard 1 skipped.
+  std::vector<uint64_t> out;
+  EXPECT_EQ(fx.index->Scan("", fx.keys.size() * 2, &out), live.size());
+  ASSERT_EQ(out.size(), live.size());
+  expect_prefix(out, 0);
+
+  // Start exactly at the last boundary: only the last shard serves.
+  const size_t tail_from = static_cast<size_t>(
+      std::lower_bound(live.begin(), live.end(), boundaries.back(),
+                       [&](size_t i, const std::string& b) {
+                         return fx.keys[i] < b;
+                       }) -
+      live.begin());
+  out.clear();
+  EXPECT_EQ(fx.index->Scan(boundaries.back(), fx.keys.size(), &out),
+            live.size() - tail_from);
+  expect_prefix(out, tail_from);
+
+  // Start above every key: nothing.
+  out.clear();
+  EXPECT_EQ(fx.index->Scan(fx.keys.back() + "~", 5, &out), 0u);
+
+  // A count of zero touches nothing.
+  EXPECT_EQ(fx.index->Scan("", 0, &out), 0u);
+  EXPECT_TRUE(out.empty());
+
+  // A count that lands exactly on a shard boundary stops there.
+  EXPECT_EQ(fx.index->Scan("", first_shard, &out), first_shard);
+  ASSERT_EQ(out.size(), first_shard);
+  expect_prefix(out, 0);
+}
+
+// A dictionary swap opens a generation only in the swapped shard (an
+// insert adopts its shard's epoch; lookups never do), and an idle
+// PollMigration drains it, so reads stop probing old generations.
+TEST(ConcurrentIndexTest, IdlePollDrainsSwappedShardGenerations) {
+  Fixture fx;
+  const size_t n = fx.index->num_shards();
+  EXPECT_EQ(fx.index->TotalGenerations(), n);
+
+  const size_t swapped = 2;
+  std::vector<std::string> swapped_keys;
+  std::vector<size_t> first_key(n, fx.keys.size());
+  for (size_t i = 0; i < fx.keys.size(); i++) {
+    const size_t s = fx.mgr->Route(fx.keys[i]);
+    if (s == swapped) swapped_keys.push_back(fx.keys[i]);
+    first_key[s] = std::min(first_key[s], i);
+  }
+  ASSERT_FALSE(swapped_keys.empty());
+  fx.mgr->shard(swapped).Publish(
+      Hope::Build(Scheme::kSingleChar, swapped_keys, 256));
+  for (size_t s = 0; s < n; s++) {
+    ASSERT_LT(first_key[s], fx.keys.size()) << "shard " << s;
+    fx.index->Insert(fx.keys[first_key[s]], first_key[s]);
+  }
+  EXPECT_EQ(fx.index->TotalGenerations(), n + 1);
+  fx.ExpectAllPresent("two generations");
+
+  ASSERT_TRUE(fx.index->MigrationIdle());
+  EXPECT_EQ(fx.index->PollMigration(), 0u);  // no plan: drain only
+  EXPECT_EQ(fx.index->TotalGenerations(), n);
+  EXPECT_EQ(fx.index->size(), fx.keys.size());
+  fx.ExpectAllPresent("drained");
+}
+
+// The recovery path behind the PlansSince sentinel: with no plan
+// history, Resync() re-routes every entry through the manager's current
+// router and lands where the plan-by-plan replay would, reporting the
+// resync through its counter, its metric and one trace event.
+TEST(ConcurrentIndexTest, ResyncRebuildsRoutingWithoutPlanHistory) {
+  telemetry::MetricRegistry registry;  // outlive the index
+  telemetry::TraceLog trace;
+  Fixture fx;
+  fx.index->AttachTelemetry(&registry, &trace);
+  auto resync_metric = [&] {
+    for (const auto& m : registry.Snapshot().metrics)
+      if (m.name == "hope_migration_resyncs_total") return m.value;
+    return -1.0;
+  };
+  auto resync_events = [&] {
+    size_t n = 0;
+    for (const auto& e : trace.Snapshot())
+      if (e.type == telemetry::TraceEventType::kResync) n++;
+    return n;
+  };
+
+  // Two stacked plans the index has not applied.
+  fx.ForcePlan();
+  ASSERT_NE(fx.ForcePlan(0, fx.keys.size() / 4), nullptr);
+  EXPECT_EQ(fx.index->router_version(), 0u);
+  EXPECT_EQ(resync_metric(), 0.0);
+  EXPECT_EQ(resync_events(), 0u);
+
+  EXPECT_GT(fx.index->Resync(), 0u);
+  EXPECT_EQ(fx.index->router_version(), 2u);
+  EXPECT_TRUE(fx.index->MigrationIdle());
+  EXPECT_EQ(fx.index->resyncs(), 1u);
+  EXPECT_EQ(fx.index->plans_applied(), 0u);
+  EXPECT_EQ(resync_metric(), 1.0);
+  EXPECT_EQ(resync_events(), 1u);
+  EXPECT_EQ(fx.index->size(), fx.keys.size());
+
+  // Every key lives in the shard the current router names.
+  fx.ExpectAllPresent("after resync");
+  std::vector<uint64_t> out;
+  ASSERT_EQ(fx.index->Scan("", fx.keys.size(), &out), fx.keys.size());
+  for (size_t i = 0; i < out.size(); i++) EXPECT_EQ(out[i], i) << i;
+  // The resync reported its version, releasing the plan pins.
+  EXPECT_EQ(fx.mgr->plans_retained(), 0u);
 }
 
 TEST(ConcurrentIndexTest, KeyFingerprintIsOrderConsistent) {
