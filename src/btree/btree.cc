@@ -35,6 +35,33 @@ int LowerBound(const KeyArray& keys, int count, std::string_view key) {
   return lo;
 }
 
+/// Moves the last entry of leaf `l` to the front of its right neighbour
+/// `r`; the separator between them becomes r's new first key.
+template <typename Leaf>
+void ShiftRight(Leaf* l, Leaf* r, const std::string** separator) {
+  std::copy_backward(r->keys, r->keys + r->count, r->keys + r->count + 1);
+  std::copy_backward(r->values, r->values + r->count,
+                     r->values + r->count + 1);
+  r->keys[0] = l->keys[l->count - 1];
+  r->values[0] = l->values[l->count - 1];
+  r->count++;
+  l->count--;
+  *separator = r->keys[0];
+}
+
+/// Moves the first entry of leaf `r` to the end of its left neighbour
+/// `l`; the separator between them becomes r's new first key.
+template <typename Leaf>
+void ShiftLeft(Leaf* l, Leaf* r, const std::string** separator) {
+  l->keys[l->count] = r->keys[0];
+  l->values[l->count] = r->values[0];
+  l->count++;
+  std::copy(r->keys + 1, r->keys + r->count, r->keys);
+  std::copy(r->values + 1, r->values + r->count, r->values);
+  r->count--;
+  *separator = r->keys[0];
+}
+
 }  // namespace
 
 BTree::~BTree() {
@@ -142,6 +169,10 @@ BTree::SplitResult BTree::InsertRec(Node* node, std::string_view key,
 
   auto* inner = static_cast<InnerNode*>(node);
   int idx = UpperBound(inner->keys, inner->count, key);
+  Node* child = inner->children[idx];
+  if (child->leaf && child->count == kSlots &&
+      ShiftToSibling(inner, idx, key, spine && idx == inner->count))
+    idx = UpperBound(inner->keys, inner->count, key);
   SplitResult child_split = InsertRec(inner->children[idx], key, value,
                                       spine && idx == inner->count);
   if (!child_split.right) return {};
@@ -181,6 +212,24 @@ BTree::SplitResult BTree::InsertRec(Node* node, std::string_view key,
   std::copy(children, children + left + 1, inner->children);
   inner->count = static_cast<uint16_t>(left);
   return {right, keys[left]};
+}
+
+bool BTree::ShiftToSibling(InnerNode* parent, int idx, std::string_view key,
+                           bool spine) {
+  auto* leaf = static_cast<LeafNode*>(parent->children[idx]);
+  // An append split keeps the leaf full.
+  if (spine && key > std::string_view(*leaf->keys[kSlots - 1])) return false;
+  if (idx > 0 && parent->children[idx - 1]->count < kSlots) {
+    ShiftLeft(static_cast<LeafNode*>(parent->children[idx - 1]), leaf,
+              &parent->keys[idx - 1]);
+    return true;
+  }
+  if (idx < parent->count && parent->children[idx + 1]->count < kSlots) {
+    ShiftRight(leaf, static_cast<LeafNode*>(parent->children[idx + 1]),
+               &parent->keys[idx]);
+    return true;
+  }
+  return false;
 }
 
 bool BTree::Erase(std::string_view key) {
@@ -232,30 +281,12 @@ void BTree::RebalanceChild(InnerNode* parent, int idx) {
     auto* c = static_cast<LeafNode*>(child);
     if (left && left->count > kMinFill) {
       // Borrow the left sibling's last entry.
-      auto* l = static_cast<LeafNode*>(left);
-      for (int i = c->count; i > 0; i--) {
-        c->keys[i] = c->keys[i - 1];
-        c->values[i] = c->values[i - 1];
-      }
-      c->keys[0] = l->keys[l->count - 1];
-      c->values[0] = l->values[l->count - 1];
-      c->count++;
-      l->count--;
-      parent->keys[idx - 1] = c->keys[0];
+      ShiftRight(static_cast<LeafNode*>(left), c, &parent->keys[idx - 1]);
       return;
     }
     if (right && right->count > kMinFill) {
       // Borrow the right sibling's first entry.
-      auto* r = static_cast<LeafNode*>(right);
-      c->keys[c->count] = r->keys[0];
-      c->values[c->count] = r->values[0];
-      c->count++;
-      for (int i = 0; i + 1 < r->count; i++) {
-        r->keys[i] = r->keys[i + 1];
-        r->values[i] = r->values[i + 1];
-      }
-      r->count--;
-      parent->keys[idx] = r->keys[0];
+      ShiftLeft(c, static_cast<LeafNode*>(right), &parent->keys[idx]);
       return;
     }
     // Merge with a sibling. It always fits: a merge runs only when the

@@ -72,7 +72,9 @@ TEST(SimdBitmapTest, PrevSetBitIsStrictlyBelow) {
                                                       << (63 - (p & 63));
   for (unsigned b = 0; b <= 256; b++) {
     int prev = simd::PrevSetBit256(bm, b);
-    if (prev >= 0) EXPECT_LT(static_cast<unsigned>(prev), b);
+    if (prev >= 0) {
+      EXPECT_LT(static_cast<unsigned>(prev), b);
+    }
   }
 }
 

@@ -8,9 +8,18 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <string_view>
 
 namespace hope::dynamic {
 namespace {
+
+// `prefix` followed by `i` in decimal. Appending rather than prepending
+// a literal to a temporary sidesteps gcc 12's -Wrestrict false positive.
+std::string Key(std::string_view prefix, int i) {
+  std::string key(prefix);
+  key += std::to_string(i);
+  return key;
+}
 
 EncodeStatsCollector::Options EveryKey(size_t reservoir, double alpha) {
   EncodeStatsCollector::Options o;
@@ -51,7 +60,7 @@ TEST(EncodeStatsTest, SamplingCadenceSkipsKeys) {
 
 TEST(EncodeStatsTest, ReservoirHoldsEverythingBelowCapacity) {
   EncodeStatsCollector c(EveryKey(64, 0.1));
-  for (int i = 0; i < 40; i++) c.OnEncode("key" + std::to_string(i), 8);
+  for (int i = 0; i < 40; i++) c.OnEncode(Key("key", i), 8);
   auto snap = c.ReservoirSnapshot();
   ASSERT_EQ(snap.size(), 40u);
   std::set<std::string> uniq(snap.begin(), snap.end());
@@ -60,7 +69,7 @@ TEST(EncodeStatsTest, ReservoirHoldsEverythingBelowCapacity) {
 
 TEST(EncodeStatsTest, ReservoirCapsAndStaysRepresentative) {
   EncodeStatsCollector c(EveryKey(100, 0.1));
-  for (int i = 0; i < 10000; i++) c.OnEncode("key" + std::to_string(i), 8);
+  for (int i = 0; i < 10000; i++) c.OnEncode(Key("key", i), 8);
   auto snap = c.ReservoirSnapshot();
   ASSERT_EQ(snap.size(), 100u);
 
@@ -97,10 +106,10 @@ TEST(EncodeStatsTest, MarkRebuildRestartsReservoirReplacementRate) {
   EncodeStatsCollector c(EveryKey(50, 0.1));
   // Age the stream: lifetime sampled count is 100x the capacity, so the
   // per-key replacement probability has decayed to ~1%.
-  for (int i = 0; i < 5000; i++) c.OnEncode("old" + std::to_string(i), 8);
+  for (int i = 0; i < 5000; i++) c.OnEncode(Key("old", i), 8);
 
   c.MarkRebuild(2.0);
-  for (int i = 0; i < 500; i++) c.OnEncode("new" + std::to_string(i), 8);
+  for (int i = 0; i < 500; i++) c.OnEncode(Key("new", i), 8);
 
   // With the stream restarted at the swap, the 500 post-swap keys behave
   // like positions 51..550 and displace most of the old contents; without
@@ -127,12 +136,12 @@ TEST(EncodeStatsTest, RecencyBiasedReservoirTracksADistributionFlip) {
   // reservoir, A's survival after 1000 B-samples is (1/2)^(1000/128),
   // under half a percent.
   for (int i = 0; i < 2000; i++) {
-    decayed.OnEncode("aaa" + std::to_string(i), 8);
-    uniform.OnEncode("aaa" + std::to_string(i), 8);
+    decayed.OnEncode(Key("aaa", i), 8);
+    uniform.OnEncode(Key("aaa", i), 8);
   }
   for (int i = 0; i < 1000; i++) {
-    decayed.OnEncode("bbb" + std::to_string(i), 8);
-    uniform.OnEncode("bbb" + std::to_string(i), 8);
+    decayed.OnEncode(Key("bbb", i), 8);
+    uniform.OnEncode(Key("bbb", i), 8);
   }
 
   auto count_b = [](const EncodeStatsCollector& c) {
@@ -159,7 +168,7 @@ TEST(EncodeStatsTest, DegenerateHalflifeFallsBackToUniform) {
   neg_opts.reservoir_halflife = -5;
   for (auto& opts : {nan_opts, neg_opts}) {
     EncodeStatsCollector c(opts);
-    for (int i = 0; i < 500; i++) c.OnEncode("k" + std::to_string(i), 8);
+    for (int i = 0; i < 500; i++) c.OnEncode(Key("k", i), 8);
     // Uniform behaviour: early keys survive at capacity/stream rate.
     size_t early = 0;
     for (const auto& k : c.ReservoirSnapshot())

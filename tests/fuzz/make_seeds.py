@@ -232,6 +232,19 @@ def gen_btree_ops(d: str):
         else:
             ops.append(bytes([op, len(key)]) + key)
     write(d, "mixed", b"".join(ops) + tail)
+    # Shuffled inserts with an erase after every fourth: overflows into
+    # full leaves shift an entry into the left or the right sibling, or
+    # split the leaf when both siblings are full.
+    rng = random.Random(16)
+    nums = list(range(1500))
+    rng.shuffle(nums)
+    ops = []
+    for i, n in enumerate(nums):
+        ops.append(bytes([1, 2]) + struct.pack(">H", n))
+        if i % 4 == 3:
+            victim = nums[rng.randrange(i + 1)]
+            ops.append(bytes([3, 2]) + struct.pack(">H", victim) + bytes([0]))
+    write(d, "random_overflow", b"".join(ops) + tail)
 
 
 def main():

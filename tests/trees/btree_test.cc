@@ -61,7 +61,8 @@ TEST(BTreeTest, SortedInsertionKeepsInvariants) {
 TEST(BTreeTest, MemoryGrowsWithKeyBytes) {
   BTree small, large;
   for (int i = 0; i < 1000; i++) {
-    std::string k = "k" + std::to_string(i);
+    std::string k = "k";
+    k += std::to_string(i);
     small.Insert(k, i);
     large.Insert(k + std::string(64, 'x') + k, i);
   }
@@ -158,16 +159,94 @@ TEST(BTreeTest, AppendsMixedWithUpdatesMatchShadow) {
   }
 }
 
-// A sorted load fills its leaves through the append splits, so it needs
-// fewer node bytes than the same keys inserted in random order (whose
-// half splits leave leaves ~70% full); with half splits only it needs
-// ~1.4x more.
-TEST(BTreeTest, SortedLoadFillsLeaves) {
-  auto keys = GenerateEmails(100000, 57);
+// Differential test of the sibling shift: shuffled inserts interleaved
+// with overwrites and erases overflow full leaves whose left sibling has
+// room, whose right sibling has room and whose siblings are both full,
+// first and last children of their parent among them. Then an erase of
+// everything and a second load into the emptied tree.
+TEST(BTreeTest, SiblingShiftsMatchShadow) {
+  for (uint64_t round = 0; round < 10; round++) {
+    SCOPED_TRACE(round);
+    std::mt19937_64 rng(400 + round);
+    BTree t;
+    std::map<std::string, uint64_t> shadow;
+    uint64_t value = 0;
+    for (int phase = 0; phase < 2; phase++) {
+      for (int op = 0; op < 8000; op++) {
+        value++;
+        uint64_t r = rng() % 100;
+        std::string key = NumKey(rng() % 100000, &rng);
+        if (r < 70 || shadow.empty()) {
+          t.Insert(key, value);
+          shadow[key] = value;
+        } else if (r < 80) {
+          auto it = shadow.lower_bound(key);
+          if (it == shadow.end()) it = shadow.begin();
+          t.Insert(it->first, value);
+          it->second = value;
+        } else {
+          // Often present, sometimes absent.
+          auto it = shadow.lower_bound(key);
+          if (rng() % 4 != 0 && it != shadow.end()) key = it->first;
+          ASSERT_EQ(t.Erase(key), shadow.erase(key) == 1) << key;
+        }
+        if (op % 500 == 499) {
+          ASSERT_NO_FATAL_FAILURE(MatchShadow(t, shadow));
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(MatchShadow(t, shadow));
+      std::vector<std::string> keys;
+      for (const auto& kv : shadow) keys.push_back(kv.first);
+      std::shuffle(keys.begin(), keys.end(), rng);
+      for (size_t i = 0; i < keys.size(); i++) {
+        ASSERT_TRUE(t.Erase(keys[i]));
+        shadow.erase(keys[i]);
+        if (i % 500 == 0) {
+          ASSERT_NO_FATAL_FAILURE(MatchShadow(t, shadow));
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(MatchShadow(t, shadow));
+      EXPECT_EQ(t.Height(), 0);
+    }
+  }
+}
+
+// Unique emails in random order.
+std::vector<std::string> ShuffledEmails(size_t n) {
+  auto keys = GenerateEmails(n, 57);
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  auto shuffled = keys;
-  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(58));
+  std::shuffle(keys.begin(), keys.end(), std::mt19937_64(58));
+  return keys;
+}
+
+// A random-order load shifts entries into siblings before it splits, so
+// its leaves end up ~83% full: ~22.2 node bytes per key (MemoryBytes()
+// less the key bytes) on these emails, where splitting every full leaf
+// leaves them ~70% full and needs ~26.3.
+TEST(BTreeTest, ShuffledLoadShiftsBeforeSplitting) {
+  auto keys = ShuffledEmails(100000);
+  BTree t;
+  size_t key_bytes = 0;
+  for (size_t i = 0; i < keys.size(); i++) {
+    t.Insert(keys[i], i);
+    key_bytes += keys[i].size();
+  }
+  ASSERT_EQ(t.CheckInvariants(), "");
+  ASSERT_EQ(t.size(), keys.size());
+  double node_bytes_per_key =
+      static_cast<double>(t.MemoryBytes() - key_bytes) / keys.size();
+  EXPECT_LT(node_bytes_per_key, 24.0);
+}
+
+// A sorted load fills its leaves through the append splits, so it needs
+// fewer node bytes than the same keys inserted in random order, whose
+// sibling shifts and half splits leave leaves ~83% full (~1.2x the node
+// bytes).
+TEST(BTreeTest, SortedLoadFillsLeaves) {
+  auto shuffled = ShuffledEmails(100000);
+  auto keys = shuffled;
+  std::sort(keys.begin(), keys.end());
   BTree sorted_tree, shuffled_tree;
   size_t key_bytes = 0;
   for (size_t i = 0; i < keys.size(); i++) {
