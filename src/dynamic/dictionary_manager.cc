@@ -170,13 +170,11 @@ DictionaryManager::RebuildResult DictionaryManager::RebuildNow(bool force) {
     return reject(RebuildResult::kRejectedBuildError);
   }
 
-  if (options_.validate_roundtrip) {
-    for (const std::string& key : corpus) {
-      size_t bits = 0;
-      std::string enc = candidate->Encode(key, &bits);
-      if (candidate->Decode(enc, bits) != key)
-        return reject(RebuildResult::kRejectedRoundTrip);
-    }
+  for (const std::string& key : corpus) {
+    size_t bits = 0;
+    std::string enc = candidate->Encode(key, &bits);
+    if (candidate->Decode(enc, bits) != key)
+      return reject(RebuildResult::kRejectedRoundTrip);
   }
 
   // The EWMA approximates the live dictionary's mean per-key CPR on

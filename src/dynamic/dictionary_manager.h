@@ -57,9 +57,6 @@ class DictionaryManager {
     Scheme scheme = Scheme::kDoubleChar;       ///< scheme for rebuilds
     size_t dict_size_limit = size_t{1} << 14;  ///< entry cap for rebuilds
     EncodeStatsCollector::Options stats;
-    /// Candidate validation: every reservoir key must round-trip
-    /// encode→decode through the candidate before it may be published.
-    bool validate_roundtrip = true;
     /// Candidate must beat the live dictionary's reservoir CPR by this
     /// fraction (0 = any improvement; negative disables the gate).
     double min_cpr_gain = 0.0;
@@ -134,8 +131,9 @@ class DictionaryManager {
     return !InBackoff() && policy_->ShouldRebuild(Signals());
   }
 
-  /// Rebuilds a candidate from the reservoir, validates it, and publishes
-  /// it on success. `force` skips the policy check (not the validation).
+  /// Rebuilds a candidate from the reservoir, validates it (every
+  /// reservoir key must round-trip encode→decode), and publishes it on
+  /// success. `force` skips the policy check (not the validation).
   /// Serialized internally — concurrent callers queue on a mutex; readers
   /// are never blocked.
   RebuildResult RebuildNow(bool force = false) HOPE_EXCLUDES(rebuild_mu_);

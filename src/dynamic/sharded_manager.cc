@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/check.h"
 #include "telemetry/trace_log.h"
 
 namespace hope::dynamic {
@@ -369,11 +370,12 @@ ShardedDictionaryManager::RebalanceLocked() {
   return plan;
 }
 
-std::optional<std::vector<std::shared_ptr<const RebalancePlan>>>
+std::vector<std::shared_ptr<const RebalancePlan>>
 ShardedDictionaryManager::PlansSince(uint64_t since_version) const {
   MutexLock lock(rebalance_mu_);
   // plans_[k] takes router version plans_base_ + k to plans_base_ + k+1.
-  if (since_version < plans_base_) return std::nullopt;  // pruned gap
+  HOPE_CHECK_MSG(since_version >= plans_base_,
+                 "PlansSince below the pruned plan-history floor");
   size_t offset = static_cast<size_t>(since_version - plans_base_);
   if (offset >= plans_.size())
     return std::vector<std::shared_ptr<const RebalancePlan>>{};

@@ -55,7 +55,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -242,9 +241,6 @@ class ShardedDictionaryManager {
 
   DictionaryManager& shard(size_t i) { return *shards_[i]; }
   const DictionaryManager& shard(size_t i) const { return *shards_[i]; }
-  DictionaryManager& ShardFor(std::string_view key) {
-    return *shards_[Route(key)];
-  }
 
   /// Lock-free snapshot of the owning shard's current version.
   DictSnapshot Acquire(std::string_view key) const {
@@ -322,21 +318,13 @@ class ShardedDictionaryManager {
 
   /// Plans published after router version `since_version`, oldest first
   /// (the plan at history index k takes version k to k+1, so an index at
-  /// version v applies *PlansSince(v) in order to catch up). Returns
-  /// std::nullopt when `since_version` predates the pruned history
-  /// floor: the caller cannot catch up incrementally and must do a full
-  /// resync — silently replaying from the gap would mis-route every key
-  /// whose move was in a pruned plan. Registered indexes never see the
-  /// sentinel (their pin blocks pruning).
-  std::optional<std::vector<std::shared_ptr<const RebalancePlan>>> PlansSince(
+  /// version v applies PlansSince(v) in order to catch up).
+  /// `since_version` must not predate the pruned history floor (a
+  /// HOPE_CHECK): replaying from such a gap would mis-route every key
+  /// whose move was in a pruned plan. A registered index never asks
+  /// below its own pin, and pruning never passes a pin.
+  std::vector<std::shared_ptr<const RebalancePlan>> PlansSince(
       uint64_t since_version) const;
-
-  /// Oldest router version the retained plan history can take forward
-  /// (PlansSince(v) succeeds iff v >= plans_floor()).
-  uint64_t plans_floor() const HOPE_EXCLUDES(rebalance_mu_) {
-    MutexLock lock(rebalance_mu_);
-    return plans_base_;
-  }
 
   /// Currently retained plans (bounded by the laggiest registered
   /// index, not by manager lifetime).

@@ -7,21 +7,20 @@
 // a tree whose keys were all encoded under that generation's snapshot
 // (which the DictSnapshot keeps alive), plus an insert log of original
 // keys that serves as the migration source. New inserts always land in
-// the newest generation; lookups probe newest-to-oldest and lazily
-// migrate any hit found in an old generation by re-encoding it under the
-// current dictionary, so old generations drain as their keys are touched.
-// MigrateAll() drains them eagerly (required before range scans, which
-// only make sense within a single generation's encoding).
+// the newest generation; Peek() probes newest-to-oldest and moves
+// nothing. Old generations drain only through MigrateAll(), which
+// re-encodes every live entry under the current dictionary (required
+// before range scans, which only make sense within a single
+// generation's encoding), or shrink as erases and overwrites empty them.
 //
 // The adapter is externally synchronized — it never locks. The classic
 // embedding is single-writer: one thread mutates the index while the
 // DictionaryManager swaps dictionaries underneath it (the swap itself
 // stays concurrent-safe via immutable snapshots). The serving layer
 // (serve/concurrent_index.h) instead wraps each shard's index in a
-// shared_mutex and splits the API: Peek() is the const read path, safe
-// under a shared lock concurrently with other Peek()s (it migrates
-// nothing and its lazy probe-encoder build is once_flag-protected);
-// every mutating call requires the exclusive lock.
+// shared_mutex: Peek() is the const read path, safe under a shared lock
+// concurrently with other Peek()s (its lazy probe-encoder build is
+// once_flag-protected); every mutating call requires the exclusive lock.
 //
 // Tree must provide: Insert(string_view, uint64_t),
 // Lookup(string_view, uint64_t*) const, Erase(string_view), size().
@@ -50,8 +49,8 @@ class VersionedIndex {
   }
 
   /// Adopts the manager's current epoch if it moved since the last call;
-  /// inserts and lookups call this themselves, so explicit calls are only
-  /// needed to pick up a swap eagerly. One Acquire() serves both the
+  /// inserts and MigrateAll() call this themselves, so explicit calls are
+  /// only needed to pick up a swap eagerly. One Acquire() serves both the
   /// epoch comparison and the adopted snapshot — a single reader guard
   /// per refresh, and no TOCTOU window between a separate epoch() probe
   /// and the acquisition.
@@ -73,62 +72,14 @@ class VersionedIndex {
     CompactLog(newest);
   }
 
-  /// Migration insert (cross-shard rebalance): same shape as Insert but
-  /// every encode goes through the observer-free probe — bulk-moving
-  /// thousands of entries through the serving encode would flood the
-  /// destination shard's stats collector with phantom traffic (EWMA,
-  /// reservoir, and the rebalance policy's own traffic weights).
-  void InsertMigrated(const std::string& key, uint64_t value) {
-    Refresh();
-    for (size_t g = 0; g + 1 < gens_.size(); g++)
-      gens_[g]->tree.Erase(gens_[g]->ProbeEncode(key));
-    Generation& newest = *gens_.back();
-    newest.tree.Insert(newest.ProbeEncode(key), value);
-    newest.log.push_back(key);
-    CompactLog(newest);
-  }
-
-  /// Point lookup; a hit in an old generation migrates the entry into the
-  /// newest one (re-encoded under the current dictionary).
-  bool Lookup(const std::string& key, uint64_t* value) {
-    Refresh();
-    // The newest-generation encode is the one real serving encode (it
-    // feeds the stats collector); old-generation probes and the
-    // migration insert reuse it or go through the observer-free clone.
-    std::string newest_enc = gens_.back()->Encode(key);
-    for (size_t g = gens_.size(); g-- > 0;) {
-      Generation& gen = *gens_[g];
-      std::string enc = g + 1 == gens_.size() ? newest_enc
-                                              : gen.ProbeEncode(key);
-      uint64_t v = 0;
-      if (!gen.tree.Lookup(enc, &v)) continue;
-      if (g + 1 < gens_.size()) {
-        gen.tree.Erase(enc);
-        Generation& newest = *gens_.back();
-        newest.tree.Insert(newest_enc, v);
-        newest.log.push_back(key);
-        // Migration appends count against the log bound just like insert
-        // appends: a read-heavy migrate workload (lookups draining an old
-        // generation while erases shrink the live set) would otherwise
-        // grow the log far past the 4x-live bound with no Insert ever
-        // running compaction.
-        CompactLog(newest);
-        PruneEmpty();
-      }
-      if (value) *value = v;
-      return true;
-    }
-    return false;
-  }
-
-  /// Read-only point lookup: probes every generation newest-to-oldest
-  /// without migrating hits, adopting epochs, or otherwise mutating the
-  /// index. This is the concurrent reader path — safe under a shared
-  /// lock alongside other Peek()s. The newest-generation encode is real
+  /// Point lookup: probes every generation newest-to-oldest without
+  /// migrating hits, adopting epochs, or otherwise mutating the index.
+  /// This is the concurrent reader path — safe under a shared lock
+  /// alongside other Peek()s. The newest-generation encode is real
   /// serving traffic and feeds the stats collector (the collector is
   /// thread-safe); old-generation probes use the observer-free clone.
-  /// Old generations drain via the writer path (Lookup/MigrateAll), not
-  /// here, so a Peek-only workload leaves generation counts unchanged.
+  /// Old generations drain via MigrateAll(), not here, so a Peek-only
+  /// workload leaves generation counts unchanged.
   bool Peek(const std::string& key, uint64_t* value) const {
     for (size_t g = gens_.size(); g-- > 0;) {
       const Generation& gen = *gens_[g];
@@ -178,15 +129,7 @@ class VersionedIndex {
   std::vector<std::string> CollectRangeKeys(const std::string& begin,
                                             const std::string* end) {
     MigrateAll();
-    Generation& gen = *gens_.back();
-    std::unordered_set<std::string_view> seen;
-    std::vector<std::string> out;
-    for (const std::string& key : gen.log) {
-      if (!seen.insert(key).second) continue;
-      if (key < begin || (end && key >= *end)) continue;
-      uint64_t v = 0;
-      if (gen.tree.Lookup(gen.ProbeEncode(key), &v)) out.push_back(key);
-    }
+    std::vector<std::string> out = LiveLogKeys(*gens_.back(), begin, end);
     std::sort(out.begin(), out.end());
     return out;
   }
@@ -232,46 +175,12 @@ class VersionedIndex {
         newest.log.push_back(key);
         moved++;
       }
-      // Same bound as the Insert/Lookup append paths; one check per
-      // drained generation keeps the drain loop linear.
+      // Same bound as the insert append paths; one check per drained
+      // generation keeps the drain loop linear.
       CompactLog(*gens_.back());
     }
     gens_.erase(gens_.begin(), gens_.end() - 1);
     return moved;
-  }
-
-  /// Removes every live entry whose original key is in [begin, end) —
-  /// `end == nullptr` means unbounded above — and appends the
-  /// {original key, value} pairs to `out` in ascending key order. Drains
-  /// old generations first, so the extraction walks one tree + log pair.
-  /// This is the migration source for cross-shard re-balancing: the
-  /// caller re-encodes the extracted keys under the destination shard's
-  /// dictionary by inserting them there.
-  size_t ExtractRange(const std::string& begin, const std::string* end,
-                      std::vector<std::pair<std::string, uint64_t>>* out) {
-    MigrateAll();
-    Generation& gen = *gens_.back();
-    const size_t before = out->size();
-    // The log is append-only (duplicates, erased keys); visit each
-    // distinct key once and keep only live out-of-range keys in the log.
-    std::unordered_set<std::string> seen;
-    std::vector<std::string> kept;
-    kept.reserve(gen.log.size());
-    for (std::string& key : gen.log) {
-      if (!seen.insert(key).second) continue;
-      std::string enc = gen.ProbeEncode(key);
-      uint64_t v = 0;
-      if (!gen.tree.Lookup(enc, &v)) continue;
-      if (key >= begin && (!end || key < *end)) {
-        gen.tree.Erase(enc);
-        out->emplace_back(std::move(key), v);
-      } else {
-        kept.push_back(std::move(key));
-      }
-    }
-    gen.log = std::move(kept);
-    std::sort(out->begin() + static_cast<long>(before), out->end());
-    return out->size() - before;
   }
 
   size_t size() const {
@@ -330,15 +239,25 @@ class VersionedIndex {
   /// entries, not lifetime inserts.
   void CompactLog(Generation& gen) {
     if (gen.log.size() <= 4 * gen.tree.size() + 64) return;
+    gen.log = LiveLogKeys(gen, std::string(), nullptr);
+  }
+
+  /// The distinct keys of `gen`'s append-only log (which also holds
+  /// overwritten and erased keys) that lie in [begin, end) — `end ==
+  /// nullptr` means unbounded above — and are still live in its tree, in
+  /// first-logged order.
+  static std::vector<std::string> LiveLogKeys(const Generation& gen,
+                                              const std::string& begin,
+                                              const std::string* end) {
     std::unordered_set<std::string_view> seen;
     std::vector<std::string> live;
-    live.reserve(gen.tree.size());
     for (const std::string& key : gen.log) {
       if (!seen.insert(key).second) continue;
+      if (key < begin || (end && key >= *end)) continue;
       uint64_t v = 0;
       if (gen.tree.Lookup(gen.ProbeEncode(key), &v)) live.push_back(key);
     }
-    gen.log = std::move(live);
+    return live;
   }
 
   void PruneEmpty() {

@@ -15,7 +15,7 @@
 // ebr::Guard, load the RouterVersion (and the in-flight RebalancePlan,
 // if any), and route without taking the migration lock. Shard probes
 // take that shard's shared_mutex in shared mode and run
-// VersionedIndex::Peek, the const non-migrating lookup, so readers only
+// VersionedIndex::Peek, a const lookup that moves nothing, so readers only
 // ever wait on a shard's writer, never on each other and never on the
 // migration of some other shard.
 //
@@ -59,8 +59,10 @@
 // commits). Readers take only one shard lock at a time.
 //
 // Plans are applied only by PollMigration() (a maintenance loop runs
-// `while (!MigrationIdle()) PollMigration();`), Scan() and Resync();
-// point operations never migrate. The manager must outlive the index.
+// `while (!MigrationIdle()) PollMigration();`) and Scan(); point
+// operations never migrate. Registration pins the manager's plan
+// history at this index's router version, so every plan is applied in
+// order and none is ever skipped. The manager must outlive the index.
 #pragma once
 
 #include <atomic>
@@ -257,29 +259,12 @@ class ConcurrentShardedIndex {
     return n;
   }
 
-  /// Full catch-up without plan history: finishes any in-flight plan,
-  /// then re-routes every entry through the manager's current router.
-  /// O(total entries) — the recovery path PollMigration takes on a
-  /// pruned history gap. Returns entries moved between shards.
-  size_t Resync() HOPE_EXCLUDES(migration_mu_) {
-    MutexLock mlk(migration_mu_);
-    size_t moved = 0;
-    while (mig_.plan) {
-      size_t budget = ~size_t{0} >> 1;
-      moved += StepLocked(&budget);
-    }
-    return moved + ResyncLocked();
-  }
-
   /// Lifetime counters.
   uint64_t plans_applied() const {
     return plans_applied_.load(std::memory_order_relaxed);
   }
   uint64_t entries_migrated() const {
     return entries_migrated_.load(std::memory_order_relaxed);
-  }
-  uint64_t resyncs() const {
-    return resyncs_.load(std::memory_order_relaxed);
   }
   /// Readers that exhausted optimistic retries and took the migration
   /// lock (expected ~0; a hot counter here means batches are too small).
@@ -289,9 +274,9 @@ class ConcurrentShardedIndex {
 
   /// Registers the migration counters (hope_migration_*,
   /// hope_lookup_slow_paths_total) on `registry` — the accessors above
-  /// stay the thin views — and routes plan/batch/resync lifecycle
-  /// events to `trace`. Either sink may be null; both must outlive the
-  /// index. Attach before migration polling starts.
+  /// stay the thin views — and routes plan/batch lifecycle events to
+  /// `trace`. Either sink may be null; both must outlive the index.
+  /// Attach before migration polling starts.
   void AttachTelemetry(telemetry::MetricRegistry* registry,
                        telemetry::TraceLog* trace) {
     trace_.store(trace, std::memory_order_relaxed);
@@ -305,8 +290,6 @@ class ConcurrentShardedIndex {
         [this] { return static_cast<double>(plans_applied()); });
     add("hope_migration_entries_total",
         [this] { return static_cast<double>(entries_migrated()); });
-    add("hope_migration_resyncs_total",
-        [this] { return static_cast<double>(resyncs()); });
     add("hope_lookup_slow_paths_total",
         [this] { return static_cast<double>(lookup_slow_paths()); });
   }
@@ -468,12 +451,8 @@ class ConcurrentShardedIndex {
       if (!mig_.plan) {
         if (router_->version() == manager_->router_version()) break;
         auto plans = manager_->PlansSince(router_->version());
-        if (!plans) {
-          moved += ResyncLocked();
-          continue;
-        }
-        if (plans->empty()) break;
-        BeginPlanLocked(std::move((*plans)[0]));
+        if (plans.empty()) break;
+        BeginPlanLocked(std::move(plans[0]));
       }
       moved += StepLocked(&budget);
     }
@@ -492,49 +471,6 @@ class ConcurrentShardedIndex {
         break;  // no progress possible (defensive; contract makes this
                 // unreachable)
     }
-  }
-
-  /// Callable only with no plan in flight. Recovery for a pruned-history
-  /// gap: PlansSince's nullopt means the incremental history is gone, and
-  /// the only correct recovery is a full re-route (unreachable while
-  /// registered, but the contract is explicit). All shard locks are held
-  /// across the re-route, so readers block briefly; the sequence bump
-  /// retries any lookup that raced the router swap.
-  //
-  // NO_TSA: every shard lock is acquired into a std::vector of RAII
-  // locks, which the analysis cannot track (no per-element capability).
-  // Invariant preserved: all shard locks are held (ascending index
-  // order) for the whole body, and migration_mu_ is held per the
-  // REQUIRES contract.
-  size_t ResyncLocked() HOPE_REQUIRES(migration_mu_)
-      HOPE_NO_THREAD_SAFETY_ANALYSIS {
-    std::shared_ptr<const dynamic::RouterVersion> target = manager_->router();
-    std::vector<std::unique_lock<std::shared_mutex>> locks;
-    locks.reserve(shards_.size());
-    for (auto& shard : shards_) locks.emplace_back(shard->mu.native());
-    size_t moved = 0;
-    std::vector<std::vector<std::pair<std::string, uint64_t>>> rebinned(
-        shards_.size());
-    std::vector<std::pair<std::string, uint64_t>> entries;
-    for (size_t s = 0; s < shards_.size(); s++) {
-      entries.clear();
-      shards_[s]->index.ExtractRange(std::string(), nullptr, &entries);
-      for (auto& [key, value] : entries) {
-        size_t owner = target->Route(key);
-        if (owner != s) moved++;
-        rebinned[owner].emplace_back(std::move(key), value);
-      }
-    }
-    for (size_t s = 0; s < shards_.size(); s++)
-      for (auto& [key, value] : rebinned[s])
-        shards_[s]->index.InsertMigrated(key, value);
-    PublishRouterLocked(std::move(target));
-    manager_->UpdateIndexVersion(registration_id_, router_->version());
-    resyncs_.fetch_add(1, std::memory_order_relaxed);
-    entries_migrated_.fetch_add(moved, std::memory_order_relaxed);
-    if (telemetry::TraceLog* t = trace_.load(std::memory_order_relaxed))
-      t->Record(telemetry::TraceEventType::kResync, -1, moved);
-    return moved;
   }
 
   /// Idle maintenance: drain multi-generation shards (dictionary
@@ -567,14 +503,13 @@ class ConcurrentShardedIndex {
   /// plan begin, and plan completion — the optimistic validation token.
   mutable std::atomic<uint64_t> migration_seq_{0};
 
-  mutable Mutex migration_mu_;  ///< plan application, scans, resync
+  mutable Mutex migration_mu_;  ///< plan application and scans
   std::shared_ptr<const dynamic::RouterVersion> router_
       HOPE_GUARDED_BY(migration_mu_);
   MigrationState mig_ HOPE_GUARDED_BY(migration_mu_);
 
   std::atomic<uint64_t> plans_applied_{0};
   std::atomic<uint64_t> entries_migrated_{0};
-  std::atomic<uint64_t> resyncs_{0};
   mutable std::atomic<uint64_t> lookup_slow_paths_{0};
 
   /// Lifecycle sink (set once by AttachTelemetry, read relaxed under

@@ -100,7 +100,6 @@ class ServerLoop {
     size_t queue_capacity = 1024;  ///< per worker; Submit blocks when full
     bool pin_workers = true;
     size_t migration_batch = 512;  ///< keys per PollMigration call
-    unsigned migration_poll_us = 200;  ///< idle sleep between polls
 
     /// Optional: register the loop's metrics (latency/queue-delay
     /// histograms, per-op counters, queue-depth gauge) here. Must
@@ -246,6 +245,9 @@ class ServerLoop {
   }
 
  private:
+  /// Maintenance-thread sleep after a poll that moved nothing.
+  static constexpr unsigned kMigrationPollUs = 200;
+
   struct Worker {
     Mutex mu;
     std::condition_variable cv_work;
@@ -391,7 +393,7 @@ class ServerLoop {
       if (stop_.load(std::memory_order_acquire)) return;
       if (index_->PollMigration(opt_.migration_batch) == 0)
         std::this_thread::sleep_for(
-            std::chrono::microseconds(opt_.migration_poll_us));
+            std::chrono::microseconds(kMigrationPollUs));
     }
   }
 

@@ -14,7 +14,6 @@ const char* TraceEventTypeName(TraceEventType type) {
     case TraceEventType::kPlanApplyBegin: return "plan-apply-begin";
     case TraceEventType::kPlanRetired: return "plan-retired";
     case TraceEventType::kMigrationBatch: return "migration-batch";
-    case TraceEventType::kResync: return "resync";
     case TraceEventType::kEpochAdvance: return "epoch-advance";
     case TraceEventType::kEbrReclaim: return "ebr-reclaim";
   }

@@ -35,7 +35,6 @@ enum class TraceEventType : uint8_t {
   kPlanApplyBegin,    ///< a = router version the plan takes effect at
   kPlanRetired,       ///< a = router version fully applied
   kMigrationBatch,    ///< shard = destination, a = entries moved
-  kResync,            ///< a = entries re-binned
   kEpochAdvance,      ///< a = new global EBR epoch
   kEbrReclaim,        ///< a = objects freed, b = still pending
 };

@@ -6,6 +6,7 @@
 // tests/serve/concurrent_index_test.cc).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -239,20 +240,17 @@ TEST(ShardedManagerRebalanceTest, ForcedRebalanceRederivesBoundaries) {
 
   // The plan history replays for the registered consumer still at v0.
   auto plans = mgr.PlansSince(0);
-  ASSERT_TRUE(plans.has_value());
-  ASSERT_EQ(plans->size(), 1u);
-  EXPECT_EQ((*plans)[0], plan);
-  ASSERT_TRUE(mgr.PlansSince(1).has_value());
-  EXPECT_TRUE(mgr.PlansSince(1)->empty());
+  ASSERT_EQ(plans.size(), 1u);
+  EXPECT_EQ(plans[0], plan);
+  EXPECT_TRUE(mgr.PlansSince(1).empty());
 
-  // Advancing the consumer releases the pin: the plan is pruned, and a
-  // later PlansSince(0) reports the gap explicitly instead of silently
-  // replaying across it.
+  // Advancing the consumer releases the pin: the plan is pruned (asking
+  // below the new floor fails a check; see
+  // ConcurrentIndexDeathTest.PlansSinceBelowPrunedFloorFailsCheck).
   mgr.UpdateIndexVersion(reg.id, 1);
   EXPECT_EQ(mgr.plans_retained(), 0u);
-  EXPECT_EQ(mgr.plans_floor(), 1u);
   EXPECT_EQ(mgr.plans_pruned(), 1u);
-  EXPECT_FALSE(mgr.PlansSince(0).has_value());
+  EXPECT_TRUE(mgr.PlansSince(1).empty());
   mgr.DeregisterIndex(reg.id);
 
   // Weights reset to balanced after the publish (hysteresis baseline).
@@ -386,7 +384,7 @@ TEST(ShardedManagerRebalanceTest, RouteAndAcquireStaySafeAcrossSwaps) {
   EXPECT_EQ(mgr.reclaimer().reclaimed(), swaps);
 }
 
-TEST(VersionedIndexTest, ExtractRangeRemovesAndReturnsOrderedEntries) {
+TEST(VersionedIndexTest, CollectRangeKeysThenExtractKeysMovesSortedRange) {
   auto keys = NumberedKeys(60);
   DictionaryManager::Options mopt;
   mopt.scheme = Scheme::kSingleChar;
@@ -399,24 +397,34 @@ TEST(VersionedIndexTest, ExtractRangeRemovesAndReturnsOrderedEntries) {
   mgr.Publish(Hope::Build(Scheme::kSingleChar, keys, 256));
   index.Erase(keys[25]);
 
+  auto range = index.CollectRangeKeys(keys[20], &keys[40]);
+  EXPECT_EQ(index.NumGenerations(), 1u);
+  ASSERT_EQ(range.size(), 19u);  // [20, 40) minus the erased 25
+  EXPECT_TRUE(std::is_sorted(range.begin(), range.end()));
+  EXPECT_EQ(index.size(), keys.size() - 1);  // collecting removes nothing
+
   std::vector<std::pair<std::string, uint64_t>> out;
-  size_t moved = index.ExtractRange(keys[20], &keys[40], &out);
-  EXPECT_EQ(moved, 19u);  // [20, 40) minus the erased 25
+  EXPECT_EQ(index.ExtractKeys(range, &out), 19u);
   ASSERT_EQ(out.size(), 19u);
-  for (size_t i = 1; i < out.size(); i++)
-    EXPECT_LT(out[i - 1].first, out[i].first);
-  for (const auto& [key, value] : out) {
+  for (size_t i = 0; i < out.size(); i++) {
+    const auto& [key, value] = out[i];
+    EXPECT_EQ(key, range[i]);
     EXPECT_GE(key, keys[20]);
     EXPECT_LT(key, keys[40]);
     EXPECT_EQ(key, keys[value]);
     // Extracted entries are gone from the source index.
-    EXPECT_FALSE(index.Lookup(key, nullptr));
+    EXPECT_FALSE(index.Peek(key, nullptr));
   }
   EXPECT_EQ(index.size(), keys.size() - 20);
+  // A stale cursor extracts nothing twice.
+  EXPECT_EQ(index.ExtractKeys(range, &out), 0u);
 
-  // Unbounded extraction takes the whole tail.
+  // An unbounded range takes the whole tail.
+  range = index.CollectRangeKeys(keys[40], nullptr);
+  ASSERT_EQ(range.size(), 20u);
+  EXPECT_EQ(range.front(), keys[40]);
   out.clear();
-  EXPECT_EQ(index.ExtractRange(keys[40], nullptr, &out), 20u);
+  EXPECT_EQ(index.ExtractKeys(range, &out), 20u);
   EXPECT_EQ(index.size(), 20u);
 }
 

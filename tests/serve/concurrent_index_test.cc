@@ -5,7 +5,7 @@
 // range, inserts landing in the post-plan owner mid-flight, and scan
 // ordering across an in-flight plan. Also the paths a serving loop
 // rarely takes: the boundary walk's scan edge cases, the idle drain of
-// swapped-in dictionary generations, and the full-resync recovery.
+// swapped-in dictionary generations, and the plan-history floor check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +18,6 @@
 #include "dynamic/sharded_manager.h"
 #include "serve/concurrent_index.h"
 #include "serve/server_loop.h"
-#include "telemetry/registry.h"
-#include "telemetry/trace_log.h"
 
 namespace hope::serve {
 namespace {
@@ -146,7 +144,6 @@ TEST(ConcurrentIndexTest, BatchedMigrationKeepsEveryKeyVisible) {
   }
   EXPECT_GT(fx.index->entries_migrated(), 0u);
   EXPECT_EQ(fx.index->plans_applied(), 1u);
-  EXPECT_EQ(fx.index->resyncs(), 0u);
   EXPECT_EQ(fx.index->size(), fx.keys.size());
   EXPECT_EQ(fx.index->router_version(), fx.mgr->router_version());
   fx.ExpectAllPresent("post-migration");
@@ -374,51 +371,29 @@ TEST(ConcurrentIndexTest, IdlePollDrainsSwappedShardGenerations) {
   fx.ExpectAllPresent("drained");
 }
 
-// The recovery path behind the PlansSince sentinel: with no plan
-// history, Resync() re-routes every entry through the manager's current
-// router and lands where the plan-by-plan replay would, reporting the
-// resync through its counter, its metric and one trace event.
-TEST(ConcurrentIndexTest, ResyncRebuildsRoutingWithoutPlanHistory) {
-  telemetry::MetricRegistry registry;  // outlive the index
-  telemetry::TraceLog trace;
+#if GTEST_HAS_DEATH_TEST
+// The index's registration pins the plan history until it has applied
+// every plan, so it never asks PlansSince below the pruned floor;
+// asking there anyway fails a check instead of replaying from a gap.
+TEST(ConcurrentIndexDeathTest, PlansSinceBelowPrunedFloorFailsCheck) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   Fixture fx;
-  fx.index->AttachTelemetry(&registry, &trace);
-  auto resync_metric = [&] {
-    for (const auto& m : registry.Snapshot().metrics)
-      if (m.name == "hope_migration_resyncs_total") return m.value;
-    return -1.0;
-  };
-  auto resync_events = [&] {
-    size_t n = 0;
-    for (const auto& e : trace.Snapshot())
-      if (e.type == telemetry::TraceEventType::kResync) n++;
-    return n;
-  };
-
-  // Two stacked plans the index has not applied.
+  // Two stacked plans the index has not applied stay retained.
   fx.ForcePlan();
   ASSERT_NE(fx.ForcePlan(0, fx.keys.size() / 4), nullptr);
   EXPECT_EQ(fx.index->router_version(), 0u);
-  EXPECT_EQ(resync_metric(), 0.0);
-  EXPECT_EQ(resync_events(), 0u);
+  EXPECT_EQ(fx.mgr->plans_retained(), 2u);
+  EXPECT_EQ(fx.mgr->PlansSince(0).size(), 2u);
 
-  EXPECT_GT(fx.index->Resync(), 0u);
+  // Applying them advances the pin, and pruning follows it.
+  while (!fx.index->MigrationIdle()) fx.index->PollMigration();
   EXPECT_EQ(fx.index->router_version(), 2u);
-  EXPECT_TRUE(fx.index->MigrationIdle());
-  EXPECT_EQ(fx.index->resyncs(), 1u);
-  EXPECT_EQ(fx.index->plans_applied(), 0u);
-  EXPECT_EQ(resync_metric(), 1.0);
-  EXPECT_EQ(resync_events(), 1u);
-  EXPECT_EQ(fx.index->size(), fx.keys.size());
-
-  // Every key lives in the shard the current router names.
-  fx.ExpectAllPresent("after resync");
-  std::vector<uint64_t> out;
-  ASSERT_EQ(fx.index->Scan("", fx.keys.size(), &out), fx.keys.size());
-  for (size_t i = 0; i < out.size(); i++) EXPECT_EQ(out[i], i) << i;
-  // The resync reported its version, releasing the plan pins.
   EXPECT_EQ(fx.mgr->plans_retained(), 0u);
+  EXPECT_TRUE(fx.mgr->PlansSince(2).empty());
+  EXPECT_DEATH(fx.mgr->PlansSince(0), "pruned plan-history floor");
+  fx.ExpectAllPresent("after both plans");
 }
+#endif  // GTEST_HAS_DEATH_TEST
 
 TEST(ConcurrentIndexTest, KeyFingerprintIsOrderConsistent) {
   auto keys = NumberedKeys(50);

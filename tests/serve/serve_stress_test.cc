@@ -161,7 +161,7 @@ TEST(ServeStressTest, ReadersStayConsistentUnderContinuousRebalance) {
   std::vector<uint64_t> out;
   EXPECT_GE(index.Scan(stable[0], kStable, &out), 1u);
   for (size_t j = 1; j < out.size(); j++) EXPECT_GE(out[j], out[j - 1]);
-  EXPECT_GT(index.plans_applied() + index.resyncs(), 0u);
+  EXPECT_GT(index.plans_applied(), 0u);
 }
 
 TEST(ServeStressTest, ServerLoopServesThroughForcedRebalances) {
