@@ -111,6 +111,31 @@ BENCHMARK(BM_TreeLookup<Hot>)->Name("BM_HotLookup");
 BENCHMARK(BM_TreeLookup<BTree>)->Name("BM_BTreeLookup");
 BENCHMARK(BM_TreeLookup<PrefixBTree>)->Name("BM_PrefixBTreeLookup");
 
+// B+tree lookups on a tree too large for the caches, loaded in one
+// random order and probed in another: the variant above walks a
+// cache-resident tree in insertion order and never sees the misses on
+// node keys. The probe keys are copied in probe order, so reading them
+// streams.
+void BM_BTreeLookupShuffled(benchmark::State& state) {
+  static const auto* all = new std::vector<std::string>(
+      GenerateEmails(size_t{1} << 20, 47));
+  std::vector<std::string> keys(all->begin(), all->begin() + state.range(0));
+  std::shuffle(keys.begin(), keys.end(), std::mt19937_64(48));
+  BTree tree;
+  for (size_t i = 0; i < keys.size(); i++) tree.Insert(keys[i], i);
+  std::shuffle(keys.begin(), keys.end(), std::mt19937_64(49));
+  const std::vector<std::string> probes(keys.begin(), keys.end());
+  size_t i = 0;
+  uint64_t v = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree.Lookup(probes[i], &v));
+    i = (i + 1) % probes.size();
+  }
+}
+BENCHMARK(BM_BTreeLookupShuffled)
+    ->Name("BM_BTreeLookup/shuffled")
+    ->Arg(1 << 20);
+
 // Loads n emails into a B+tree in sorted or shuffled order (the sorted
 // load is the bulk-load case the append fast path and the right-spine
 // splits serve), reporting node + key bytes per key and the height.

@@ -2,18 +2,56 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+
+#include "common/check.h"
+#include "common/simd.h"
 
 namespace hope {
 
 namespace {
 
-/// First index in [0, count) with *keys[i] > key (upper bound).
+constexpr int kLenShift = 48;
+constexpr uint64_t kAddrMask = (uint64_t{1} << kLenShift) - 1;
+// The length tag of a key of this many bytes or more, whose length is
+// then an 8-byte prefix of its bytes.
+constexpr size_t kEscapeLen = 0xFFFF;
+// Regular chunks double from kMinChunk to kMaxChunk (or fit the key that
+// opens them), so a small tree holds little slack and a large one few
+// chunks.
+constexpr size_t kMinChunk = size_t{1} << 10;
+constexpr size_t kMaxChunk = size_t{1} << 16;
+
+const char* KeyAddr(uint64_t ref) {
+  return reinterpret_cast<const char*>(ref & kAddrMask);
+}
+
+std::string_view KeyAt(uint64_t ref) {
+  const char* p = KeyAddr(ref);
+  size_t len = ref >> kLenShift;
+  if (len == kEscapeLen) {
+    uint64_t n;
+    std::memcpy(&n, p, sizeof(n));
+    return {p + sizeof(n), n};
+  }
+  return {p, len};
+}
+
+/// Starts loading every key of a node, so the probes of the binary
+/// search that follows miss in parallel rather than one after another.
+template <typename KeyArray>
+void PrefetchKeys(const KeyArray& keys, int count) {
+  for (int i = 0; i < count; i++) simd::PrefetchRead(KeyAddr(keys[i]));
+}
+
+/// First index in [0, count) with keys[i] > key (upper bound).
 template <typename KeyArray>
 int UpperBound(const KeyArray& keys, int count, std::string_view key) {
+  PrefetchKeys(keys, count);
   int lo = 0, hi = count;
   while (lo < hi) {
     int mid = (lo + hi) / 2;
-    if (std::string_view(*keys[mid]) <= key)
+    if (KeyAt(keys[mid]) <= key)
       lo = mid + 1;
     else
       hi = mid;
@@ -21,13 +59,14 @@ int UpperBound(const KeyArray& keys, int count, std::string_view key) {
   return lo;
 }
 
-/// First index in [0, count) with *keys[i] >= key (lower bound).
+/// First index in [0, count) with keys[i] >= key (lower bound).
 template <typename KeyArray>
 int LowerBound(const KeyArray& keys, int count, std::string_view key) {
+  PrefetchKeys(keys, count);
   int lo = 0, hi = count;
   while (lo < hi) {
     int mid = (lo + hi) / 2;
-    if (std::string_view(*keys[mid]) < key)
+    if (KeyAt(keys[mid]) < key)
       lo = mid + 1;
     else
       hi = mid;
@@ -38,7 +77,7 @@ int LowerBound(const KeyArray& keys, int count, std::string_view key) {
 /// Moves the last entry of leaf `l` to the front of its right neighbour
 /// `r`; the separator between them becomes r's new first key.
 template <typename Leaf>
-void ShiftRight(Leaf* l, Leaf* r, const std::string** separator) {
+void ShiftRight(Leaf* l, Leaf* r, uint64_t* separator) {
   std::copy_backward(r->keys, r->keys + r->count, r->keys + r->count + 1);
   std::copy_backward(r->values, r->values + r->count,
                      r->values + r->count + 1);
@@ -52,7 +91,7 @@ void ShiftRight(Leaf* l, Leaf* r, const std::string** separator) {
 /// Moves the first entry of leaf `r` to the end of its left neighbour
 /// `l`; the separator between them becomes r's new first key.
 template <typename Leaf>
-void ShiftLeft(Leaf* l, Leaf* r, const std::string** separator) {
+void ShiftLeft(Leaf* l, Leaf* r, uint64_t* separator) {
   l->keys[l->count] = r->keys[0];
   l->values[l->count] = r->values[0];
   l->count++;
@@ -78,10 +117,41 @@ void BTree::FreeRec(Node* node) {
   }
 }
 
-const std::string* BTree::Intern(std::string_view key) {
-  arena_.emplace_back(key);
+char* BTree::Allocate(size_t n) {
+  if (n <= static_cast<size_t>(arena_end_ - arena_cur_)) {
+    char* p = arena_cur_;
+    arena_cur_ += n;
+    return p;
+  }
+  bool own = n > kMaxChunk;
+  size_t size =
+      std::max(n, std::clamp(2 * chunk_bytes_, kMinChunk, kMaxChunk));
+  chunks_.push_back(std::make_unique_for_overwrite<char[]>(size));
+  char* p = chunks_.back().get();
+  HOPE_CHECK_MSG((reinterpret_cast<uintptr_t>(p) + size) >> kLenShift == 0,
+                 "key arena chunk past the 48-bit address range");
+  // A dedicated chunk leaves the current one's free bytes in use.
+  if (own) return p;
+  chunk_bytes_ = size;
+  arena_cur_ = p + n;
+  arena_end_ = p + size;
+  return p;
+}
+
+BTree::KeyRef BTree::Intern(std::string_view key) {
+  bool escape = key.size() >= kEscapeLen;
+  char* p = Allocate(key.size() + (escape ? sizeof(uint64_t) : 0));
+  char* bytes = p;
+  if (escape) {
+    uint64_t n = key.size();
+    std::memcpy(p, &n, sizeof(n));
+    bytes += sizeof(n);
+  }
+  // The empty key needs no chunk: Allocate(0) may return nullptr.
+  if (!key.empty()) std::memcpy(bytes, key.data(), key.size());
   key_bytes_ += key.size();
-  return &arena_.back();
+  return reinterpret_cast<uintptr_t>(p) |
+         (uint64_t{escape ? kEscapeLen : key.size()} << kLenShift);
 }
 
 void BTree::Insert(std::string_view key, uint64_t value) {
@@ -101,7 +171,7 @@ void BTree::Insert(std::string_view key, uint64_t value) {
   // the maximum only grows. While that leaf has room, skip the descent.
   LeafNode* last = rightmost_;
   if (last->count < kSlots &&
-      key > std::string_view(*last->keys[last->count - 1])) {
+      key > KeyAt(last->keys[last->count - 1])) {
     last->keys[last->count] = Intern(key);
     last->values[last->count] = value;
     last->count++;
@@ -126,7 +196,7 @@ BTree::SplitResult BTree::InsertRec(Node* node, std::string_view key,
   if (node->leaf) {
     auto* leaf = static_cast<LeafNode*>(node);
     int pos = LowerBound(leaf->keys, leaf->count, key);
-    if (pos < leaf->count && *leaf->keys[pos] == key) {
+    if (pos < leaf->count && KeyAt(leaf->keys[pos]) == key) {
       leaf->values[pos] = value;  // overwrite
       return {};
     }
@@ -192,7 +262,7 @@ BTree::SplitResult BTree::InsertRec(Node* node, std::string_view key,
   // the rest to a new right node. An append split on the right spine
   // keeps kSlots - 1 keys and leaves the new right node one key and the
   // last two children; any other split leaves kMinFill keys on each side.
-  const std::string* keys[kSlots + 1];
+  KeyRef keys[kSlots + 1];
   Node* children[kSlots + 2];
   std::copy(inner->keys, inner->keys + idx, keys);
   keys[idx] = child_split.separator;
@@ -218,7 +288,7 @@ bool BTree::ShiftToSibling(InnerNode* parent, int idx, std::string_view key,
                            bool spine) {
   auto* leaf = static_cast<LeafNode*>(parent->children[idx]);
   // An append split keeps the leaf full.
-  if (spine && key > std::string_view(*leaf->keys[kSlots - 1])) return false;
+  if (spine && key > KeyAt(leaf->keys[kSlots - 1])) return false;
   if (idx > 0 && parent->children[idx - 1]->count < kSlots) {
     ShiftLeft(static_cast<LeafNode*>(parent->children[idx - 1]), leaf,
               &parent->keys[idx - 1]);
@@ -257,7 +327,7 @@ bool BTree::EraseRec(Node* node, std::string_view key) {
   if (node->leaf) {
     auto* leaf = static_cast<LeafNode*>(node);
     int pos = LowerBound(leaf->keys, leaf->count, key);
-    if (pos >= leaf->count || *leaf->keys[pos] != key) return false;
+    if (pos >= leaf->count || KeyAt(leaf->keys[pos]) != key) return false;
     for (int i = pos; i + 1 < leaf->count; i++) {
       leaf->keys[i] = leaf->keys[i + 1];
       leaf->values[i] = leaf->values[i + 1];
@@ -373,7 +443,7 @@ bool BTree::Lookup(std::string_view key, uint64_t* value) const {
   const LeafNode* leaf = FindLeaf(key);
   if (!leaf) return false;
   int pos = LowerBound(leaf->keys, leaf->count, key);
-  if (pos < leaf->count && *leaf->keys[pos] == key) {
+  if (pos < leaf->count && KeyAt(leaf->keys[pos]) == key) {
     if (value) *value = leaf->values[pos];
     return true;
   }
@@ -410,8 +480,8 @@ int BTree::Height() const {
   return h;
 }
 
-std::string BTree::CheckRec(const Node* node, const std::string* lo,
-                            const std::string* hi, int depth,
+std::string BTree::CheckRec(const Node* node, const KeyRef* lo,
+                            const KeyRef* hi, int depth,
                             int expect_depth, bool spine,
                             std::vector<const LeafNode*>* leaves) const {
   if (node->count == 0) return "empty node";
@@ -421,21 +491,22 @@ std::string BTree::CheckRec(const Node* node, const std::string* lo,
     if (depth != expect_depth) return "leaves at different depths";
     const auto* leaf = static_cast<const LeafNode*>(node);
     for (int i = 0; i + 1 < leaf->count; i++)
-      if (!(*leaf->keys[i] < *leaf->keys[i + 1]))
+      if (!(KeyAt(leaf->keys[i]) < KeyAt(leaf->keys[i + 1])))
         return "leaf keys out of order";
-    if (lo && !(*lo <= *leaf->keys[0])) return "leaf below lower bound";
-    if (hi && !(*leaf->keys[leaf->count - 1] < *hi))
+    if (lo && !(KeyAt(*lo) <= KeyAt(leaf->keys[0])))
+      return "leaf below lower bound";
+    if (hi && !(KeyAt(leaf->keys[leaf->count - 1]) < KeyAt(*hi)))
       return "leaf above upper bound";
     leaves->push_back(leaf);
     return "";
   }
   const auto* inner = static_cast<const InnerNode*>(node);
   for (int i = 0; i + 1 < inner->count; i++)
-    if (!(*inner->keys[i] < *inner->keys[i + 1]))
+    if (!(KeyAt(inner->keys[i]) < KeyAt(inner->keys[i + 1])))
       return "inner keys out of order";
   for (int i = 0; i <= inner->count; i++) {
-    const std::string* clo = i == 0 ? lo : inner->keys[i - 1];
-    const std::string* chi = i == inner->count ? hi : inner->keys[i];
+    const KeyRef* clo = i == 0 ? lo : &inner->keys[i - 1];
+    const KeyRef* chi = i == inner->count ? hi : &inner->keys[i];
     std::string err = CheckRec(inner->children[i], clo, chi, depth + 1,
                                expect_depth, spine && i == inner->count,
                                leaves);

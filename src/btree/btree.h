@@ -1,9 +1,18 @@
 // In-memory B+tree with out-of-node string keys (the paper's TLX/STX
 // configuration, §5): 16-slot nodes storing 8-byte key references and
-// 8-byte value/child pointers, leaf chaining for range scans. Keys are
-// owned by an internal arena with stable addresses; MemoryBytes() counts
-// nodes plus key bytes, since the index stores the keys (Fig. 7: B+trees
-// store full keys and benefit most from key compression).
+// 8-byte value/child pointers, leaf chaining for range scans.
+// MemoryBytes() counts nodes plus key bytes, since the index stores the
+// keys (Fig. 7: B+trees store full keys and benefit most from key
+// compression).
+//
+// Key layout. Each key's bytes sit contiguously, with no header, in a
+// chunked append-only byte arena; a key larger than a chunk gets a chunk
+// of its own. A key reference is one tagged word: the address in the low
+// 48 bits and the length in the high 16, so a comparison reads a single
+// run of bytes and the length costs no load. A key of 65,535 bytes or
+// more carries the escape tag 0xFFFF instead, and its bytes follow an
+// 8-byte length prefix. A search prefetches every key a node references
+// before it bisects the node, so the dependent misses overlap.
 //
 // Split policy. Before an insert descends into a full leaf, the parent
 // first shifts one of that leaf's entries into an adjacent sibling under
@@ -27,8 +36,9 @@
 // Erase rebalances them like any other node once they drop below it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,7 +63,7 @@ class BTree {
 
   /// Removes a key with classic borrow/merge rebalancing (the fill rule
   /// above holds, the tree shrinks when the root empties). Returns
-  /// false if the key was absent. Note: the interned key bytes stay in
+  /// false if the key was absent. Note: the erased key's bytes stay in
   /// the append-only arena and in MemoryBytes(); a delete-heavy
   /// long-lived index would pair this with arena compaction.
   bool Erase(std::string_view key);
@@ -65,8 +75,9 @@ class BTree {
 
   size_t size() const { return size_; }
 
-  /// Node bytes plus the bytes of every key ever interned, erased ones
-  /// included (the arena is append-only).
+  /// Node bytes plus the payload bytes of every key ever interned,
+  /// erased ones included (the arena is append-only). Arena chunk slack
+  /// and the length prefixes of escaped keys are not counted.
   size_t MemoryBytes() const;
 
   /// Tree height (levels), for diagnostics.
@@ -80,6 +91,10 @@ class BTree {
   std::string CheckInvariants() const;
 
  private:
+  // Tagged key reference: address in bits 0-47, length in bits 48-63
+  // (0xFFFF: the length is an 8-byte prefix at the address).
+  using KeyRef = uint64_t;
+
   struct Node {
     bool leaf;
     uint16_t count = 0;
@@ -87,24 +102,27 @@ class BTree {
 
   struct InnerNode : Node {
     // children[i] holds keys < keys[i]; children[count] holds the rest.
-    const std::string* keys[kSlots];
+    KeyRef keys[kSlots];
     Node* children[kSlots + 1];
   };
 
   struct LeafNode : Node {
-    const std::string* keys[kSlots];
+    KeyRef keys[kSlots];
     uint64_t values[kSlots];
     LeafNode* next = nullptr;
   };
 
   struct SplitResult {
-    Node* right = nullptr;           // nullptr if no split happened
-    const std::string* separator = nullptr;  // smallest key in `right`
+    Node* right = nullptr;  // nullptr if no split happened
+    KeyRef separator = 0;   // smallest key in `right`
   };
 
   static constexpr int kMinFill = kSlots / 2;
 
-  const std::string* Intern(std::string_view key);
+  KeyRef Intern(std::string_view key);
+  // `n` contiguous arena bytes; a request larger than a chunk gets a
+  // chunk of its own.
+  char* Allocate(size_t n);
   // `spine`: node is the last child at every level above it.
   SplitResult InsertRec(Node* node, std::string_view key, uint64_t value,
                         bool spine);
@@ -118,14 +136,17 @@ class BTree {
   void RebalanceChild(InnerNode* parent, int idx);
   const LeafNode* FindLeaf(std::string_view key) const;
   void FreeRec(Node* node);
-  std::string CheckRec(const Node* node, const std::string* lo,
-                       const std::string* hi, int depth, int expect_depth,
+  std::string CheckRec(const Node* node, const KeyRef* lo,
+                       const KeyRef* hi, int depth, int expect_depth,
                        bool spine,
                        std::vector<const LeafNode*>* leaves) const;
 
   Node* root_ = nullptr;
   LeafNode* rightmost_ = nullptr;  // last leaf of the chain; the append target
-  std::deque<std::string> arena_;  // stable key storage
+  std::vector<std::unique_ptr<char[]>> chunks_;  // the key arena
+  char* arena_cur_ = nullptr;  // free bytes of the current chunk
+  char* arena_end_ = nullptr;
+  size_t chunk_bytes_ = 0;     // size of the last regular chunk
   size_t size_ = 0;
   size_t key_bytes_ = 0;
   size_t node_bytes_ = 0;

@@ -1,6 +1,7 @@
 // Fuzz target: differential BTree operations against std::map.
 //
-// The input is a stream of operations, one selector byte each:
+// The input is a stream of operations, one selector byte each (an
+// arbitrary key may be empty):
 //   0 append-max  a key past the current maximum (its successor plus a
 //                 short suffix), the path the rightmost-leaf fast path and
 //                 the right-spine append splits serve
@@ -10,6 +11,8 @@
 //   3 erase       the first key at or after a probe, or the probe itself
 //   4 lookup      an arbitrary probe
 //   5 scan        up to 32 values from an arbitrary start key
+//   6 long insert 65,533-65,536 copies of one byte plus a short suffix,
+//                 keys on both sides of the arena's 16-bit length tag
 // Every result must match the shadow map; the tree's invariants (order,
 // fill, leaf chain, rightmost leaf) must hold at the end.
 #include <cstdint>
@@ -44,7 +47,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   uint64_t value = 0;
   while (in.remaining() > 0) {
     value++;
-    switch (in.TakeByte() % 6) {
+    switch (in.TakeByte() % 7) {
       case 0: {
         std::string key = shadow.empty() ? in.TakeString(8)
                                          : Successor(shadow.rbegin()->first) +
@@ -90,7 +93,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                        "lookup value disagrees with map");
         break;
       }
-      default: {
+      case 5: {
         std::string start = in.TakeString(8);
         size_t count = in.TakeByte() % 32;
         std::vector<uint64_t> got;
@@ -104,6 +107,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         }
         HOPE_CHECK_MSG(got.size() == count || it == shadow.end(),
                        "scan stopped early");
+        break;
+      }
+      default: {
+        size_t len = 65533 + in.TakeByte() % 4;
+        std::string key(len, static_cast<char>(in.TakeByte()));
+        key += in.TakeString(3);
+        tree.Insert(key, value);
+        shadow[key] = value;
+        uint64_t got = 0;
+        HOPE_CHECK_MSG(tree.Lookup(key, &got) && got == value,
+                       "long key lookup disagrees with map");
         break;
       }
     }

@@ -185,10 +185,11 @@ def gen_telemetry(d: str):
 
 
 def gen_btree_ops(d: str):
-    # [op][operands...] per operation, op = selector byte % 6:
+    # [op][operands...] per operation, op = selector byte % 7:
     # 0 append-max [len][suffix], 1 insert [len][key], 2 overwrite
     # [len][probe], 3 erase [len][probe][take-next bool], 4 lookup
-    # [len][key], 5 scan [len][start][count]. A few thousand ascending
+    # [len][key], 5 scan [len][start][count], 6 long insert
+    # [length selector][fill byte][len][suffix]. A few thousand ascending
     # appends drive the right-spine append splits through three levels.
     append = bytes([0, 0])
     erase_min = bytes([3, 0, 1])
@@ -245,6 +246,33 @@ def gen_btree_ops(d: str):
             victim = nums[rng.randrange(i + 1)]
             ops.append(bytes([3, 2]) + struct.pack(">H", victim) + bytes([0]))
     write(d, "random_overflow", b"".join(ops) + tail)
+    # Keys of 65,533-65,539 bytes of 0x00, 'k' or 0xFF, on both sides of
+    # the 16-bit length tag and each filling or outgrowing an arena chunk,
+    # between short keys; then overwrites, appends past an all-0xFF
+    # maximum, erases and scans that reach them.
+    ops = []
+    for sel in range(4):
+        for fill in (0x00, ord("k"), 0xFF):
+            for suffix in (b"", b"\x00", b"ab"):
+                ops.append(bytes([6, sel, fill, len(suffix)]) + suffix)
+                ops.append(bytes([1, 2]) + struct.pack(">H", 97 * sel + fill))
+    for probe in (b"\x00", b"k", b"\xff"):
+        ops.append(bytes([2, len(probe)]) + probe)
+        ops.append(bytes([5, len(probe)]) + probe + bytes([31]))
+    ops += [append] * 3
+    for probe in (b"\x00", b"k", b"k", b"\xff"):
+        ops.append(bytes([3, len(probe)]) + probe + bytes([1]))
+    ops.append(bytes([6, 1, ord("k"), 0]))
+    write(d, "long_keys", b"".join(ops) + tail)
+    # The empty key first, into a tree with no keys yet, then keys of only
+    # 0x00 bytes around it: lookups, an append past them, an erase and
+    # re-insert of the empty key, and scans from it.
+    ops = [bytes([1, 0]), bytes([4, 0])]
+    ops += [bytes([1, n]) + b"\x00" * n for n in range(1, 9)]
+    ops += [bytes([4, n]) + b"\x00" * n for n in range(10)]
+    ops += [append, bytes([3, 0, 0]), bytes([4, 0]), bytes([5, 0, 31]),
+            bytes([1, 0]), bytes([2, 0]), bytes([3, 1, 0, 1])]
+    write(d, "empty_and_nul", b"".join(ops) + tail)
 
 
 def main():

@@ -100,6 +100,76 @@ void MatchShadow(const BTree& t,
   for (const auto& kv : shadow) ASSERT_EQ(vals[i++], kv.second) << kv.first;
 }
 
+// Keys at the edges of the key arena's layout, driven against a shadow
+// map through inserts, overwrites and erases: the empty key, keys of
+// only 0x00 or 0xFF bytes, lengths on both sides of the 16-bit length
+// tag (65,535 bytes and up carry an 8-byte length prefix), keys larger
+// than a 64 KiB arena chunk, and enough short keys between them to roll
+// over several chunks.
+TEST(BTreeTest, KeyArenaEdgeCases) {
+  std::vector<std::string> keys = {"", std::string(1, '\0'),
+                                   std::string(3, '\0'), "\xff",
+                                   std::string(40, '\xff')};
+  for (size_t len : {65534, 65535, 65536, 200000}) {
+    keys.push_back(std::string(len, 'k'));
+    keys.push_back(std::string(len, '\0'));
+    keys.push_back(std::string(len, '\xff'));
+    // Neighbours differing only in their last byte or their length.
+    keys.push_back(std::string(len - 1, 'k') + 'j');
+    keys.push_back(std::string(len, 'k') + '\0');
+  }
+  keys.push_back(std::string(100000, 'c'));  // bigger than a chunk
+  std::mt19937_64 rng(60);
+  for (int i = 0; i < 20000; i++)
+    keys.push_back(NumKey(rng() % 1000000, &rng));
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::shuffle(keys.begin(), keys.end(), rng);
+
+  BTree t;
+  std::map<std::string, uint64_t> shadow;
+  auto check = [&] {
+    ASSERT_NO_FATAL_FAILURE(MatchShadow(t, shadow));
+    for (const auto& [key, value] : shadow) {
+      uint64_t got = 0;
+      ASSERT_TRUE(t.Lookup(key, &got)) << key.size();
+      ASSERT_EQ(got, value) << key.size();
+      // One byte more, or one less, is another key.
+      std::string longer = key + '\0';
+      ASSERT_EQ(t.Lookup(longer, nullptr), shadow.count(longer) == 1);
+      if (key.empty()) continue;
+      std::string shorter = key.substr(0, key.size() - 1);
+      ASSERT_EQ(t.Lookup(shorter, nullptr), shadow.count(shorter) == 1);
+    }
+  };
+  uint64_t value = 0;
+  for (const auto& key : keys) {
+    t.Insert(key, ++value);
+    shadow[key] = value;
+  }
+  ASSERT_NO_FATAL_FAILURE(check());
+  for (auto& [key, v] : shadow) {
+    t.Insert(key, ++value);
+    v = value;
+  }
+  ASSERT_NO_FATAL_FAILURE(check());
+  for (size_t i = 0; i < keys.size(); i += 2) {
+    ASSERT_TRUE(t.Erase(keys[i])) << keys[i].size();
+    ASSERT_FALSE(t.Erase(keys[i])) << keys[i].size();
+    shadow.erase(keys[i]);
+  }
+  ASSERT_NO_FATAL_FAILURE(check());
+  for (size_t i = 0; i < keys.size(); i += 2) {
+    t.Insert(keys[i], ++value);
+    shadow[keys[i]] = value;
+  }
+  ASSERT_NO_FATAL_FAILURE(check());
+  for (const auto& key : keys) ASSERT_TRUE(t.Erase(key)) << key.size();
+  shadow.clear();
+  ASSERT_NO_FATAL_FAILURE(check());
+  EXPECT_EQ(t.Height(), 0);
+}
+
 // Differential test of the append fast path and the right-spine splits:
 // ascending appends mixed with random inserts, overwrites of the maximum
 // and erases (random ones and of the maximum, which merges the rightmost
@@ -262,6 +332,32 @@ TEST(BTreeTest, SortedLoadFillsLeaves) {
   int full_height = static_cast<int>(
       std::ceil(std::log(static_cast<double>(keys.size())) / std::log(16.0)));
   EXPECT_LE(sorted_tree.Height(), full_height + 1);
+}
+
+// MemoryBytes() counts node bytes and key payload bytes only, so how the
+// keys are laid out cannot move it, nor the benchmark's bytes_per_key
+// that reads it. Exact figures for a sorted load, a shuffled load, and a
+// mix of inserts, overwrites and erases (whose erased keys stay counted).
+TEST(BTreeTest, MemoryBytesUnchangedByKeyLayout) {
+  auto shuffled = ShuffledEmails(100000);
+  auto sorted = shuffled;
+  std::sort(sorted.begin(), sorted.end());
+  BTree sorted_tree, shuffled_tree, mixed_tree;
+  for (size_t i = 0; i < sorted.size(); i++) {
+    sorted_tree.Insert(sorted[i], i);
+    shuffled_tree.Insert(shuffled[i], i);
+  }
+  std::mt19937_64 rng(61);
+  for (uint64_t op = 0; op < 200000; op++) {
+    const std::string& key = shuffled[rng() % shuffled.size()];
+    if (rng() % 4 == 0)
+      mixed_tree.Erase(key);
+    else
+      mixed_tree.Insert(key, op);  // an overwrite if present
+  }
+  EXPECT_EQ(sorted_tree.MemoryBytes(), size_t{4069931});
+  EXPECT_EQ(shuffled_tree.MemoryBytes(), size_t{4477931});
+  EXPECT_EQ(mixed_tree.MemoryBytes(), size_t{3387536});
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Coverage floor gate: parses llvm-cov export JSON or a directory of
 gcov --json-format output and enforces a per-file line-coverage floor on
-the gated (untrusted-input) files. Used by tools/coverage_report.sh.
+the gated files. Used by tools/coverage_report.sh.
 
 Exit: 0 floor met, 1 a gated file is below the floor or missing from
 the report, 2 usage errors.
@@ -76,7 +76,7 @@ def main():
               f"{covered:>8} {pct:>6.1f}%")
 
     failed = False
-    print(f"\ngate: floor {args.floor:.0f}% on untrusted-input files")
+    print(f"\ngate: floor {args.floor:.0f}% on gated files")
     for rel in args.gated:
         name = os.path.abspath(os.path.join(root, rel))
         if name not in cov or cov[name][1] == 0:
