@@ -170,7 +170,7 @@ void RunGlobalDrift() {
       .Num("rebuilds", static_cast<double>(mgr.rebuilds_published()))
       .Num("rebuilds_rejected", static_cast<double>(mgr.rebuilds_rejected()))
       .Num("index_lookups_checked", static_cast<double>(index_checked))
-      .Num("index_lookup_failures", static_cast<double>(index_wrong))
+      .Failures("index_lookup_failures", index_wrong)
       .Num("index_migrated", static_cast<double>(migrated));
 }
 
@@ -312,7 +312,7 @@ void RunLocalizedDrift() {
            static_cast<double>(sharded.rebuilds_published()))
       .Str("shard_epochs", EpochsString(epochs))
       .Num("index_lookups_checked", static_cast<double>(index_checked))
-      .Num("index_lookup_failures", static_cast<double>(index_wrong))
+      .Failures("index_lookup_failures", index_wrong)
       .Num("index_generations_drained",
            static_cast<double>(old_generations));
 }
@@ -497,9 +497,9 @@ void RunRebalance() {
       .Num("fixed_rebuilds", static_cast<double>(fixed.rebuilds_published()))
       .Num("rebal_rebuilds", static_cast<double>(rebal.rebuilds_published()))
       .Num("index_lookups_checked", static_cast<double>(lookups_checked))
-      .Num("index_lookup_failures", static_cast<double>(lookups_wrong))
+      .Failures("index_lookup_failures", lookups_wrong)
       .Num("index_scans_checked", static_cast<double>(scans_checked))
-      .Num("index_scan_failures", static_cast<double>(scans_wrong))
+      .Failures("index_scan_failures", scans_wrong)
       .Num("index_migrated", static_cast<double>(migrated));
 }
 

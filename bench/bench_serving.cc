@@ -117,12 +117,11 @@ void ReportPhase(ServerLoop<BTree>& loop, ShardedDictionaryManager& mgr,
         .Num("p50_ns", static_cast<double>(s.latency.Percentile(0.50)))
         .Num("p99_ns", static_cast<double>(s.latency.Percentile(0.99)))
         .Num("p999_ns", static_cast<double>(s.latency.Percentile(0.999)))
-        .Num("mean_ns", s.latency.Mean())
-        .Num("max_ns", static_cast<double>(s.latency.max()))
+        .Num("mean_ns", s.latency.mean)
+        .Num("max_ns", static_cast<double>(s.latency.max))
         .Num("ops_per_sec", ops_per_sec)
-        .Num("check_failures", static_cast<double>(s.check_failures))
-        .Num("scan_order_violations",
-             static_cast<double>(s.scan_order_violations));
+        .Failures("check_failures", s.check_failures)
+        .Failures("scan_order_violations", s.scan_order_violations);
   }
   // Telemetry snapshot for the phase. Queue delay is the open-loop
   // signal (intended arrival -> execution start); in closed-loop it
@@ -304,7 +303,7 @@ void Run() {
       .Num("lookup_slow_paths",
            static_cast<double>(index.lookup_slow_paths()))
       .Num("router_version", static_cast<double>(index.router_version()))
-      .Num("spot_check_failures", static_cast<double>(spot_failures));
+      .Failures("spot_check_failures", spot_failures);
 }
 
 }  // namespace

@@ -43,12 +43,6 @@ class WeightImbalancePolicy final : public RebalancePolicy {
   uint32_t streak_ = 0;
 };
 
-class NeverRebalancePolicy final : public RebalancePolicy {
- public:
-  bool ShouldRebalance(const RebalanceSignals&) override { return false; }
-  const char* Name() const override { return "never"; }
-};
-
 }  // namespace
 
 std::unique_ptr<RebalancePolicy> MakeWeightImbalancePolicy(
@@ -56,10 +50,6 @@ std::unique_ptr<RebalancePolicy> MakeWeightImbalancePolicy(
     uint32_t consecutive_polls) {
   return std::make_unique<WeightImbalancePolicy>(
       trigger_ratio, min_keys, cooldown_seconds, consecutive_polls);
-}
-
-std::unique_ptr<RebalancePolicy> MakeNeverRebalancePolicy() {
-  return std::make_unique<NeverRebalancePolicy>();
 }
 
 }  // namespace hope::dynamic

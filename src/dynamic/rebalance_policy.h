@@ -48,7 +48,4 @@ std::unique_ptr<RebalancePolicy> MakeWeightImbalancePolicy(
     double trigger_ratio, uint64_t min_keys = 1024,
     double cooldown_seconds = 1.0, uint32_t consecutive_polls = 2);
 
-/// Never triggers (manual RebalanceNow(force) only).
-std::unique_ptr<RebalancePolicy> MakeNeverRebalancePolicy();
-
 }  // namespace hope::dynamic

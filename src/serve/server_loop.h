@@ -18,10 +18,10 @@
 // open-loop (coordinated-omission-free) benchmark runs diagnosable.
 // Measurement is telemetry-native: each op type has a wait-free
 // telemetry::Histogram plus striped counters shared by all workers (one
-// relaxed atomic per update — cheaper than the per-worker stats mutex
-// it replaces, and snapshot-able mid-phase without stalling anyone).
-// Snapshot()/ResetStats() keep their historical OpStats shape as a
-// compatibility view over the telemetry objects.
+// relaxed atomic per update, and snapshot-able mid-phase without
+// stalling anyone). Snapshot() reads those objects into an OpStats
+// whose latency is the histogram's own telemetry::HistogramSnapshot —
+// the same numbers the registry exports as hope_server_latency_ns.
 //
 // Self-checking: a request with `check` set verifies the serving
 // invariant value == KeyFingerprint(key) on every hit, and scans verify
@@ -45,7 +45,6 @@
 #include "common/thread_annotations.h"
 #include "serve/concurrent_index.h"
 #include "serve/cpu_pin.h"
-#include "serve/latency_histogram.h"
 #include "telemetry/metrics.h"
 #include "telemetry/registry.h"
 
@@ -83,9 +82,14 @@ struct Request {
   uint64_t enqueue_ns = 0;
 };
 
-/// Merged per-op measurement snapshot.
+/// The pre-telemetry name of a latency report. hope_bench spells
+/// serve::LatencyHistogram (and calls Mean() on it), so the name stays
+/// as an alias until the next benchmark change drops it.
+using LatencyHistogram = telemetry::HistogramSnapshot;
+
+/// Per-op measurement snapshot.
 struct OpStats {
-  LatencyHistogram latency;
+  telemetry::HistogramSnapshot latency;
   uint64_t ops = 0;
   uint64_t hits = 0;  ///< lookup hits / erase hits / scan entries
   uint64_t check_failures = 0;
@@ -192,21 +196,19 @@ class ServerLoop {
     joined_ = true;
   }
 
-  /// Merged stats for one op — the historical OpStats shape,
-  /// reconstructed from the telemetry objects. Count and the counters
-  /// are exact; Mean() is midpoint-approximated and min/max are
-  /// bucket-resolution (raw bucket counts carry no exact extremes).
+  /// Stats for one op, read from the telemetry objects. Count and the
+  /// counters are exact; latency mean is midpoint-approximated and
+  /// min/max are bucket-resolution (see telemetry::HistogramSnapshot).
   /// Take at quiesce points (after WaitIdle) for exact phase numbers.
   OpStats Snapshot(Request::Op op) const {
     const PerOpTelemetry& t = per_op_[static_cast<size_t>(op)];
-    OpStats merged;
-    const telemetry::HistogramSnapshot h = t.latency.Snapshot();
-    merged.latency.AddBucketCounts(h.counts.data(), h.counts.size());
-    merged.ops = t.ops.Value();
-    merged.hits = t.hits.Value();
-    merged.check_failures = t.check_failures.Value();
-    merged.scan_order_violations = t.scan_order_violations.Value();
-    return merged;
+    OpStats stats;
+    stats.latency = t.latency.Snapshot();
+    stats.ops = t.ops.Value();
+    stats.hits = t.hits.Value();
+    stats.check_failures = t.check_failures.Value();
+    stats.scan_order_violations = t.scan_order_violations.Value();
+    return stats;
   }
 
   /// Queue-delay distribution (Submit/pre-stamped arrival to execution

@@ -2,10 +2,9 @@
 // HdrHistogram shape: values below 2^kSubBucketBits get exact unit-width
 // buckets; above that, each power-of-two octave is subdivided into
 // 2^kSubBucketBits linear sub-buckets, bounding a bucket's width at
-// ~3.1% of its magnitude. One layout, two users: serve/latency_histogram
-// (single-writer, merged at phase boundaries) and telemetry::Histogram
-// (atomic buckets, multi-writer) index into identically shaped arrays,
-// so their counts can be merged and compared bucket-for-bucket.
+// ~3.1% of its magnitude. telemetry::Histogram (atomic buckets,
+// multi-writer) records into it, and its HistogramSnapshot reads and
+// merges the counts bucket-for-bucket.
 #pragma once
 
 #include <algorithm>

@@ -10,17 +10,22 @@ size_t ThreadStripeSeed() {
   return seed;
 }
 
-HistogramSnapshot Histogram::Snapshot() const {
-  HistogramSnapshot snap;
-  snap.counts.resize(kNumLogBuckets);
-  size_t first = kNumLogBuckets, last = 0;
+namespace {
+
+/// The one derivation of count/min/max/mean from raw bucket counts,
+/// shared by Histogram::Snapshot() and HistogramSnapshot::Merge().
+void DeriveAggregates(HistogramSnapshot* snap) {
+  snap->count = 0;
+  snap->min = 0;
+  snap->max = 0;
+  snap->mean = 0.0;
+  size_t first = snap->counts.size(), last = 0;
   double weighted = 0.0;
-  for (size_t i = 0; i < kNumLogBuckets; i++) {
-    const uint64_t c = buckets_[i].load(std::memory_order_relaxed);
-    snap.counts[i] = c;
+  for (size_t i = 0; i < snap->counts.size(); i++) {
+    const uint64_t c = snap->counts[i];
     if (c == 0) continue;
-    snap.count += c;
-    if (first == kNumLogBuckets) first = i;
+    snap->count += c;
+    if (first == snap->counts.size()) first = i;
     last = i;
     // Midpoint via lo/2 + hi/2: lo + hi overflows in the top octave.
     const double mid =
@@ -28,11 +33,27 @@ HistogramSnapshot Histogram::Snapshot() const {
         static_cast<double>(LogBucketUpperBound(i)) / 2.0;
     weighted += mid * static_cast<double>(c);
   }
-  if (snap.count > 0) {
-    snap.min = LogBucketLowerBound(first);
-    snap.max = LogBucketUpperBound(last);
-    snap.mean = weighted / static_cast<double>(snap.count);
+  if (snap->count > 0) {
+    snap->min = LogBucketLowerBound(first);
+    snap->max = LogBucketUpperBound(last);
+    snap->mean = weighted / static_cast<double>(snap->count);
   }
+}
+
+}  // namespace
+
+void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
+  if (counts.size() < other.counts.size()) counts.resize(other.counts.size());
+  for (size_t i = 0; i < other.counts.size(); i++) counts[i] += other.counts[i];
+  DeriveAggregates(this);
+}
+
+HistogramSnapshot Histogram::Snapshot() const {
+  HistogramSnapshot snap;
+  snap.counts.resize(kNumLogBuckets);
+  for (size_t i = 0; i < kNumLogBuckets; i++)
+    snap.counts[i] = buckets_[i].load(std::memory_order_relaxed);
+  DeriveAggregates(&snap);
   return snap;
 }
 

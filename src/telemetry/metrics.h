@@ -6,12 +6,15 @@
 //                threads rarely share a line; Value() sums the stripes.
 //   Gauge      — point-in-time signed value, single atomic.
 //   Histogram  — log-bucketed value distribution (telemetry/log_buckets
-//                .h layout, identical to serve::LatencyHistogram);
-//                Record() is one relaxed fetch_add on the value's
-//                bucket, and count/mean/min/max are derived from the
-//                bucket counts at snapshot time rather than maintained
-//                on the write path (an exact atomic max would need a
-//                CAS loop — more than one relaxed atomic per update).
+//                .h layout); Record() is one relaxed fetch_add on the
+//                value's bucket, and count/mean/min/max are derived from
+//                the bucket counts at snapshot time rather than
+//                maintained on the write path (an exact atomic max would
+//                need a CAS loop — more than one relaxed atomic per
+//                update). HistogramSnapshot is the one read-side view:
+//                every latency report (registry export, ServerLoop's
+//                OpStats, the benches) reads it, and snapshots merge
+//                bucket-for-bucket across ops or phases.
 //
 // None of these allocate after construction; all are safe for
 // concurrent writers and concurrent readers. Snapshot values taken
@@ -78,16 +81,29 @@ class Gauge {
 /// and last populated bucket), mean is midpoint-weighted — the standard
 /// ~3.1% trade for a write path that touches exactly one atomic.
 struct HistogramSnapshot {
-  std::vector<uint64_t> counts;  ///< kNumLogBuckets entries
+  std::vector<uint64_t> counts;  ///< kNumLogBuckets entries; empty when
+                                 ///< default-constructed
   uint64_t count = 0;
   uint64_t min = 0;   ///< lower bound of the first populated bucket
   uint64_t max = 0;   ///< upper bound of the last populated bucket
   double mean = 0.0;  ///< midpoint-weighted
 
+  /// Value at quantile q in [0, 1] (QuantileFromCounts), clamped to
+  /// [min, max]. An empty snapshot reports 0.
   uint64_t Percentile(double q) const {
     return QuantileFromCounts(counts.data(), counts.size(), count, q, min,
                               max);
   }
+
+  /// Adds `other`'s bucket counts and re-derives count/min/max/mean, so
+  /// the result equals the snapshot of one histogram that recorded both
+  /// sides. Works on a default-constructed (empty) snapshot.
+  void Merge(const HistogramSnapshot& other);
+
+  /// Same as the `mean` field. Exists only because hope_bench calls
+  /// Mean() through the serve::LatencyHistogram alias; both go with the
+  /// next benchmark change.
+  double Mean() const { return mean; }
 };
 
 class Histogram {

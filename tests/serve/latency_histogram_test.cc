@@ -1,22 +1,52 @@
-// LatencyHistogram: bucket mapping round-trips, bounded relative error,
-// percentile semantics, and the cross-worker merge.
+// serve::LatencyHistogram, the alias of telemetry::HistogramSnapshot
+// that serving reports read: bucket mapping round-trips, bounded
+// relative error, percentile semantics, and the merge across ops or
+// phases. Values are recorded into a telemetry::Histogram (the only
+// write side) and read back through Snapshot()/Merge(). Snapshot
+// extremes are bucket-resolution: max is the upper bound of the last
+// populated bucket, quantiles are clamped to it, and both stay within
+// one sub-bucket width (~3.1%) of the largest recorded value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <random>
 #include <vector>
 
-#include "serve/latency_histogram.h"
+#include "serve/server_loop.h"
+#include "telemetry/log_buckets.h"
 #include "telemetry/metrics.h"
 
 namespace hope::serve {
 namespace {
 
+using telemetry::kNumLogBuckets;
+using telemetry::kSubBucketCount;
+using telemetry::LogBucketIndex;
+using telemetry::LogBucketUpperBound;
+
+LatencyHistogram SnapshotOf(std::initializer_list<uint64_t> values) {
+  telemetry::Histogram h;
+  for (uint64_t v : values) h.Record(v);
+  return h.Snapshot();
+}
+
+/// True when `reported` overestimates `value` by at most one sub-bucket
+/// width: the snapshot's ~3.1% error contract.
+bool WithinOneSubBucket(uint64_t reported, uint64_t value) {
+  return reported >= value && reported - value <= value / kSubBucketCount;
+}
+
 TEST(LatencyHistogramTest, LinearRegionIsExact) {
-  for (uint64_t v = 0; v < LatencyHistogram::kSubBucketCount; v++) {
-    EXPECT_EQ(LatencyHistogram::BucketIndex(v), v);
-    EXPECT_EQ(LatencyHistogram::BucketUpperBound(v), v);
+  for (uint64_t v = 0; v < kSubBucketCount; v++) {
+    EXPECT_EQ(LogBucketIndex(v), v);
+    EXPECT_EQ(LogBucketUpperBound(v), v);
+    // Unit-width buckets: a snapshot reports the value itself.
+    const LatencyHistogram s = SnapshotOf({v});
+    EXPECT_EQ(s.min, v);
+    EXPECT_EQ(s.max, v);
+    EXPECT_EQ(s.Percentile(0.5), v);
   }
 }
 
@@ -32,112 +62,128 @@ TEST(LatencyHistogramTest, BucketIndexIsMonotoneAndBoundsContainValue) {
   std::sort(values.begin(), values.end());
   size_t prev_index = 0;
   for (uint64_t v : values) {
-    size_t idx = LatencyHistogram::BucketIndex(v);
-    ASSERT_LT(idx, LatencyHistogram::kNumBuckets) << "value " << v;
-    EXPECT_LE(v, LatencyHistogram::BucketUpperBound(idx)) << "value " << v;
+    size_t idx = LogBucketIndex(v);
+    ASSERT_LT(idx, kNumLogBuckets) << "value " << v;
+    EXPECT_LE(v, LogBucketUpperBound(idx)) << "value " << v;
     EXPECT_GE(idx, prev_index) << "monotonicity at " << v;
     prev_index = idx;
   }
   // The largest value maps inside the table.
-  EXPECT_EQ(LatencyHistogram::BucketIndex(~uint64_t{0}),
-            LatencyHistogram::kNumBuckets - 1);
+  EXPECT_EQ(LogBucketIndex(~uint64_t{0}), kNumLogBuckets - 1);
 }
 
 TEST(LatencyHistogramTest, RelativeErrorIsBounded) {
   std::mt19937_64 rng(7);
   for (int i = 0; i < 20000; i++) {
     uint64_t v = rng() >> (rng() % 40);  // spread across magnitudes
-    size_t idx = LatencyHistogram::BucketIndex(v);
-    uint64_t ub = LatencyHistogram::BucketUpperBound(idx);
+    size_t idx = LogBucketIndex(v);
+    uint64_t ub = LogBucketUpperBound(idx);
     ASSERT_GE(ub, v);
     // Upper bound overestimates by at most one sub-bucket width ~ v/32.
     EXPECT_LE(static_cast<double>(ub - v),
-              static_cast<double>(v) / LatencyHistogram::kSubBucketCount +
-                  1.0)
+              static_cast<double>(v) / kSubBucketCount + 1.0)
         << "value " << v;
   }
 }
 
 TEST(LatencyHistogramTest, PercentilesOnKnownDistribution) {
-  LatencyHistogram h;
-  for (uint64_t v = 1; v <= 1000; v++) h.Record(v);
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_EQ(h.min(), 1u);
-  EXPECT_EQ(h.max(), 1000u);
-  EXPECT_NEAR(h.Mean(), 500.5, 1e-9);
-  // ~3.1% error bound on the bucketed quantiles; p100 is exact.
+  telemetry::Histogram t;
+  for (uint64_t v = 1; v <= 1000; v++) t.Record(v);
+  const LatencyHistogram h = t.Snapshot();
+  EXPECT_EQ(h.count, 1000u);
+  EXPECT_EQ(h.min, 1u);
+  // max is the upper bound of 1000's bucket [992, 1007].
+  EXPECT_EQ(h.max, LogBucketUpperBound(LogBucketIndex(1000)));
+  EXPECT_TRUE(WithinOneSubBucket(h.max, 1000)) << h.max;
+  // Bucket midpoints: every bucket below 992 is full, so its midpoint
+  // is its exact mean; the top bucket holds 992..1000 (mean 996) but
+  // weighs in at its midpoint 999.5, adding 9 * 3.5 / 1000.
+  EXPECT_NEAR(h.Mean(), 500.5 + 9 * 3.5 / 1000, 1e-9);
+  // ~3.1% error bound on the bucketed quantiles; p100 is the clamp.
   EXPECT_NEAR(static_cast<double>(h.Percentile(0.50)), 500.0, 500.0 * 0.04);
   EXPECT_NEAR(static_cast<double>(h.Percentile(0.99)), 990.0, 990.0 * 0.04);
-  EXPECT_EQ(h.Percentile(1.0), 1000u);
+  EXPECT_EQ(h.Percentile(1.0), h.max);
   EXPECT_GE(h.Percentile(0.999), 990u);
 }
 
 TEST(LatencyHistogramTest, PercentileNeverExceedsRecordedMax) {
-  LatencyHistogram h;
-  h.Record(1'000'003);  // lands in a coarse bucket
-  EXPECT_EQ(h.Percentile(0.5), 1'000'003u);
-  EXPECT_EQ(h.Percentile(0.999), 1'000'003u);
+  // 1'000'003 lands in the coarse [999424, 1015807] bucket: every
+  // quantile is clamped to the snapshot's max, that bucket's upper
+  // bound, which stays within one sub-bucket width of the sample.
+  const LatencyHistogram h = SnapshotOf({1'000'003});
+  EXPECT_EQ(h.max, 1'015'807u);
+  EXPECT_TRUE(WithinOneSubBucket(h.max, 1'000'003));
+  EXPECT_EQ(h.Percentile(0.5), h.max);
+  EXPECT_EQ(h.Percentile(0.999), h.max);
 }
 
 TEST(LatencyHistogramTest, EmptyHistogramReportsZero) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-  EXPECT_EQ(h.Percentile(0.99), 0u);
-  EXPECT_EQ(h.Mean(), 0.0);
+  // Both a default-constructed report and the snapshot of a histogram
+  // that recorded nothing.
+  for (const LatencyHistogram& h :
+       {LatencyHistogram{}, telemetry::Histogram().Snapshot()}) {
+    EXPECT_EQ(h.count, 0u);
+    EXPECT_EQ(h.min, 0u);
+    EXPECT_EQ(h.max, 0u);
+    EXPECT_EQ(h.Percentile(0.99), 0u);
+    EXPECT_EQ(h.Mean(), 0.0);
+  }
 }
 
 TEST(LatencyHistogramTest, MergeMatchesCombinedRecording) {
-  LatencyHistogram a, b, combined;
+  telemetry::Histogram a, b, combined;
   std::mt19937_64 rng(11);
   for (int i = 0; i < 5000; i++) {
     uint64_t v = rng() % 1'000'000;
     (i % 2 ? a : b).Record(v);
     combined.Record(v);
   }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_EQ(a.max(), combined.max());
-  EXPECT_EQ(a.min(), combined.min());
-  EXPECT_EQ(a.Mean(), combined.Mean());
+  LatencyHistogram merged = a.Snapshot();
+  merged.Merge(b.Snapshot());
+  const LatencyHistogram whole = combined.Snapshot();
+  EXPECT_EQ(merged.counts, whole.counts);
+  EXPECT_EQ(merged.count, whole.count);
+  EXPECT_EQ(merged.max, whole.max);
+  EXPECT_EQ(merged.min, whole.min);
+  EXPECT_EQ(merged.Mean(), whole.Mean());
   for (double q : {0.5, 0.9, 0.99, 0.999, 1.0})
-    EXPECT_EQ(a.Percentile(q), combined.Percentile(q)) << q;
+    EXPECT_EQ(merged.Percentile(q), whole.Percentile(q)) << q;
 }
 
 TEST(LatencyHistogramTest, ResetClears) {
-  LatencyHistogram h;
+  telemetry::Histogram h;
   h.Record(123);
   h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Percentile(0.5), 0u);
+  EXPECT_EQ(h.Snapshot().count, 0u);
+  EXPECT_EQ(h.Snapshot().Percentile(0.5), 0u);
   h.Record(7);
-  EXPECT_EQ(h.Percentile(1.0), 7u);
+  EXPECT_EQ(h.Snapshot().Percentile(1.0), 7u);
 }
 
 TEST(LatencyHistogramTest, SharedLayoutMatchesTelemetry) {
-  // The layout constants are a cross-library contract: the serving
-  // histogram and telemetry::Histogram must index identically so their
-  // bucket counts can be merged bucket-for-bucket.
-  EXPECT_EQ(LatencyHistogram::kNumBuckets, telemetry::kNumLogBuckets);
-  EXPECT_EQ(LatencyHistogram::kSubBucketCount, telemetry::kSubBucketCount);
+  // A snapshot's counts are the log_buckets layout, index for index,
+  // which is what lets snapshots merge bucket-for-bucket.
+  EXPECT_EQ(SnapshotOf({}).counts.size(), kNumLogBuckets);
+  EXPECT_EQ(kSubBucketCount, 32u);
   // Exact boundary pins: 32 ends the unit region but its octave group
   // continues width-1 buckets through 63; 64 starts width-2 buckets.
-  EXPECT_EQ(LatencyHistogram::BucketIndex(32), 32u);
-  EXPECT_EQ(LatencyHistogram::BucketIndex(63), 63u);
-  EXPECT_EQ(LatencyHistogram::BucketIndex(64), 64u);
-  EXPECT_EQ(LatencyHistogram::BucketIndex(65), 64u);
-  for (uint64_t v : {0ull, 31ull, 32ull, 1000ull, ~0ull})
-    EXPECT_EQ(LatencyHistogram::BucketIndex(v), telemetry::LogBucketIndex(v));
+  EXPECT_EQ(LogBucketIndex(32), 32u);
+  EXPECT_EQ(LogBucketIndex(63), 63u);
+  EXPECT_EQ(LogBucketIndex(64), 64u);
+  EXPECT_EQ(LogBucketIndex(65), 64u);
+  for (uint64_t v : {0ull, 31ull, 32ull, 1000ull, ~0ull}) {
+    const LatencyHistogram s = SnapshotOf({v});
+    EXPECT_EQ(s.counts[LogBucketIndex(v)], 1u) << v;
+    EXPECT_EQ(s.max, LogBucketUpperBound(LogBucketIndex(v))) << v;
+  }
 }
 
 TEST(LatencyHistogramTest, OverflowBucketReportsMax) {
   // A recorded UINT64_MAX must come back exactly: the overflow bucket's
   // upper bound is pinned, and the final-rank quantile path does not
   // interpolate (double math near 2^64 would round the top bits off).
-  LatencyHistogram h;
-  h.Record(~uint64_t{0});
-  EXPECT_EQ(h.max(), ~uint64_t{0});
+  const LatencyHistogram h = SnapshotOf({~uint64_t{0}});
+  EXPECT_EQ(h.max, ~uint64_t{0});
   EXPECT_EQ(h.Percentile(0.5), ~uint64_t{0});
   EXPECT_EQ(h.Percentile(0.999), ~uint64_t{0});
 }
@@ -147,24 +193,32 @@ TEST(LatencyHistogramTest, SingleBucketInterpolation) {
   // interpolation spreads the quantiles across the bucket instead of
   // collapsing p50 == p999 == upper bound (the old one-sided bias).
   // 1'000'003 and 1'015'000 share the [999424, 1015807] bucket.
-  LatencyHistogram h;
-  ASSERT_EQ(LatencyHistogram::BucketIndex(1'000'003),
-            LatencyHistogram::BucketIndex(1'015'000));
-  for (int i = 0; i < 500; i++) h.Record(1'000'003);
-  for (int i = 0; i < 500; i++) h.Record(1'015'000);
+  ASSERT_EQ(LogBucketIndex(1'000'003), LogBucketIndex(1'015'000));
+  telemetry::Histogram t;
+  for (int i = 0; i < 500; i++) t.Record(1'000'003);
+  for (int i = 0; i < 500; i++) t.Record(1'015'000);
+  const LatencyHistogram h = t.Snapshot();
   const uint64_t p50 = h.Percentile(0.50);
   const uint64_t p999 = h.Percentile(0.999);
   EXPECT_LT(p50, p999);
-  // ...and the clamp to the recorded extremes bounds both.
-  EXPECT_GE(p50, h.min());
-  EXPECT_LE(p999, h.max());
+  // ...and the clamp to the bucket-resolution extremes bounds both.
+  EXPECT_GE(p50, h.min);
+  EXPECT_LE(p999, h.max);
 
-  // When every sample IS one exact value, the exact min/max clamp
-  // collapses every quantile to it — tighter than any interpolation.
-  LatencyHistogram point;
-  for (int i = 0; i < 1000; i++) point.Record(1'000'003);
-  EXPECT_EQ(point.Percentile(0.50), 1'000'003u);
-  EXPECT_EQ(point.Percentile(0.999), 1'000'003u);
+  // When every sample is one value, the quantiles still interpolate
+  // across its bucket: ordered, inside the bucket, and within one
+  // sub-bucket width of the value.
+  telemetry::Histogram one_value;
+  for (int i = 0; i < 1000; i++) one_value.Record(1'000'003);
+  const LatencyHistogram point = one_value.Snapshot();
+  const uint64_t point_p50 = point.Percentile(0.50);
+  const uint64_t point_p999 = point.Percentile(0.999);
+  EXPECT_LE(point_p50, point_p999);
+  EXPECT_GE(point_p50, point.min);
+  EXPECT_LE(point_p999, point.max);
+  const double tolerance = 1'000'003.0 / kSubBucketCount;
+  EXPECT_NEAR(static_cast<double>(point_p50), 1'000'003.0, tolerance);
+  EXPECT_NEAR(static_cast<double>(point_p999), 1'000'003.0, tolerance);
 }
 
 TEST(LatencyHistogramTest, EmptyPercentileEdge) {
@@ -173,30 +227,37 @@ TEST(LatencyHistogramTest, EmptyPercentileEdge) {
   EXPECT_EQ(h.Percentile(0.0), 0u);
   EXPECT_EQ(h.Percentile(1.0), 0u);
   // One sample: every quantile is that sample.
-  h.Record(42);
+  h.Merge(SnapshotOf({42}));
   EXPECT_EQ(h.Percentile(0.0), 42u);
   EXPECT_EQ(h.Percentile(0.5), 42u);
   EXPECT_EQ(h.Percentile(1.0), 42u);
 }
 
 TEST(LatencyHistogramTest, AddBucketCountsBridgesTelemetrySnapshots) {
-  // The compat path ServerLoop::Snapshot uses: fold a
-  // telemetry::Histogram's bucket counts into a LatencyHistogram.
+  // The name predates Merge; it now pins that reports need no bridge. A
+  // telemetry snapshot merged into an empty report equals the source.
   telemetry::Histogram t;
   for (uint64_t v = 1; v <= 1000; v++) t.Record(v);
   const telemetry::HistogramSnapshot snap = t.Snapshot();
   LatencyHistogram h;
-  h.AddBucketCounts(snap.counts.data(), snap.counts.size());
-  EXPECT_EQ(h.count(), 1000u);
-  // min/max are bucket-resolution after the bridge; quantiles keep the
-  // ~3.1% bound.
-  EXPECT_EQ(h.min(), 1u);
-  EXPECT_GE(h.max(), 1000u);
-  EXPECT_NEAR(static_cast<double>(h.Percentile(0.50)), 500.0, 500.0 * 0.04);
-  EXPECT_NEAR(h.Mean(), 500.5, 500.5 * 0.04);
-  // Folding into a non-empty histogram accumulates.
-  h.AddBucketCounts(snap.counts.data(), snap.counts.size());
-  EXPECT_EQ(h.count(), 2000u);
+  h.Merge(snap);
+  EXPECT_EQ(h.counts, snap.counts);
+  EXPECT_EQ(h.count, 1000u);
+  EXPECT_EQ(h.min, snap.min);
+  EXPECT_EQ(h.max, snap.max);
+  EXPECT_EQ(h.Mean(), snap.mean);
+  for (double q : {0.5, 0.99, 0.999, 1.0})
+    EXPECT_EQ(h.Percentile(q), snap.Percentile(q)) << q;
+  // Merging into a non-empty report accumulates: doubled counts leave
+  // the extremes, the mean and every quantile where they were.
+  h.Merge(snap);
+  EXPECT_EQ(h.count, 2000u);
+  EXPECT_EQ(h.counts[LogBucketIndex(500)],
+            2 * snap.counts[LogBucketIndex(500)]);
+  EXPECT_EQ(h.min, snap.min);
+  EXPECT_EQ(h.max, snap.max);
+  EXPECT_DOUBLE_EQ(h.Mean(), snap.mean);
+  EXPECT_EQ(h.Percentile(0.5), snap.Percentile(0.5));
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ TEST(ServerLoopTest, MixedOpsExactAccountingAndCleanChecks) {
   loop.WaitIdle();
   OpStats ins = loop.Snapshot(Request::Op::kInsert);
   EXPECT_EQ(ins.ops, fx.keys.size());
-  EXPECT_EQ(ins.latency.count(), fx.keys.size());
+  EXPECT_EQ(ins.latency.count, fx.keys.size());
   EXPECT_EQ(fx.index->size(), fx.keys.size());
 
   // Phase 2: checked lookups (all hit), one cold miss, checked scans,
@@ -128,7 +128,7 @@ TEST(ServerLoopTest, MixedOpsExactAccountingAndCleanChecks) {
   // Phase boundary: reset clears every worker's histograms.
   loop.ResetStats();
   EXPECT_EQ(loop.Snapshot(Request::Op::kLookup).ops, 0u);
-  EXPECT_EQ(loop.Snapshot(Request::Op::kInsert).latency.count(), 0u);
+  EXPECT_EQ(loop.Snapshot(Request::Op::kInsert).latency.count, 0u);
 
   loop.Stop();
   loop.Stop();  // idempotent
@@ -227,7 +227,8 @@ TEST(ServerLoopTest, RegistersMetricsAndStreamsSnapshots) {
 
 TEST(ServerLoopTest, CompatSnapshotMatchesRegistry) {
   // Snapshot(op) is a thin view over the telemetry metrics: the counts
-  // it reports must equal what the registry exports.
+  // and latency it reports must equal what the registry exports, so
+  // one histogram stands behind both the report and the export.
   Fixture fx;
   telemetry::MetricRegistry registry;
   ServerLoop<BTree>::Options opts = SmallLoopOptions();
@@ -240,15 +241,42 @@ TEST(ServerLoopTest, CompatSnapshotMatchesRegistry) {
     req.key = k;
     loop.Submit(std::move(req));
   }
+  for (size_t i = 0; i < 10; i++) {
+    Request req;
+    req.op = Request::Op::kScan;
+    req.check = true;
+    req.key = fx.keys[i * 7];
+    req.scan_count = 25;
+    loop.Submit(std::move(req));
+  }
   loop.WaitIdle();
   const OpStats lk = loop.Snapshot(Request::Op::kLookup);
+  const telemetry::RegistrySnapshot reg = registry.Snapshot();
   double reg_ops = -1;
-  for (const auto& m : registry.Snapshot().metrics)
+  for (const auto& m : reg.metrics)
     if (m.name == "hope_server_ops_total" && !m.labels.empty() &&
         m.labels[0].second == "lookup")
       reg_ops = m.value;
   EXPECT_EQ(reg_ops, static_cast<double>(lk.ops));
   EXPECT_EQ(lk.ops, fx.keys.size());
+
+  static constexpr const char* kOpNames[Request::kNumOps] = {
+      "lookup", "insert", "erase", "scan"};
+  for (size_t op = 0; op < Request::kNumOps; op++) {
+    const telemetry::HistogramSnapshot lat =
+        loop.Snapshot(static_cast<Request::Op>(op)).latency;
+    const telemetry::RegistrySnapshot::Metric* row = nullptr;
+    for (const auto& m : reg.metrics)
+      if (m.name == "hope_server_latency_ns" && !m.labels.empty() &&
+          m.labels[0].second == kOpNames[op])
+        row = &m;
+    ASSERT_NE(row, nullptr) << kOpNames[op];
+    EXPECT_EQ(lat.count, row->hist.count) << kOpNames[op];
+    EXPECT_EQ(lat.Percentile(0.50), row->hist.p50) << kOpNames[op];
+    EXPECT_EQ(lat.Percentile(0.99), row->hist.p99) << kOpNames[op];
+    EXPECT_EQ(lat.Percentile(0.999), row->hist.p999) << kOpNames[op];
+  }
+  EXPECT_EQ(loop.Snapshot(Request::Op::kScan).latency.count, 10u);
 }
 
 TEST(ServerLoopTest, DestructorStopsWithQueuedWork) {

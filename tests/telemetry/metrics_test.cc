@@ -1,13 +1,14 @@
-// Wait-free metric primitives: bucket-layout math pinned exactly (the
-// serving layer's LatencyHistogram shares the layout bucket-for-bucket,
-// so these constants are a cross-library contract), counters exact
-// under multi-threaded writers, histogram quantile edge cases (empty,
-// single bucket, overflow bucket).
+// Wait-free metric primitives: bucket-layout math pinned exactly
+// (snapshots merge bucket-for-bucket, so these constants are a contract
+// between every histogram reader), counters exact under multi-threaded
+// writers, histogram quantile edge cases (empty, single bucket,
+// overflow bucket), and snapshot merges.
 #include "telemetry/metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <thread>
 #include <vector>
 
@@ -165,6 +166,64 @@ TEST(Histogram, CountMonotoneUnderWriters) {
   stop.store(true);
   writer.join();
   EXPECT_EQ(h.Snapshot().count, h.Count());
+}
+
+TEST(HistogramSnapshot, MergeIntoEmpty) {
+  Histogram h;
+  for (uint64_t v : {3ull, 40ull, 700ull, 1'000'003ull}) h.Record(v);
+  const HistogramSnapshot src = h.Snapshot();
+  HistogramSnapshot dst;  // default-constructed: no buckets yet
+  dst.Merge(src);
+  EXPECT_EQ(dst.counts, src.counts);
+  EXPECT_EQ(dst.count, 4u);
+  EXPECT_EQ(dst.min, src.min);
+  EXPECT_EQ(dst.max, src.max);
+  EXPECT_EQ(dst.mean, src.mean);
+  EXPECT_EQ(dst.Percentile(0.5), src.Percentile(0.5));
+}
+
+TEST(HistogramSnapshot, MergeOfEmptyChangesNothing) {
+  Histogram h;
+  for (uint64_t v = 10; v < 5000; v += 7) h.Record(v);
+  const HistogramSnapshot src = h.Snapshot();
+  for (const HistogramSnapshot& empty :
+       {HistogramSnapshot{}, Histogram().Snapshot()}) {
+    HistogramSnapshot dst = src;
+    dst.Merge(empty);
+    EXPECT_EQ(dst.counts, src.counts);
+    EXPECT_EQ(dst.count, src.count);
+    EXPECT_EQ(dst.min, src.min);
+    EXPECT_EQ(dst.max, src.max);
+    EXPECT_EQ(dst.mean, src.mean);
+  }
+  // Empty into empty stays empty.
+  HistogramSnapshot none;
+  none.Merge(HistogramSnapshot{});
+  EXPECT_EQ(none.count, 0u);
+  EXPECT_EQ(none.Percentile(0.99), 0u);
+  EXPECT_EQ(none.mean, 0.0);
+}
+
+TEST(HistogramSnapshot, MergeEqualsCombinedRecording) {
+  // Disjoint ranges, so the merge moves min, max and mean.
+  Histogram low, high, both;
+  for (uint64_t v = 5; v < 2000; v += 3) {
+    low.Record(v);
+    both.Record(v);
+  }
+  for (uint64_t v = 50'000; v < 90'000; v += 11) {
+    high.Record(v);
+    both.Record(v);
+  }
+  HistogramSnapshot merged = high.Snapshot();
+  merged.Merge(low.Snapshot());
+  const HistogramSnapshot whole = both.Snapshot();
+  EXPECT_EQ(merged.count, whole.count);
+  EXPECT_EQ(merged.min, whole.min);
+  EXPECT_EQ(merged.max, whole.max);
+  EXPECT_EQ(merged.mean, whole.mean);
+  for (double q : {0.5, 0.75, 0.9, 0.99, 0.999, 1.0})
+    EXPECT_EQ(merged.Percentile(q), whole.Percentile(q)) << q;
 }
 
 }  // namespace
