@@ -3,8 +3,8 @@
 //
 // 1. Global drift (the fig-15 Email provider split made gradual): a
 //    static dictionary (built once from a phase-0 sample, the paper's
-//    protocol) versus a managed one (stats collector + compression-drop
-//    policy + background rebuilder + versioned hot-swap) on the same
+//    protocol) versus a managed one (stats collector + CPR-drop
+//    trigger + background rebuilder + versioned hot-swap) on the same
 //    drifting key stream. Series "phase"/"summary" in the JSON.
 //
 // 2. Localized drift (URL corpus, kUrlStyle model): only one shard's key
@@ -19,7 +19,7 @@
 // 3. Hotspot migration (URL corpus, kHotspotMigrate model): traffic
 //    walks from the lower half of the key space to the upper half. A
 //    fixed-boundary sharded manager ends with every request on its last
-//    shard; the re-balancing manager (weight-imbalance policy, versioned
+//    shard; the re-balancing manager (weight-imbalance trigger, versioned
 //    router, reservoir-derived boundaries) re-derives the boundaries
 //    online and spreads the hot range back across all shards, while a
 //    ConcurrentShardedIndex follows the RebalancePlans and must keep
@@ -50,7 +50,6 @@ namespace {
 
 using dynamic::BackgroundRebuilder;
 using dynamic::DictionaryManager;
-using dynamic::MakeCompressionDropPolicy;
 using dynamic::ShardedDictionaryManager;
 using dynamic::VersionedIndex;
 using serve::ConcurrentShardedIndex;
@@ -84,8 +83,10 @@ void RunGlobalDrift() {
 
   // Managed: the same initial dictionary (cloned, not rebuilt), plus the
   // full dynamic stack.
-  DictionaryManager mgr(static_dict->Clone(), ManagerOptions(scheme, limit),
-                        MakeCompressionDropPolicy(0.02, 1024), phase0);
+  DictionaryManager::Options mopt = ManagerOptions(scheme, limit);
+  mopt.rebuild_cpr_drop = 0.02;
+  mopt.rebuild_min_fill = 1024;
+  DictionaryManager mgr(static_dict->Clone(), mopt, phase0);
   BackgroundRebuilder::Options ropt;
   ropt.poll_interval = std::chrono::milliseconds(10);
   BackgroundRebuilder rebuilder(&mgr, ropt);
@@ -95,7 +96,7 @@ void RunGlobalDrift() {
   VersionedIndex<BTree> index(&mgr);
   size_t index_checked = 0, index_wrong = 0;
 
-  std::printf("  %zu phases x %zu keys, scheme %s, drop policy 2%%\n\n",
+  std::printf("  %zu phases x %zu keys, scheme %s, drop trigger 2%%\n\n",
               drift.num_phases(), dopt.keys_per_phase, SchemeName(scheme));
   std::printf("  %-6s %7s %12s %12s %8s %9s\n", "Phase", "B-mix", "StaticCPR",
               "ManagedCPR", "Epoch", "Rebuilds");
@@ -110,7 +111,7 @@ void RunGlobalDrift() {
       if (i % 16 == 0) index.Insert(keys[i], i);
     }
     // Give the background worker a bounded window to react like it would
-    // in a long-running server (the policy decides whether to act).
+    // in a long-running server (the trigger decides whether to act).
     for (int spin = 0; spin < 200 && mgr.ShouldRebuild(); spin++) {
       rebuilder.Nudge();
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -205,17 +206,18 @@ void RunLocalizedDrift() {
     mopt.stats.ewma_alpha = 0.005;
     mopt.min_cpr_gain = 0.01;
     mopt.rebuild_backoff_seconds = 0;  // one poll per phase boundary
+    mopt.rebuild_cpr_drop = 0.03;
+    mopt.rebuild_min_fill = 256;
     return mopt;
   };
-  auto policy = [] { return MakeCompressionDropPolicy(0.03, 256); };
 
   ShardedDictionaryManager::Options sopt;
   sopt.num_shards = num_shards;
   sopt.shard = manager_options();
-  ShardedDictionaryManager sharded(sample, sopt, policy);
+  ShardedDictionaryManager sharded(sample, sopt);
 
   DictionaryManager global(Hope::Build(scheme, sample, limit),
-                           manager_options(), policy(), phase0);
+                           manager_options(), phase0);
 
   // Confine the drift to the shard owning the most part-B weight.
   LocalizedDrift localized_drift(drift, sharded);
@@ -232,7 +234,7 @@ void RunLocalizedDrift() {
   };
 
   std::printf("  %zu phases x %zu keys, %zu shards, victim shard %zu, "
-              "scheme %s, drop policy 3%% + 1%% gain gate\n\n",
+              "scheme %s, drop trigger 3%% + 1%% gain gate\n\n",
               drift.num_phases(), dopt.keys_per_phase, sharded.num_shards(),
               victim, SchemeName(scheme));
   std::printf("  %-6s %7s %12s %12s %8s %12s\n", "Phase", "B-mix",
@@ -344,9 +346,10 @@ void RunRebalance() {
     mopt.stats.reservoir_halflife = 512;
     mopt.min_cpr_gain = 0.01;
     mopt.rebuild_backoff_seconds = 0;  // one poll per phase boundary
+    mopt.rebuild_cpr_drop = 0.03;
+    mopt.rebuild_min_fill = 256;
     return mopt;
   };
-  auto policy = [] { return MakeCompressionDropPolicy(0.03, 256); };
 
   ShardedDictionaryManager::Options sopt;
   sopt.num_shards = num_shards;
@@ -355,13 +358,11 @@ void RunRebalance() {
   // EWMA only a handful of polls per phase to see a shifted mix.
   sopt.traffic_ewma_alpha = 0.6;
 
-  ShardedDictionaryManager fixed(sample, sopt, policy);
-  ShardedDictionaryManager rebal(
-      sample, sopt, policy,
-      dynamic::MakeWeightImbalancePolicy(kImbalanceThreshold,
-                                         /*min_keys=*/2000,
-                                         /*cooldown_seconds=*/0,
-                                         /*consecutive_polls=*/2));
+  ShardedDictionaryManager fixed(sample, sopt);
+  sopt.rebalance_trigger_ratio = kImbalanceThreshold;
+  sopt.rebalance_min_keys = 2000;
+  sopt.rebalance_cooldown_seconds = 0;
+  ShardedDictionaryManager rebal(sample, sopt);
 
   // The index rides the re-balancing manager: its entries must follow
   // every RebalancePlan, and lookups + cross-shard scans must stay
@@ -372,7 +373,7 @@ void RunRebalance() {
   size_t scans_checked = 0, scans_wrong = 0;
 
   // One worker-loop sweep, run at each phase boundary: rebuild polls,
-  // rebalance polls past the policy's two-poll hysteresis (the first
+  // rebalance polls past the trigger's two-poll hysteresis (the first
   // folds the phase's traffic into the weights), then the index's
   // maintenance loop applies any published plan.
   auto maintain = [&] {
@@ -394,7 +395,7 @@ void RunRebalance() {
   };
 
   std::printf("  %zu phases x %zu keys, %zu shards, scheme %s, imbalance "
-              "policy %.1fx\n\n",
+              "trigger %.1fx\n\n",
               drift.num_phases(), dopt.keys_per_phase, num_shards,
               SchemeName(scheme), kImbalanceThreshold);
   std::printf("  %-6s %7s %10s %10s %9s %9s %7s %12s\n", "Phase", "B-mix",

@@ -8,7 +8,7 @@
 //                traffic, no migration — the steady-state floor.
 //   write_heavy  50/50 lookups/inserts — writer-path contention.
 //   drift_0..4   kHotspotMigrate traffic walks the hotspot across the
-//                key space; after each phase the rebalance policy is
+//                key space; after each phase the rebalance trigger is
 //                polled until it publishes, so the NEXT phase serves
 //                while the plan's key ranges migrate shard-to-shard
 //                (double-routed lookups, batched moves on the loop's
@@ -50,7 +50,6 @@
 #include "bench/bench_common.h"
 #include "btree/btree.h"
 #include "dynamic/background_rebuilder.h"
-#include "dynamic/rebalance_policy.h"
 #include "dynamic/sharded_manager.h"
 #include "serve/concurrent_index.h"
 #include "serve/server_loop.h"
@@ -171,16 +170,16 @@ void Run() {
   sopt.shard.stats.sample_every = 2;
   sopt.shard.stats.reservoir_halflife = 512;
   sopt.traffic_ewma_alpha = 0.6;
+  sopt.shard.rebuild_cpr_drop = 0.03;
+  sopt.shard.rebuild_min_fill = 256;
+  sopt.rebalance_trigger_ratio = 1.3;
+  sopt.rebalance_min_keys = n / 10;
+  sopt.rebalance_cooldown_seconds = 0.05;
   // Telemetry sinks, declared before everything that attaches to them.
   telemetry::MetricRegistry registry;
   telemetry::TraceLog trace;
 
-  ShardedDictionaryManager mgr(
-      SampleKeys(corpus, 0.05), sopt,
-      [] { return dynamic::MakeCompressionDropPolicy(0.03, 256); },
-      dynamic::MakeWeightImbalancePolicy(
-          /*trigger_ratio=*/1.3, /*min_keys=*/n / 10,
-          /*cooldown_seconds=*/0.05, /*consecutive_polls=*/2));
+  ShardedDictionaryManager mgr(SampleKeys(corpus, 0.05), sopt);
   mgr.AttachTelemetry(&registry, &trace);
   dynamic::BackgroundRebuilder rebuilder(&mgr);
   rebuilder.AttachTelemetry(&registry);
@@ -256,8 +255,8 @@ void Run() {
   run_phase("read_heavy", 0, /*write_frac=*/0.05, /*scan_frac=*/0.02);
   run_phase("write_heavy", 0, /*write_frac=*/0.50, /*scan_frac=*/0.02);
 
-  // Drift phases: serve phase p, then poll the rebalance policy until
-  // its consecutive-imbalance trigger fires (the background worker may
+  // Drift phases: serve phase p, then poll the rebalance trigger until
+  // its consecutive-imbalance check fires (the background worker may
   // be inside a dictionary build, so poll directly). The published
   // plan's ranges migrate under phase p+1's live traffic.
   char phase_name[32];

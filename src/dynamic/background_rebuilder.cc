@@ -74,7 +74,7 @@ void BackgroundRebuilder::Loop() {
     lock.Unlock();
     cycles_.fetch_add(1);
     // Rebalance rides the same loop: traffic weights fold in once per
-    // cycle and the router re-derives when the policy trips. It runs
+    // cycle and the router re-derives when the trigger fires. It runs
     // BEFORE the rebuild sweep: a quiet rebalance poll costs
     // microseconds while one drifted shard's rebuild can take seconds,
     // and ordering the cheap step first bounds router staleness by the
@@ -83,9 +83,9 @@ void BackgroundRebuilder::Loop() {
       if (stop_requested_.load(std::memory_order_relaxed)) break;
       if (sharded->PollRebalance()) rebalances_.fetch_add(1);
     }
-    // RebuildNow re-checks each policy under the manager's own mutex (the
+    // RebuildNow re-checks each trigger under the manager's own mutex (the
     // authoritative, race-free evaluation), so no pre-check here. Shards
-    // whose policy is quiet return kNotTriggered in microseconds, so one
+    // whose trigger is quiet return kNotTriggered in microseconds, so one
     // drifted shard never starves the others of polling. The stop flag is
     // re-checked between managers: with many shards (or a shard mid-
     // build) Stop() waits for at most one manager's step, not the sweep.

@@ -1,10 +1,10 @@
 // Worker thread that keeps one or more DictionaryManagers fresh off the
-// hot path: it periodically evaluates each manager's rebuild policy and,
+// hot path: it periodically evaluates each manager's rebuild trigger and,
 // when staleness is detected, runs the (potentially expensive) build +
 // validate + publish cycle so encoders never pay for it. A
 // ShardedDictionaryManager hands all its shards to a single rebuilder,
 // so N shards cost one polling thread, not N — and the same worker loop
-// polls the sharded manager's rebalance policy (PollRebalance), so
+// polls the sharded manager's rebalance trigger (PollRebalance), so
 // router re-derivation also happens off the encode path.
 //
 // Stop() takes effect between managers, not just between sweeps: a long
@@ -30,7 +30,7 @@ class ShardedDictionaryManager;
 class BackgroundRebuilder {
  public:
   struct Options {
-    /// How often the policies are re-evaluated when nothing nudges us.
+    /// How often the triggers are re-evaluated when nothing nudges us.
     std::chrono::milliseconds poll_interval{50};
   };
 
@@ -47,7 +47,7 @@ class BackgroundRebuilder {
       : BackgroundRebuilder(std::move(managers), Options{}) {}
   BackgroundRebuilder(std::vector<DictionaryManager*> managers,
                       Options options);
-  /// Polls every shard of `sharded` — and its rebalance policy — with
+  /// Polls every shard of `sharded` — and its rebalance trigger — with
   /// one shared worker loop.
   explicit BackgroundRebuilder(ShardedDictionaryManager* sharded)
       : BackgroundRebuilder(sharded, Options{}) {}
@@ -57,7 +57,7 @@ class BackgroundRebuilder {
   BackgroundRebuilder(const BackgroundRebuilder&) = delete;
   BackgroundRebuilder& operator=(const BackgroundRebuilder&) = delete;
 
-  /// Wakes the worker to evaluate the policies now (e.g. after a burst of
+  /// Wakes the worker to evaluate the triggers now (e.g. after a burst of
   /// inserts) instead of waiting out the poll interval.
   void Nudge() HOPE_EXCLUDES(mu_);
 
@@ -86,7 +86,7 @@ class BackgroundRebuilder {
   void Loop();
 
   const std::vector<DictionaryManager*> managers_;
-  /// Sharded managers whose rebalance policy this worker also polls.
+  /// Sharded managers whose rebalance trigger this worker also polls.
   const std::vector<ShardedDictionaryManager*> sharded_;
   const Options options_;
 

@@ -1,5 +1,6 @@
 #include "dynamic/dictionary_manager.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -13,6 +14,9 @@ namespace {
 /// Below this many reservoir keys a rebuild would overfit a handful of
 /// strings; wait for the collector to see more traffic.
 constexpr size_t kMinRebuildCorpus = 16;
+
+/// Options::rebuild_cpr_drop ceiling: at 1.0 the trigger could never fire.
+constexpr double kMaxCprDrop = 0.99;
 
 /// Mean per-key compression rate (PerKeyCpr averaged over the corpus) —
 /// the same statistic the collector's EWMA tracks, so gate comparisons
@@ -54,15 +58,21 @@ bool DictionaryManager::InBackoff() const {
   return SteadyNowNs() < backoff_until_ns_.load(std::memory_order_relaxed);
 }
 
-DictionaryManager::DictionaryManager(std::unique_ptr<Hope> initial,
-                                     Options options,
-                                     std::unique_ptr<RebuildPolicy> policy,
-                                     const std::vector<std::string>& baseline_keys)
-    : options_(options),
-      policy_(std::move(policy)),
+DictionaryManager::DictionaryManager(
+    std::unique_ptr<Hope> initial, Options options,
+    const std::vector<std::string>& baseline_keys)
+    : options_([&] {
+        Options o = options;
+        // NaN fails every comparison, so `!(x >= 0)` catches it alongside
+        // the negative "off" values.
+        o.rebuild_cpr_drop = !(o.rebuild_cpr_drop >= 0)
+                                 ? -1.0
+                                 : std::min(o.rebuild_cpr_drop, kMaxCprDrop);
+        o.rebuild_min_fill = std::max<size_t>(o.rebuild_min_fill, 1);
+        return o;
+      }()),
       collector_(std::make_shared<EncodeStatsCollector>(options.stats)) {
   if (!initial) throw std::invalid_argument("initial dictionary is null");
-  if (!policy_) policy_ = MakeNeverPolicy();
   // Measure the baseline before the observer is attached so the
   // measurement itself does not feed the stats.
   double baseline = 0;
@@ -114,24 +124,18 @@ DictSnapshot DictionaryManager::Acquire() const {
   return DictSnapshot{v->epoch, v->hope};
 }
 
-RebuildSignals DictionaryManager::Signals() const {
-  RebuildSignals s;
-  s.ewma_cpr = collector_->EwmaCompressionRate();
-  s.baseline_cpr = baseline_cpr_.load();
-  s.keys_since_rebuild = collector_->KeysSinceRebuild();
-  s.seconds_since_rebuild = collector_->SecondsSinceRebuild();
-  s.reservoir_fill = collector_->ReservoirFill();
-  s.reservoir_capacity = collector_->reservoir_capacity();
-  return s;
+bool DictionaryManager::ShouldRebuild() const {
+  if (options_.rebuild_cpr_drop < 0 || InBackoff()) return false;
+  if (collector_->ReservoirFill() < options_.rebuild_min_fill) return false;
+  const double ewma = collector_->EwmaCompressionRate();
+  const double baseline = baseline_cpr_.load();
+  return ewma > 0 && baseline > 0 &&
+         ewma < baseline * (1.0 - options_.rebuild_cpr_drop);
 }
 
 DictionaryManager::RebuildResult DictionaryManager::RebuildNow(bool force) {
   MutexLock lock(rebuild_mu_);
-  if (!force) {
-    if (InBackoff()) return RebuildResult::kNotTriggered;
-    if (!policy_->ShouldRebuild(Signals()))
-      return RebuildResult::kNotTriggered;
-  }
+  if (!force && !ShouldRebuild()) return RebuildResult::kNotTriggered;
   telemetry::TraceLog* trace = trace_.load(std::memory_order_relaxed);
   const int32_t shard = trace_shard_.load(std::memory_order_relaxed);
   const int64_t t0 = SteadyNowNs();
@@ -154,7 +158,7 @@ DictionaryManager::RebuildResult DictionaryManager::RebuildNow(bool force) {
   if (corpus.size() < kMinRebuildCorpus)
     return RebuildResult::kInsufficientData;
 
-  // Every start event pairs with a finish or reject (the policy and
+  // Every start event pairs with a finish or reject (the trigger and
   // corpus gates above emit nothing — they fire every poll).
   // ebr-exempt: rebuild_mu_ is held — publishes (the only retire source
   // for current_) are serialized with us, so the pointee cannot be freed
@@ -203,7 +207,7 @@ uint64_t DictionaryManager::Publish(
   // With no traffic observed yet there is nothing to measure the
   // candidate on; carry the previous baseline forward rather than storing
   // 0, which would unseed the EWMA and permanently disable the
-  // compression-drop policy.
+  // CPR-drop trigger.
   double fresh_cpr = corpus.empty() ? baseline_cpr_.load()
                                     : MeanKeyCpr(*candidate, corpus);
   return PublishLocked(std::move(candidate), fresh_cpr);

@@ -4,7 +4,7 @@
 //
 //   readers ──Acquire()──► {epoch, shared_ptr<const Hope>}   (lock-free)
 //   encodes ──observer──► EncodeStatsCollector (reservoir + CPR EWMA)
-//   RebuildPolicy ──ShouldRebuild()──► BackgroundRebuilder ──RebuildNow()
+//   CPR-drop trigger ──ShouldRebuild()──► BackgroundRebuilder ──RebuildNow()
 //   candidate Hope ──validate──► Publish() ──► new epoch, old versions
 //                                              live until last reader drops
 //
@@ -34,12 +34,12 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/epoch_reclaim.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "dynamic/encode_stats.h"
-#include "dynamic/rebuild_policy.h"
 #include "hope/hope.h"
 #include "telemetry/registry.h"
 
@@ -60,16 +60,25 @@ class DictionaryManager {
     /// Candidate must beat the live dictionary's reservoir CPR by this
     /// fraction (0 = any improvement; negative disables the gate).
     double min_cpr_gain = 0.0;
-    /// After a rejected candidate, suppress policy-triggered rebuilds for
-    /// this long: when traffic is intrinsically less compressible the
-    /// trigger condition persists, and without backoff the background
-    /// worker would repeat the full build+validate cycle every poll.
+    /// After a rejected candidate, suppress triggered rebuilds for this
+    /// long: when traffic is intrinsically less compressible the trigger
+    /// condition persists, and without backoff the background worker
+    /// would repeat the full build+validate cycle every poll.
     double rebuild_backoff_seconds = 5.0;
+    /// The rebuild trigger: fire once the EWMA compression rate falls
+    /// more than this fraction below the published baseline (0.05 = 5%
+    /// worse). Negative or NaN disables it (the default), leaving manual
+    /// RebuildNow(force) only; values above 0.99 clamp to 0.99 (at 1.0
+    /// the gate could never fire).
+    double rebuild_cpr_drop = -1;
+    /// The trigger also waits for this many reservoir keys to rebuild
+    /// from (0 clamps to 1).
+    size_t rebuild_min_fill = 256;
   };
 
   enum class RebuildResult {
     kRebuilt,            ///< candidate validated and published
-    kNotTriggered,       ///< policy quiet, or rejection backoff active
+    kNotTriggered,       ///< trigger off or quiet, or backoff active
     kInsufficientData,   ///< reservoir too small to build from
     kRejectedBuildError, ///< Hope::Build failed on the reservoir corpus
     kRejectedRoundTrip,  ///< candidate failed lossless validation
@@ -78,13 +87,11 @@ class DictionaryManager {
   static const char* RebuildResultName(RebuildResult r);
 
   /// Takes ownership of the initial dictionary (epoch 0) and attaches the
-  /// stats collector to its encode path. `policy` decides when rebuilds
-  /// trigger; pass MakeNeverPolicy() for manual-only management.
-  /// `baseline_keys` (typically the build sample) seeds the baseline
-  /// compression rate the drop policy compares against; without it the
-  /// baseline stays unknown until the first publish.
+  /// stats collector to its encode path. `baseline_keys` (typically the
+  /// build sample) seeds the baseline compression rate the CPR-drop
+  /// trigger compares against; without it the baseline stays unknown
+  /// until the first publish.
   DictionaryManager(std::unique_ptr<Hope> initial, Options options,
-                    std::unique_ptr<RebuildPolicy> policy,
                     const std::vector<std::string>& baseline_keys = {});
 
   DictionaryManager(const DictionaryManager&) = delete;
@@ -116,24 +123,19 @@ class DictionaryManager {
 
   EncodeStatsCollector& stats() { return *collector_; }
   const EncodeStatsCollector& stats() const { return *collector_; }
-  const RebuildPolicy& policy() const { return *policy_; }
-
-  /// Assembles the policy inputs from the collector and publish history.
-  RebuildSignals Signals() const;
 
   /// True while a rejected candidate's backoff window is active; rebuild
   /// attempts are suppressed (pollers should stop nudging).
   bool InBackoff() const;
 
-  /// True when the policy wants a rebuild and no rejection backoff is
-  /// active (used by BackgroundRebuilder and external pollers).
-  bool ShouldRebuild() const {
-    return !InBackoff() && policy_->ShouldRebuild(Signals());
-  }
+  /// True when the CPR-drop trigger fires (see Options::rebuild_cpr_drop)
+  /// and no rejection backoff is active (used by BackgroundRebuilder and
+  /// external pollers).
+  bool ShouldRebuild() const;
 
   /// Rebuilds a candidate from the reservoir, validates it (every
   /// reservoir key must round-trip encode→decode), and publishes it on
-  /// success. `force` skips the policy check (not the validation).
+  /// success. `force` skips the trigger check (not the validation).
   /// Serialized internally — concurrent callers queue on a mutex; readers
   /// are never blocked.
   RebuildResult RebuildNow(bool force = false) HOPE_EXCLUDES(rebuild_mu_);
@@ -183,7 +185,6 @@ class DictionaryManager {
   std::shared_ptr<const Hope> WrapVersion(std::unique_ptr<Hope> hope);
 
   const Options options_;
-  std::unique_ptr<RebuildPolicy> policy_;
   std::shared_ptr<EncodeStatsCollector> collector_;
 
   /// Grace periods for current_'s pointees (mutable: pinning a read

@@ -14,8 +14,7 @@ EncodeStatsCollector::EncodeStatsCollector(Options options)
         if (std::isnan(o.reservoir_halflife) || o.reservoir_halflife < 0)
           o.reservoir_halflife = 0;
         return o;
-      }()),
-      rebuild_time_(std::chrono::steady_clock::now()) {
+      }()) {
   {
     MutexLock lock(mu_);
     reservoir_.reserve(options_.reservoir_size);
@@ -79,18 +78,6 @@ uint64_t EncodeStatsCollector::KeysSampled() const {
   return sampled_;
 }
 
-uint64_t EncodeStatsCollector::KeysSinceRebuild() const {
-  MutexLock lock(mu_);
-  return observed_.load(std::memory_order_relaxed) - keys_at_rebuild_;
-}
-
-double EncodeStatsCollector::SecondsSinceRebuild() const {
-  MutexLock lock(mu_);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       rebuild_time_)
-      .count();
-}
-
 size_t EncodeStatsCollector::ReservoirFill() const {
   MutexLock lock(mu_);
   return reservoir_.size();
@@ -115,8 +102,6 @@ void EncodeStatsCollector::MarkRebuild(double fresh_cpr) {
   MutexLock lock(mu_);
   ewma_cpr_ = fresh_cpr;
   ewma_seeded_ = fresh_cpr > 0;
-  keys_at_rebuild_ = observed_.load(std::memory_order_relaxed);
-  rebuild_time_ = std::chrono::steady_clock::now();
   // Restart the Algorithm-R stream at the current contents: without this,
   // replacement probability decays as capacity / lifetime-sampled and a
   // long-lived collector would stop tracking drift (new keys displace old

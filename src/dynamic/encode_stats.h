@@ -10,7 +10,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -69,8 +68,6 @@ class EncodeStatsCollector : public EncodeObserver {
 
   uint64_t KeysObserved() const;  ///< total OnEncode calls
   uint64_t KeysSampled() const;   ///< keys that reached the reservoir stage
-  uint64_t KeysSinceRebuild() const;
-  double SecondsSinceRebuild() const;
   size_t ReservoirFill() const;
   size_t reservoir_capacity() const { return options_.reservoir_size; }
 
@@ -85,10 +82,10 @@ class EncodeStatsCollector : public EncodeObserver {
   void SeedReservoir(std::vector<std::string> keys);
 
   /// Called by the manager when a new dictionary version is published:
-  /// re-seeds the EWMA at the fresh dictionary's measured rate, zeroes
-  /// the since-rebuild counters, and restarts the reservoir's sampling
-  /// stream (contents are kept, but post-swap keys displace them at full
-  /// rate again, so the corpus keeps tracking drift over long lifetimes).
+  /// re-seeds the EWMA at the fresh dictionary's measured rate and
+  /// restarts the reservoir's sampling stream (contents are kept, but
+  /// post-swap keys displace them at full rate again, so the corpus
+  /// keeps tracking drift over long lifetimes).
   void MarkRebuild(double fresh_cpr);
 
  private:
@@ -104,8 +101,6 @@ class EncodeStatsCollector : public EncodeObserver {
   uint64_t sampled_ HOPE_GUARDED_BY(mu_) = 0;
   double ewma_cpr_ HOPE_GUARDED_BY(mu_) = 0;
   bool ewma_seeded_ HOPE_GUARDED_BY(mu_) = false;
-  uint64_t keys_at_rebuild_ HOPE_GUARDED_BY(mu_) = 0;
-  std::chrono::steady_clock::time_point rebuild_time_ HOPE_GUARDED_BY(mu_);
 };
 
 }  // namespace hope::dynamic

@@ -105,16 +105,19 @@ RebalancePlan DiffRouters(std::shared_ptr<const RouterVersion> from,
 }
 
 ShardedDictionaryManager::ShardedDictionaryManager(
-    const std::vector<std::string>& sample, Options options,
-    PolicyFactory policy_factory,
-    std::unique_ptr<RebalancePolicy> rebalance_policy)
+    const std::vector<std::string>& sample, Options options)
     : options_([&] {
         Options o = options;
         o.traffic_ewma_alpha = std::clamp(o.traffic_ewma_alpha, 1e-6, 1.0);
         o.min_rebalance_corpus = std::max<size_t>(o.min_rebalance_corpus, 2);
+        // NaN fails every comparison, so the `!(x > 0)` forms catch it.
+        double& ratio = o.rebalance_trigger_ratio;
+        ratio = !(ratio > 0) ? 0.0 : std::max(ratio, 1.0);
+        o.rebalance_min_keys = std::max<uint64_t>(o.rebalance_min_keys, 1);
+        double& cooldown = o.rebalance_cooldown_seconds;
+        if (!(cooldown > 0)) cooldown = 0;
         return o;
       }()),
-      rebalance_policy_(std::move(rebalance_policy)),
       last_rebalance_(std::chrono::steady_clock::now()) {
   if (sample.empty())
     throw std::invalid_argument("sharded manager needs a non-empty sample");
@@ -140,8 +143,7 @@ ShardedDictionaryManager::ShardedDictionaryManager(
     const std::vector<std::string>& baseline =
         partition.empty() ? sample : partition;
     shards_.push_back(std::make_unique<DictionaryManager>(
-        std::move(initial), options_.shard,
-        policy_factory ? policy_factory() : MakeNeverPolicy(), baseline));
+        std::move(initial), options_.shard, baseline));
   }
   weights_.assign(shards_.size(), 1.0 / static_cast<double>(shards_.size()));
   last_observed_.assign(shards_.size(), 0);
@@ -229,21 +231,25 @@ std::shared_ptr<const RebalancePlan>
 ShardedDictionaryManager::PollRebalance() {
   UpdateTrafficWeights();
   MutexLock lock(rebalance_mu_);
-  if (!rebalance_policy_) return nullptr;
+  if (options_.rebalance_trigger_ratio == 0) return nullptr;  // trigger off
 
-  RebalanceSignals signals;
-  signals.weights = weights_;
-  signals.max_over_mean = WeightImbalanceLocked();
   uint64_t observed_total = 0;
   for (uint64_t o : last_observed_) observed_total += o;
-  signals.keys_since_rebalance = observed_total - observed_at_rebalance_;
-  signals.seconds_since_rebalance =
+  const uint64_t keys_since = observed_total - observed_at_rebalance_;
+  const double seconds_since =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     last_rebalance_)
           .count();
-  signals.router_version = current_router_->version();
-
-  if (!rebalance_policy_->ShouldRebalance(signals)) return nullptr;
+  const bool skewed =
+      WeightImbalanceLocked() >= options_.rebalance_trigger_ratio &&
+      keys_since >= options_.rebalance_min_keys &&
+      seconds_since >= options_.rebalance_cooldown_seconds;
+  if (!skewed) {
+    rebalance_streak_ = 0;
+    return nullptr;
+  }
+  if (++rebalance_streak_ < kRebalanceConsecutivePolls) return nullptr;
+  rebalance_streak_ = 0;
   return RebalanceLocked();
 }
 
@@ -322,7 +328,7 @@ ShardedDictionaryManager::RebalanceLocked() {
                                           options_.shard.dict_size_limit),
                               &parts[s]);
         } catch (const std::exception&) {
-          // Keep the old dictionary; the shard's own rebuild policy will
+          // Keep the old dictionary; the shard's own rebuild trigger will
           // adapt it once the migrated traffic arrives.
         }
       }
@@ -358,7 +364,7 @@ ShardedDictionaryManager::RebalanceLocked() {
 
   // Reset the hysteresis baseline: the new boundaries equalize expected
   // load, so the skew EWMA starts over from balanced (keeping the old
-  // weights would immediately re-trigger the policy on stale skew).
+  // weights would immediately re-fire the trigger on stale skew).
   weights_.assign(shards_.size(), 1.0 / static_cast<double>(shards_.size()));
   uint64_t observed_total = 0;
   for (size_t s = 0; s < shards_.size(); s++) {

@@ -13,8 +13,8 @@
 //                      Route(key) is a binary search.
 //   ShardedDictionaryManager
 //                    — one DictionaryManager per range, each with its own
-//                      epoch counter, stats collector, and rebuild
-//                      policy, so drift in one range triggers a rebuild
+//                      epoch counter, stats collector, and CPR-drop
+//                      trigger, so drift in one range triggers a rebuild
 //                      of only that shard's dictionary. The current
 //                      RouterVersion is published through an atomic raw
 //                      pointer under epoch-based reclamation (common/
@@ -26,7 +26,7 @@
 //                      go — instead of the old retain-forever list that
 //                      leaked a version per rebalance for the manager's
 //                      lifetime.
-//   RebalancePolicy (rebalance_policy.h)
+//   rebalance trigger (Options::rebalance_*)
 //                    — decides, from per-shard encode-count EWMA traffic
 //                      weights, when the load skew warrants re-deriving
 //                      boundaries; RebalanceNow() computes equal-weight
@@ -36,7 +36,8 @@
 //                      ranges change owner.
 //   BackgroundRebuilder (background_rebuilder.h)
 //                    — a single shared worker loop polls every shard's
-//                      rebuild policy and the manager's rebalance policy.
+//                      rebuild trigger and the manager's rebalance
+//                      trigger.
 //
 // A rebalance moves only routing, never dictionaries: shards that keep
 // their range keep their epochs and dictionaries untouched, and a reader
@@ -53,7 +54,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -65,7 +65,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "dynamic/dictionary_manager.h"
-#include "dynamic/rebalance_policy.h"
 
 namespace hope::dynamic {
 
@@ -154,22 +153,22 @@ RebalancePlan DiffRouters(std::shared_ptr<const RouterVersion> from,
 /// A DictionaryManager per key range. Each shard's dictionary is built
 /// from the sample keys routed to it (falling back to the whole sample
 /// when a partition is too small to train on), and each shard runs its
-/// own EncodeStatsCollector and RebuildPolicy, so rebuild decisions are
-/// per-range: traffic drifting inside shard i trips shard i's policy and
-/// leaves every other shard's epoch untouched.
+/// own EncodeStatsCollector and CPR-drop trigger (Options::shard), so
+/// rebuild decisions are per-range: traffic drifting inside shard i trips
+/// shard i's trigger and leaves every other shard's epoch untouched.
 ///
 /// The shard count is fixed at construction; what moves under load is
 /// the routing. PollRebalance() (called by BackgroundRebuilder's worker)
-/// folds per-shard encode counts into EWMA traffic weights, asks the
-/// RebalancePolicy whether the skew warrants action, and on trigger
-/// publishes a re-derived RouterVersion plus the RebalancePlan an index
-/// needs to migrate the moved ranges.
+/// folds per-shard encode counts into EWMA traffic weights, checks the
+/// rebalance trigger (Options::rebalance_*), and when it fires publishes
+/// a re-derived RouterVersion plus the RebalancePlan an index needs to
+/// migrate the moved ranges.
 class ShardedDictionaryManager {
  public:
-  /// Fresh policy per shard (policies are stateless predicates today, but
-  /// per-shard instances keep the door open for stateful ones). A null
-  /// factory gives every shard MakeNeverPolicy().
-  using PolicyFactory = std::function<std::unique_ptr<RebuildPolicy>()>;
+  /// The rebalance trigger fires only after this many consecutive skewed
+  /// polls (hysteresis: one skewed poll after a traffic burst doesn't
+  /// thrash the router).
+  static constexpr uint32_t kRebalanceConsecutivePolls = 2;
 
   struct Options {
     size_t num_shards = 4;              ///< requested; router may collapse
@@ -190,20 +189,27 @@ class ShardedDictionaryManager {
     /// of the rebalance corpus — their old dictionary was tuned to keys
     /// they no longer own. Shards that keep their range keep their
     /// dictionary and epoch untouched either way. Slices smaller than
-    /// min_shard_sample skip the retrain (the next policy-triggered
-    /// rebuild adapts them once traffic arrives).
+    /// min_shard_sample skip the retrain (the next triggered rebuild
+    /// adapts them once traffic arrives).
     bool retrain_moved_shards = true;
+    /// The rebalance trigger: PollRebalance() re-derives boundaries once
+    /// max/mean shard traffic weight stays at or above this ratio for
+    /// kRebalanceConsecutivePolls consecutive polls. 0, negative or NaN
+    /// disables it (the default), leaving RebalanceNow(force) only;
+    /// values in (0, 1) clamp to 1.
+    double rebalance_trigger_ratio = 0;
+    /// A poll counts as skewed only once this many keys were encoded
+    /// since the last rebalance (0 clamps to 1)...
+    uint64_t rebalance_min_keys = 1024;
+    /// ...and this long has passed since it (NaN or negative clamp to 0).
+    double rebalance_cooldown_seconds = 1.0;
   };
 
   /// Builds the router and every shard's initial dictionary from
   /// `sample` (must be non-empty). Throws std::invalid_argument on an
-  /// empty sample and propagates Hope::Build failures. A null
-  /// `rebalance_policy` disables policy-triggered rebalancing
-  /// (RebalanceNow(force=true) still works).
-  ShardedDictionaryManager(
-      const std::vector<std::string>& sample, Options options,
-      PolicyFactory policy_factory = nullptr,
-      std::unique_ptr<RebalancePolicy> rebalance_policy = nullptr);
+  /// empty sample and propagates Hope::Build failures.
+  ShardedDictionaryManager(const std::vector<std::string>& sample,
+                           Options options);
 
   ShardedDictionaryManager(const ShardedDictionaryManager&) = delete;
   ShardedDictionaryManager& operator=(const ShardedDictionaryManager&) = delete;
@@ -255,7 +261,7 @@ class ShardedDictionaryManager {
   /// Per-shard epochs in boundary order (diagnostics / bench output).
   std::vector<uint64_t> Epochs() const;
 
-  /// True when any shard's policy wants a rebuild.
+  /// True when any shard's rebuild trigger fires.
   bool ShouldRebuild() const;
 
   /// Polls every shard once: RebuildNow() on each, in boundary order.
@@ -276,9 +282,10 @@ class ShardedDictionaryManager {
   double WeightImbalance() const HOPE_EXCLUDES(rebalance_mu_);
 
   /// One worker-loop step: updates the traffic weights, evaluates the
-  /// rebalance policy, and runs RebalanceNow() on trigger. Returns the
-  /// published plan, or null when the policy stayed quiet or the
-  /// re-derivation was a no-op.
+  /// rebalance trigger, and runs RebalanceNow() when it fires. Returns
+  /// the published plan, or null when the trigger is off or quiet or the
+  /// re-derivation was a no-op. A quiet poll or a firing resets the
+  /// consecutive-poll streak; a forced RebalanceNow() leaves it alone.
   std::shared_ptr<const RebalancePlan> PollRebalance()
       HOPE_EXCLUDES(rebalance_mu_);
 
@@ -287,7 +294,7 @@ class ShardedDictionaryManager {
   /// them against the current router, and — when anything moves —
   /// publishes the next RouterVersion and returns the plan. Both paths
   /// fold the latest traffic into the weights first. Returns null when
-  /// `force` is false and the policy declines, when the reservoirs hold
+  /// `force` is false and the trigger declines, when the reservoirs hold
   /// fewer than Options::min_rebalance_corpus keys, or when the
   /// re-derived boundaries equal the current ones. Serialized
   /// internally; readers are never blocked.
@@ -380,7 +387,6 @@ class ShardedDictionaryManager {
   HOPE_EBR_PUBLISHED std::atomic<const RouterVersion*> router_ptr_;
   std::vector<std::unique_ptr<DictionaryManager>> shards_;
 
-  std::unique_ptr<RebalancePolicy> rebalance_policy_;
   mutable Mutex rebalance_mu_;  ///< router, weights, plans, Rebalance
   /// The current router version (the only one the manager itself owns;
   /// superseded versions live on exactly as long as plans or index
@@ -395,6 +401,8 @@ class ShardedDictionaryManager {
   uint64_t observed_at_rebalance_ HOPE_GUARDED_BY(rebalance_mu_) = 0;
   std::chrono::steady_clock::time_point last_rebalance_
       HOPE_GUARDED_BY(rebalance_mu_);
+  /// Consecutive skewed polls so far (see kRebalanceConsecutivePolls).
+  uint32_t rebalance_streak_ HOPE_GUARDED_BY(rebalance_mu_) = 0;
   /// Retained plan history, oldest first: plans_[k] takes router version
   /// plans_base_ + k to plans_base_ + k + 1. Pruned against the
   /// registered-index pins, so it is bounded by the laggiest consumer.

@@ -1,6 +1,6 @@
 // Unit tests for the EncodeStatsCollector: EWMA math, reservoir
-// behaviour, sampling cadence, and the rebuild bookkeeping the policies
-// rely on.
+// behaviour, sampling cadence, and the rebuild bookkeeping the manager
+// relies on.
 #include "dynamic/encode_stats.h"
 
 #include <gtest/gtest.h>
@@ -89,17 +89,20 @@ TEST(EncodeStatsTest, ReservoirCapsAndStaysRepresentative) {
 
 TEST(EncodeStatsTest, MarkRebuildResetsCountersAndReseedsEwma) {
   EncodeStatsCollector c(EveryKey(16, 0.5));
-  for (int i = 0; i < 10; i++) c.OnEncode("abcdefgh", 32);
-  EXPECT_EQ(c.KeysSinceRebuild(), 10u);
+  for (int i = 0; i < 20; i++) c.OnEncode("abcdefgh", 32);
+  EXPECT_EQ(c.KeysSampled(), 20u);
 
   c.MarkRebuild(3.5);
-  EXPECT_EQ(c.KeysSinceRebuild(), 0u);
+  // The sampling stream restarts at the reservoir's contents; the
+  // lifetime encode count does not reset.
+  EXPECT_EQ(c.KeysSampled(), 16u);
+  EXPECT_EQ(c.KeysObserved(), 20u);
   EXPECT_DOUBLE_EQ(c.EwmaCompressionRate(), 3.5);
-  EXPECT_EQ(c.ReservoirFill(), 10u);  // corpus survives the swap
+  EXPECT_EQ(c.ReservoirFill(), 16u);  // corpus survives the swap
 
   c.OnEncode("abcdefgh", 32);  // CPR 2.0 -> EWMA 2.75
   EXPECT_DOUBLE_EQ(c.EwmaCompressionRate(), 2.75);
-  EXPECT_EQ(c.KeysSinceRebuild(), 1u);
+  EXPECT_EQ(c.KeysSampled(), 17u);
 }
 
 TEST(EncodeStatsTest, MarkRebuildRestartsReservoirReplacementRate) {

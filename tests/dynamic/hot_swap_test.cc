@@ -1,11 +1,14 @@
 // Correctness of the versioned hot-swap: snapshots acquired before a
-// swap keep decoding their own encodings, policies trigger when they
-// should, RebuildNow improves compression under drift, and the
-// VersionedIndex stays consistent across epochs.
+// swap keep decoding their own encodings, the CPR-drop trigger fires
+// when it should (and its options clamp), RebuildNow improves
+// compression under drift, and the VersionedIndex stays consistent
+// across epochs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,6 +42,14 @@ DictionaryManager::Options SmallDict() {
   return o;
 }
 
+/// SmallDict() with the CPR-drop trigger on at 5% over >= 64 keys.
+DictionaryManager::Options DropTrigger() {
+  DictionaryManager::Options o = SmallDict();
+  o.rebuild_cpr_drop = 0.05;
+  o.rebuild_min_fill = 64;
+  return o;
+}
+
 std::unique_ptr<Hope> BuildFrom(const std::vector<std::string>& keys,
                                 double fraction = 0.25) {
   return Hope::Build(Scheme::kDoubleChar, SampleKeys(keys, fraction),
@@ -48,8 +59,7 @@ std::unique_ptr<Hope> BuildFrom(const std::vector<std::string>& keys,
 TEST(HotSwapTest, OldSnapshotDecodesAcrossSwaps) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
-  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), MakeNeverPolicy(),
-                        phase0);
+  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), phase0);
 
   DictSnapshot old_snap = mgr.Acquire();
   EXPECT_EQ(old_snap.epoch, 0u);
@@ -89,8 +99,7 @@ TEST(HotSwapTest, SnapshotOutlivesManager) {
   auto phase0 = drift.Phase(0);
   DictSnapshot snap;
   {
-    DictionaryManager mgr(BuildFrom(phase0), SmallDict(), MakeNeverPolicy(),
-                          phase0);
+    DictionaryManager mgr(BuildFrom(phase0), SmallDict(), phase0);
     mgr.Publish(BuildFrom(drift.Phase(2)));
     snap = mgr.Acquire();
   }
@@ -106,8 +115,7 @@ TEST(HotSwapTest, SnapshotOutlivesManager) {
 TEST(HotSwapTest, CompressionDropPolicyTriggersUnderDrift) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
-  DictionaryManager mgr(BuildFrom(phase0), SmallDict(),
-                        MakeCompressionDropPolicy(0.05, 64), phase0);
+  DictionaryManager mgr(BuildFrom(phase0), DropTrigger(), phase0);
   ASSERT_GT(mgr.baseline_cpr(), 1.0);
 
   // On-distribution traffic: the EWMA hovers at the baseline.
@@ -116,19 +124,17 @@ TEST(HotSwapTest, CompressionDropPolicyTriggersUnderDrift) {
 
   // Drifted traffic (pure Email-B): compression degrades past 5%.
   for (const auto& k : drift.Phase(2)) mgr.Encode(k);
-  RebuildSignals s = mgr.Signals();
-  EXPECT_LT(s.ewma_cpr, s.baseline_cpr);
+  EXPECT_LT(mgr.stats().EwmaCompressionRate(), mgr.baseline_cpr());
   EXPECT_TRUE(mgr.ShouldRebuild());
 }
 
 TEST(HotSwapTest, RebuildNowImprovesCompressionAndBumpsEpoch) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
-  DictionaryManager mgr(BuildFrom(phase0), SmallDict(),
-                        MakeCompressionDropPolicy(0.05, 64), phase0);
+  DictionaryManager mgr(BuildFrom(phase0), DropTrigger(), phase0);
   for (const auto& k : drift.Phase(2)) mgr.Encode(k);
 
-  double stale_ewma = mgr.Signals().ewma_cpr;
+  double stale_ewma = mgr.stats().EwmaCompressionRate();
   ASSERT_EQ(mgr.RebuildNow(), DictionaryManager::RebuildResult::kRebuilt);
   EXPECT_EQ(mgr.epoch(), 1u);
   EXPECT_EQ(mgr.rebuilds_published(), 1u);
@@ -136,14 +142,14 @@ TEST(HotSwapTest, RebuildNowImprovesCompressionAndBumpsEpoch) {
   // the stale dictionary's EWMA on that same traffic.
   EXPECT_GT(mgr.baseline_cpr(), stale_ewma);
 
-  // Policy satisfied again: the fresh baseline makes ShouldRebuild false.
+  // Trigger quiet again: the fresh baseline makes ShouldRebuild false.
   EXPECT_FALSE(mgr.ShouldRebuild());
   EXPECT_EQ(mgr.RebuildNow(), DictionaryManager::RebuildResult::kNotTriggered);
 }
 
 TEST(HotSwapTest, RebuildNowWithoutDataReportsInsufficient) {
   auto phase0 = MakeDrift().Phase(0);
-  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), MakeNeverPolicy());
+  DictionaryManager mgr(BuildFrom(phase0), SmallDict());
   EXPECT_EQ(mgr.RebuildNow(/*force=*/true),
             DictionaryManager::RebuildResult::kInsufficientData);
 }
@@ -151,13 +157,12 @@ TEST(HotSwapTest, RebuildNowWithoutDataReportsInsufficient) {
 TEST(HotSwapTest, RejectedRebuildBacksOff) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
-  auto opts = SmallDict();
+  auto opts = DropTrigger();
   // An unbeatable gain gate makes every candidate rejectable, and a long
   // backoff makes the suppression observable.
   opts.min_cpr_gain = 10.0;
   opts.rebuild_backoff_seconds = 3600;
-  DictionaryManager mgr(BuildFrom(phase0), opts,
-                        MakeCompressionDropPolicy(0.05, 64), phase0);
+  DictionaryManager mgr(BuildFrom(phase0), opts, phase0);
   for (const auto& k : drift.Phase(2)) mgr.Encode(k);
   ASSERT_TRUE(mgr.ShouldRebuild());
 
@@ -165,7 +170,7 @@ TEST(HotSwapTest, RejectedRebuildBacksOff) {
             DictionaryManager::RebuildResult::kRejectedNoGain);
   EXPECT_EQ(mgr.rebuilds_rejected(), 1u);
   // The trigger condition persists, but the backoff suppresses the next
-  // policy-driven attempt (no repeated build+validate burn) and tells
+  // triggered attempt (no repeated build+validate burn) and tells
   // pollers to stand down…
   EXPECT_TRUE(mgr.InBackoff());
   EXPECT_FALSE(mgr.ShouldRebuild());
@@ -180,12 +185,11 @@ TEST(HotSwapTest, RejectedRebuildBacksOff) {
 TEST(HotSwapTest, PublishWithEmptyReservoirKeepsBaseline) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
-  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), MakeNeverPolicy(),
-                        phase0);
+  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), phase0);
   double seeded = mgr.baseline_cpr();
   ASSERT_GT(seeded, 0);
   // Publishing before any traffic must not zero the baseline (which
-  // would permanently disarm the compression-drop policy).
+  // would permanently disarm the CPR-drop trigger).
   mgr.Publish(BuildFrom(drift.Phase(2)));
   EXPECT_DOUBLE_EQ(mgr.baseline_cpr(), seeded);
 }
@@ -193,8 +197,7 @@ TEST(HotSwapTest, PublishWithEmptyReservoirKeepsBaseline) {
 TEST(HotSwapTest, VersionedIndexSurvivesSwaps) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
-  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), MakeNeverPolicy(),
-                        phase0);
+  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), phase0);
   VersionedIndex<BTree> index(&mgr);
 
   // Load 300 distinct keys under epoch 0.
@@ -243,8 +246,7 @@ TEST(HotSwapTest, VersionedIndexSurvivesSwaps) {
 TEST(HotSwapTest, VersionedIndexMigrateAllDrainsGenerations) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
-  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), MakeNeverPolicy(),
-                        phase0);
+  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), phase0);
   VersionedIndex<BTree> index(&mgr);
 
   std::vector<std::string> keys(phase0.begin(), phase0.begin() + 100);
@@ -273,8 +275,7 @@ TEST(HotSwapTest, VersionedIndexMigrateAllDrainsGenerations) {
 TEST(HotSwapTest, VersionedIndexCompactsInsertLog) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
-  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), MakeNeverPolicy(),
-                        phase0);
+  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), phase0);
   VersionedIndex<BTree> index(&mgr);
 
   // 50 distinct keys overwritten 100 times each: without compaction the
@@ -302,8 +303,7 @@ TEST(HotSwapTest, VersionedIndexCompactsInsertLog) {
 TEST(HotSwapTest, MigrationAppendsKeepInsertLogBounded) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
-  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), MakeNeverPolicy(),
-                        phase0);
+  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), phase0);
   VersionedIndex<BTree> index(&mgr);
 
   std::vector<std::string> keys(phase0.begin(), phase0.begin() + 600);
@@ -340,8 +340,7 @@ TEST(HotSwapTest, MigrationAppendsKeepInsertLogBounded) {
 TEST(HotSwapTest, BackgroundRebuilderPublishesUnderDrift) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
-  DictionaryManager mgr(BuildFrom(phase0), SmallDict(),
-                        MakeCompressionDropPolicy(0.05, 64), phase0);
+  DictionaryManager mgr(BuildFrom(phase0), DropTrigger(), phase0);
   BackgroundRebuilder::Options opts;
   opts.poll_interval = std::chrono::milliseconds(5);
   BackgroundRebuilder rebuilder(&mgr, opts);
@@ -357,6 +356,122 @@ TEST(HotSwapTest, BackgroundRebuilderPublishesUnderDrift) {
   rebuilder.Stop();
   EXPECT_GE(mgr.epoch(), 1u);
   EXPECT_GE(rebuilder.rebuilds_completed(), 1u);
+}
+
+// The CPR-drop trigger's edges and option clamps. These tests drive the
+// collector's observer hook directly with chosen (length, bits) pairs:
+// with ewma_alpha = 1 the EWMA equals the last fed key's CPR, so each
+// check sits at an exact distance from the baseline.
+
+/// SmallDict() with the given trigger options and an EWMA that tracks
+/// the last observed key exactly.
+DictionaryManager::Options ExactEwma(double drop, size_t min_fill) {
+  DictionaryManager::Options o = SmallDict();
+  o.stats.ewma_alpha = 1.0;
+  o.rebuild_cpr_drop = drop;
+  o.rebuild_min_fill = min_fill;
+  return o;
+}
+
+/// Feeds `n` observations of CPR `cpr` (a key of round(cpr * 10000)
+/// bytes that "encoded" to 10000 bytes) and checks the EWMA landed there.
+void FeedCpr(DictionaryManager& mgr, double cpr, int n = 1) {
+  constexpr size_t kPadded = 10000;
+  std::string key(static_cast<size_t>(std::llround(cpr * kPadded)), 'k');
+  for (int i = 0; i < n; i++) mgr.stats().OnEncode(key, 8 * kPadded);
+  ASSERT_NEAR(mgr.stats().EwmaCompressionRate(), cpr, 1e-4);
+}
+
+TEST(RebuildTriggerTest, FiresPastTheDropThreshold) {
+  auto phase0 = MakeDrift().Phase(0);
+  DictionaryManager mgr(BuildFrom(phase0), ExactEwma(0.05, 64), phase0);
+  const double base = mgr.baseline_cpr();
+  ASSERT_GT(base, 1.0);
+  // The EWMA starts seeded at the baseline: no drop, no trigger.
+  EXPECT_FALSE(mgr.ShouldRebuild());
+
+  FeedCpr(mgr, base * 0.955, 64);  // -4.5%
+  EXPECT_FALSE(mgr.ShouldRebuild());
+  EXPECT_EQ(mgr.RebuildNow(), DictionaryManager::RebuildResult::kNotTriggered);
+  FeedCpr(mgr, base * 0.945);  // -5.5%
+  EXPECT_TRUE(mgr.ShouldRebuild());
+
+  // Reservoir below the fill floor never triggers.
+  DictionaryManager sparse(BuildFrom(phase0), ExactEwma(0.05, 64), phase0);
+  FeedCpr(sparse, base * 0.5, 63);
+  EXPECT_FALSE(sparse.ShouldRebuild());
+  FeedCpr(sparse, base * 0.5);
+  EXPECT_TRUE(sparse.ShouldRebuild());
+
+  // No baseline yet (no baseline keys, nothing published): an unseeded
+  // EWMA, then a seeded one with nothing to compare against, stay quiet.
+  DictionaryManager unseeded(BuildFrom(phase0), ExactEwma(0.05, 1));
+  EXPECT_EQ(unseeded.baseline_cpr(), 0.0);
+  EXPECT_EQ(unseeded.stats().EwmaCompressionRate(), 0.0);
+  EXPECT_FALSE(unseeded.ShouldRebuild());
+  FeedCpr(unseeded, 0.5, 64);
+  EXPECT_FALSE(unseeded.ShouldRebuild());
+  // A publish measured on keys seeds both, arming the trigger.
+  unseeded.Publish(BuildFrom(phase0), &phase0);
+  ASSERT_GT(unseeded.baseline_cpr(), 1.0);
+  FeedCpr(unseeded, 0.5);
+  EXPECT_TRUE(unseeded.ShouldRebuild());
+}
+
+TEST(RebuildTriggerTest, ClampsDegenerateOptions) {
+  auto phase0 = MakeDrift().Phase(0);
+  // A drop >= 1 would make the trigger unfireable (EWMA < 0); it clamps
+  // to 0.99 and still fires on a catastrophic drop.
+  for (double degenerate : {1.0, 2.0, 1e9}) {
+    DictionaryManager mgr(BuildFrom(phase0), ExactEwma(degenerate, 1),
+                          phase0);
+    const double base = mgr.baseline_cpr();
+    FeedCpr(mgr, base * 0.0105);
+    EXPECT_FALSE(mgr.ShouldRebuild()) << degenerate;
+    FeedCpr(mgr, base * 0.0095);
+    EXPECT_TRUE(mgr.ShouldRebuild()) << degenerate;
+  }
+  // Negative and NaN mean "off": even a catastrophic drop never
+  // triggers, while a forced rebuild still runs.
+  for (double off : {-0.5, -1e9, std::numeric_limits<double>::quiet_NaN()}) {
+    DictionaryManager mgr(BuildFrom(phase0), ExactEwma(off, 1), phase0);
+    FeedCpr(mgr, mgr.baseline_cpr() * 0.01, 64);
+    EXPECT_FALSE(mgr.ShouldRebuild()) << off;
+    EXPECT_EQ(mgr.RebuildNow(),
+              DictionaryManager::RebuildResult::kNotTriggered)
+        << off;
+    EXPECT_NE(mgr.RebuildNow(/*force=*/true),
+              DictionaryManager::RebuildResult::kNotTriggered)
+        << off;
+  }
+  // A fill floor of 0 clamps to 1: an empty reservoir never triggers,
+  // even with the EWMA already far below the baseline.
+  DictionaryManager mgr(BuildFrom(phase0), ExactEwma(0.05, 0), phase0);
+  mgr.stats().MarkRebuild(mgr.baseline_cpr() * 0.5);
+  ASSERT_EQ(mgr.stats().ReservoirFill(), 0u);
+  EXPECT_FALSE(mgr.ShouldRebuild());
+  FeedCpr(mgr, mgr.baseline_cpr() * 0.5);
+  EXPECT_TRUE(mgr.ShouldRebuild());
+}
+
+TEST(RebuildTriggerTest, OffByDefault) {
+  auto drift = MakeDrift();
+  auto phase0 = drift.Phase(0);
+  // Default options, except that the fill floor is opened so only the
+  // trigger's own default can hold it back.
+  DictionaryManager::Options opts;
+  opts.rebuild_min_fill = 1;
+  DictionaryManager mgr(BuildFrom(phase0), opts, phase0);
+  for (const auto& k : drift.Phase(2)) mgr.Encode(k);
+  // Traffic that would trip a 5% trigger...
+  ASSERT_LT(mgr.stats().EwmaCompressionRate(), mgr.baseline_cpr() * 0.95);
+  // ...leaves the default manager alone: rebuilds are manual only.
+  EXPECT_FALSE(mgr.ShouldRebuild());
+  EXPECT_EQ(mgr.RebuildNow(), DictionaryManager::RebuildResult::kNotTriggered);
+  EXPECT_EQ(mgr.epoch(), 0u);
+  EXPECT_EQ(mgr.RebuildNow(/*force=*/true),
+            DictionaryManager::RebuildResult::kRebuilt);
+  EXPECT_EQ(mgr.epoch(), 1u);
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ TEST(ManagerStressTest, ReadersSurviveConsecutivePublishes) {
   DictionaryManager mgr(
       Hope::Build(Scheme::kSingleChar, SampleKeys(phase0, 0.2),
                   size_t{1} << 12),
-      opts, MakeNeverPolicy(), phase0);
+      opts, phase0);
 
   constexpr int kReaders = 4;
   constexpr int kSwaps = 6;  // acceptance requires >= 3 consecutive swaps
@@ -110,15 +110,23 @@ TEST(ManagerStressTest, BackgroundRebuilderRacesReadersAndFeeders) {
   DriftingWorkload drift(dopt);
   auto phase0 = drift.Phase(0);
 
-  // Key-count policy: a rebuild every 2000 encodes keeps the rebuilder
-  // genuinely busy for the whole test regardless of timing. Single-Char
-  // keeps each rebuild cheap enough for single-core CI runners.
+  // The CPR-drop trigger under alternating traffic: feeders encode
+  // phase 2 under even epochs and phase 0 under odd ones, so every
+  // publish is followed by off-distribution traffic that trips the
+  // trigger again and keeps the rebuilder busy for the whole test. A
+  // short reservoir half-life lets each rebuild's corpus follow the
+  // flip. 4-Grams dictionaries lose far more than 5% across the flip
+  // (Single-Char ones only ~3%), and a build over the 512-key
+  // reservoir stays cheap enough for single-core CI runners.
   auto opts = StressOptions();
-  opts.scheme = Scheme::kSingleChar;
+  opts.scheme = Scheme::kFourGrams;
+  opts.rebuild_cpr_drop = 0.05;
+  opts.rebuild_min_fill = 64;
+  opts.stats.reservoir_halflife = 128;
   DictionaryManager mgr(
-      Hope::Build(Scheme::kSingleChar, SampleKeys(phase0, 0.2),
+      Hope::Build(Scheme::kFourGrams, SampleKeys(phase0, 0.2),
                   size_t{1} << 12),
-      opts, MakeKeyCountPolicy(2000), phase0);
+      opts, phase0);
   BackgroundRebuilder::Options ropt;
   ropt.poll_interval = std::chrono::milliseconds(2);
   BackgroundRebuilder rebuilder(&mgr, ropt);
@@ -126,14 +134,15 @@ TEST(ManagerStressTest, BackgroundRebuilderRacesReadersAndFeeders) {
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
 
-  // Feeders encode drifted traffic through the manager (driving the
-  // collector and the key-count trigger); readers verify round-trips.
+  // Feeders encode through the manager (driving the collector and the
+  // trigger); readers verify round-trips.
+  const std::vector<std::string> phases[2] = {drift.Phase(2), drift.Phase(0)};
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; t++) {
-    threads.emplace_back([&, t] {
-      auto keys = drift.Phase(2 - static_cast<size_t>(t));
+    threads.emplace_back([&] {
       size_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
+        const auto& keys = phases[mgr.epoch() % 2];
         mgr.Encode(keys[i++ % keys.size()]);
         // Keep the rebuilder schedulable on single-core runners.
         std::this_thread::yield();
@@ -191,7 +200,7 @@ TEST(ManagerStressTest, DestructionDrainsWhileSnapshotsAreInUse) {
   auto mgr = std::make_unique<DictionaryManager>(
       Hope::Build(Scheme::kSingleChar, SampleKeys(phase0, 0.2),
                   size_t{1} << 12),
-      opts, MakeNeverPolicy(), phase0);
+      opts, phase0);
 
   constexpr int kReaders = 4;
   std::atomic<bool> stop_acquiring{false};
@@ -259,7 +268,7 @@ TEST(ManagerStressTest, DestructorFreesRetiresBlockedByPinnedReaders) {
   auto mgr = std::make_unique<DictionaryManager>(
       Hope::Build(Scheme::kSingleChar, SampleKeys(phase0, 0.3),
                   size_t{1} << 12),
-      opts, MakeNeverPolicy(), phase0);
+      opts, phase0);
 
   std::weak_ptr<const Hope> old_version;
   {

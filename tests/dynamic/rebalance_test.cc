@@ -1,6 +1,6 @@
 // Online shard re-balancing: weighted boundary derivation, router
 // diffing, the versioned router swap (lock-free for readers), the
-// weight-imbalance policy's hysteresis, and the range extraction the
+// weight-imbalance trigger's hysteresis, and the range extraction the
 // index side migrates moved keys with (the plan application itself is
 // covered in tests/serve/sharded_index_test.cc and
 // tests/serve/concurrent_index_test.cc).
@@ -126,55 +126,107 @@ TEST(DiffRoutersTest, IdenticalRoutersYieldEmptyPlanAndTailMoves) {
   EXPECT_FALSE(plan.moves[0].bounded);
 }
 
+// The rebalance trigger's own tests make every firing a counted no-op:
+// with a corpus floor the reservoirs can never reach, a firing runs
+// RebalanceLocked(), which bumps rebalances_noop() and publishes
+// nothing, so the router, the weights and the since-rebalance counters
+// stay put between polls.
+ShardedDictionaryManager::Options TriggerOptions(double ratio,
+                                                 uint64_t min_keys,
+                                                 double cooldown_seconds) {
+  auto opts = SmallShardOptions(4);
+  opts.traffic_ewma_alpha = 1.0;  // weights = last observed shares
+  opts.min_rebalance_corpus = 1000000;
+  opts.rebalance_trigger_ratio = ratio;
+  opts.rebalance_min_keys = min_keys;
+  opts.rebalance_cooldown_seconds = cooldown_seconds;
+  return opts;
+}
+
+/// Polls after `n` encodes of one key: every key lands in one of the 4
+/// shards, so max/mean traffic weight is 4.
+void SkewedPoll(ShardedDictionaryManager& mgr, int n = 100) {
+  for (int i = 0; i < n; i++) mgr.Encode("key0090");
+  EXPECT_EQ(mgr.PollRebalance(), nullptr);
+}
+
 TEST(WeightImbalancePolicyTest, HysteresisRequiresConsecutiveSkewedPolls) {
-  auto policy = MakeWeightImbalancePolicy(/*trigger_ratio=*/2.0,
-                                          /*min_keys=*/100,
-                                          /*cooldown_seconds=*/0.0,
-                                          /*consecutive_polls=*/2);
-  RebalanceSignals skewed;
-  skewed.max_over_mean = 3.0;
-  skewed.keys_since_rebalance = 1000;
-  skewed.seconds_since_rebalance = 10;
+  static_assert(ShardedDictionaryManager::kRebalanceConsecutivePolls == 2);
+  auto sample = NumberedKeys(100);
+  ShardedDictionaryManager mgr(sample, TriggerOptions(2.0, 100, 0.0));
 
-  RebalanceSignals balanced = skewed;
-  balanced.max_over_mean = 1.1;
+  SkewedPoll(mgr);  // streak 1 of 2
+  EXPECT_EQ(mgr.rebalances_noop(), 0u);
+  SkewedPoll(mgr);  // streak 2: fires
+  EXPECT_EQ(mgr.rebalances_noop(), 1u);
+  // Firing resets the streak.
+  SkewedPoll(mgr);
+  EXPECT_EQ(mgr.rebalances_noop(), 1u);
+  // A balanced poll in between also resets it (the quantile router
+  // gives each shard 25 of the 100 sample keys).
+  for (const auto& k : sample) mgr.Encode(k);
+  EXPECT_EQ(mgr.PollRebalance(), nullptr);
+  ASSERT_DOUBLE_EQ(mgr.WeightImbalance(), 1.0);
+  SkewedPoll(mgr);
+  EXPECT_EQ(mgr.rebalances_noop(), 1u);
+  SkewedPoll(mgr);
+  EXPECT_EQ(mgr.rebalances_noop(), 2u);
 
-  EXPECT_FALSE(policy->ShouldRebalance(skewed));  // streak 1 of 2
-  EXPECT_TRUE(policy->ShouldRebalance(skewed));   // streak 2: trigger
-  // The trigger resets the streak.
-  EXPECT_FALSE(policy->ShouldRebalance(skewed));
-  // A balanced poll in between also resets it.
-  EXPECT_FALSE(policy->ShouldRebalance(balanced));
-  EXPECT_FALSE(policy->ShouldRebalance(skewed));
-  EXPECT_TRUE(policy->ShouldRebalance(skewed));
+  // A forced rebalance leaves the streak alone: one skewed poll, a
+  // forced (no-op) rebalance, and the next skewed poll still fires.
+  SkewedPoll(mgr);
+  EXPECT_EQ(mgr.RebalanceNow(/*force=*/true), nullptr);
+  EXPECT_EQ(mgr.rebalances_noop(), 3u);
+  SkewedPoll(mgr);
+  EXPECT_EQ(mgr.rebalances_noop(), 4u);
+  EXPECT_EQ(mgr.router_version(), 0u);
 }
 
 TEST(WeightImbalancePolicyTest, GatesOnTrafficAndCooldown) {
-  auto policy = MakeWeightImbalancePolicy(2.0, /*min_keys=*/500,
-                                          /*cooldown_seconds=*/60.0,
-                                          /*consecutive_polls=*/1);
-  RebalanceSignals s;
-  s.max_over_mean = 4.0;
-  s.keys_since_rebalance = 499;  // not enough traffic
-  s.seconds_since_rebalance = 120;
-  EXPECT_FALSE(policy->ShouldRebalance(s));
-  s.keys_since_rebalance = 500;
-  s.seconds_since_rebalance = 30;  // inside the cooldown window
-  EXPECT_FALSE(policy->ShouldRebalance(s));
-  s.seconds_since_rebalance = 61;
-  EXPECT_TRUE(policy->ShouldRebalance(s));
+  auto sample = NumberedKeys(100);
+  // Traffic floor: 499 keys since the last rebalance is not enough, no
+  // matter how skewed; the 500th arms the trigger.
+  ShardedDictionaryManager floor(sample, TriggerOptions(2.0, 500, 0.0));
+  SkewedPoll(floor, 499);
+  SkewedPoll(floor, 0);
+  EXPECT_EQ(floor.rebalances_noop(), 0u);
+  SkewedPoll(floor, 1);
+  SkewedPoll(floor, 0);
+  EXPECT_EQ(floor.rebalances_noop(), 1u);
+
+  // Cooldown: the clock starts at construction, so an hour-long
+  // cooldown holds back every poll of this test...
+  ShardedDictionaryManager cool(sample, TriggerOptions(2.0, 1, 3600.0));
+  for (int poll = 0; poll < 4; poll++) SkewedPoll(cool);
+  EXPECT_EQ(cool.rebalances_noop(), 0u);
+  // ...while a forced rebalance is never gated.
+  EXPECT_EQ(cool.RebalanceNow(/*force=*/true), nullptr);
+  EXPECT_EQ(cool.rebalances_noop(), 1u);
 }
 
 TEST(WeightImbalancePolicyTest, DegenerateParametersAreClamped) {
-  // trigger NaN -> 1, consecutive 0 -> 1, cooldown NaN -> 0, min_keys
-  // 0 -> 1: a single skewed poll with any traffic triggers.
-  auto policy = MakeWeightImbalancePolicy(
-      std::nan(""), 0, std::nan(""), 0);
-  RebalanceSignals s;
-  s.max_over_mean = 1.0;
-  s.keys_since_rebalance = 1;
-  s.seconds_since_rebalance = 0;
-  EXPECT_TRUE(policy->ShouldRebalance(s));
+  auto sample = NumberedKeys(100);
+  // Ratio 0, negative or NaN: the trigger is off, whatever the skew.
+  for (double off : {0.0, -3.0, std::nan("")}) {
+    ShardedDictionaryManager mgr(sample, TriggerOptions(off, 1, 0.0));
+    for (int poll = 0; poll < 4; poll++) SkewedPoll(mgr);
+    EXPECT_EQ(mgr.rebalances_noop(), 0u) << off;
+  }
+  // A ratio in (0, 1) clamps to 1, which max/mean always reaches, so
+  // perfectly balanced traffic fires; min_keys 0 clamps to 1, so polls
+  // with no traffic at all do not; a NaN or negative cooldown clamps to
+  // 0, so nothing waits on the clock.
+  for (double cooldown : {std::nan(""), -5.0}) {
+    ShardedDictionaryManager mgr(sample, TriggerOptions(0.5, 0, cooldown));
+    for (int poll = 0; poll < 3; poll++)
+      EXPECT_EQ(mgr.PollRebalance(), nullptr);
+    EXPECT_EQ(mgr.rebalances_noop(), 0u) << cooldown;
+    for (const auto& k : sample) mgr.Encode(k);
+    EXPECT_EQ(mgr.PollRebalance(), nullptr);
+    EXPECT_EQ(mgr.PollRebalance(), nullptr);
+    ASSERT_DOUBLE_EQ(mgr.WeightImbalance(), 1.0);
+    EXPECT_EQ(mgr.rebalances_noop(), 1u) << cooldown;
+  }
 }
 
 TEST(ShardedManagerRebalanceTest, TrafficWeightsTrackEncodeCounts) {
@@ -295,11 +347,10 @@ TEST(ShardedManagerRebalanceTest, PolicyTriggersRebalanceUnderSkew) {
   auto opts = SmallShardOptions(4);
   opts.traffic_ewma_alpha = 1.0;
   opts.min_rebalance_corpus = 16;
-  ShardedDictionaryManager mgr(
-      sample, opts, nullptr,
-      MakeWeightImbalancePolicy(/*trigger_ratio=*/2.0, /*min_keys=*/50,
-                                /*cooldown_seconds=*/0.0,
-                                /*consecutive_polls=*/2));
+  opts.rebalance_trigger_ratio = 2.0;
+  opts.rebalance_min_keys = 50;
+  opts.rebalance_cooldown_seconds = 0;
+  ShardedDictionaryManager mgr(sample, opts);
 
   // Balanced traffic: polls stay quiet.
   for (const auto& k : sample) mgr.Encode(k);
@@ -314,6 +365,33 @@ TEST(ShardedManagerRebalanceTest, PolicyTriggersRebalanceUnderSkew) {
     plan = mgr.PollRebalance();
   }
   ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(mgr.router_version(), 1u);
+}
+
+TEST(ShardedManagerRebalanceTest, TriggerOffByDefault) {
+  auto sample = NumberedKeys(100);
+  auto opts = SmallShardOptions(4);
+  opts.traffic_ewma_alpha = 1.0;
+  opts.min_rebalance_corpus = 16;
+  // Open the traffic floor and the cooldown, so only the trigger ratio's
+  // own default can hold a poll back.
+  opts.rebalance_min_keys = 1;
+  opts.rebalance_cooldown_seconds = 0;
+  ShardedDictionaryManager mgr(sample, opts);
+
+  // All traffic on one shard, polled far past the streak.
+  for (int round = 0; round < 5; round++) {
+    for (size_t i = 75; i < 100; i++)
+      for (int rep = 0; rep < 50; rep++) mgr.Encode(sample[i]);
+    EXPECT_EQ(mgr.PollRebalance(), nullptr);
+    EXPECT_EQ(mgr.RebalanceNow(), nullptr);
+  }
+  EXPECT_DOUBLE_EQ(mgr.WeightImbalance(), 4.0);
+  EXPECT_EQ(mgr.router_version(), 0u);
+  EXPECT_EQ(mgr.rebalances_noop(), 0u);
+
+  // Forcing still re-derives the boundaries.
+  ASSERT_NE(mgr.RebalanceNow(/*force=*/true), nullptr);
   EXPECT_EQ(mgr.router_version(), 1u);
 }
 
@@ -390,7 +468,7 @@ TEST(VersionedIndexTest, CollectRangeKeysThenExtractKeysMovesSortedRange) {
   mopt.scheme = Scheme::kSingleChar;
   mopt.dict_size_limit = 256;
   DictionaryManager mgr(Hope::Build(Scheme::kSingleChar, keys, 256), mopt,
-                        MakeNeverPolicy(), keys);
+                        keys);
   VersionedIndex<BTree> index(&mgr);
   for (size_t i = 0; i < keys.size(); i++) index.Insert(keys[i], i);
   // A swap plus an erase exercise the drain + liveness filtering.
@@ -435,11 +513,10 @@ TEST(RebalanceRebuilderTest, WorkerPollsRebalanceAlongsideRebuilds) {
   auto opts = SmallShardOptions(4);
   opts.traffic_ewma_alpha = 1.0;
   opts.min_rebalance_corpus = 16;
-  ShardedDictionaryManager mgr(
-      sample, opts, nullptr,
-      MakeWeightImbalancePolicy(2.0, /*min_keys=*/50,
-                                /*cooldown_seconds=*/0.0,
-                                /*consecutive_polls=*/2));
+  opts.rebalance_trigger_ratio = 2.0;
+  opts.rebalance_min_keys = 50;
+  opts.rebalance_cooldown_seconds = 0;
+  ShardedDictionaryManager mgr(sample, opts);
   BackgroundRebuilder::Options ropt;
   ropt.poll_interval = std::chrono::milliseconds(2);
   BackgroundRebuilder rebuilder(&mgr, ropt);

@@ -47,7 +47,7 @@ TEST(ReclaimStressTest, ThousandPublishesKeepLiveVersionsBounded) {
   opts.scheme = Scheme::kSingleChar;
   opts.dict_size_limit = 256;
   DictionaryManager mgr(Hope::Build(Scheme::kSingleChar, keys, 256), opts,
-                        MakeNeverPolicy(), keys);
+                        keys);
   // A pre-built template keeps the loop cost at Clone(), not Build().
   std::unique_ptr<Hope> base = Hope::Build(Scheme::kSingleChar, keys, 256);
 
@@ -185,7 +185,7 @@ TEST(ReclaimStressTest, BackgroundWorkerReclaimsIdleGarbage) {
   opts.scheme = Scheme::kSingleChar;
   opts.dict_size_limit = 256;
   DictionaryManager mgr(Hope::Build(Scheme::kSingleChar, keys, 256), opts,
-                        MakeNeverPolicy(), keys);
+                        keys);
 
   {
     // A pinned guard across the publish forces the retired version to

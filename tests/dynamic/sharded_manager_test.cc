@@ -127,7 +127,7 @@ TEST(ShardedManagerTest, EpochsAndCountersAggregate) {
   EXPECT_EQ(mgr.rebuilds_rejected(), 0u);
 }
 
-// Drift confined to one shard's key range trips that shard's policy and
+// Drift confined to one shard's key range trips that shard's trigger and
 // leaves the others untouched — the point of sharding.
 TEST(ShardedManagerTest, LocalizedDriftRebuildsOnlyTheDriftedShard) {
   DriftOptions dopt;
@@ -144,9 +144,9 @@ TEST(ShardedManagerTest, LocalizedDriftRebuildsOnlyTheDriftedShard) {
   opts.shard.dict_size_limit = 256;
   opts.shard.stats.sample_every = 1;
   opts.shard.stats.ewma_alpha = 0.01;
-  ShardedDictionaryManager mgr(
-      SampleKeys(stable, 0.1), opts,
-      [] { return MakeCompressionDropPolicy(0.05, 64); });
+  opts.shard.rebuild_cpr_drop = 0.05;
+  opts.shard.rebuild_min_fill = 64;
+  ShardedDictionaryManager mgr(SampleKeys(stable, 0.1), opts);
 
   // The victim is the shard owning the most query-style (part B) keys.
   std::vector<std::vector<std::string>> b_by_shard(mgr.num_shards());
@@ -194,20 +194,32 @@ TEST(ShardedManagerTest, SharedBackgroundRebuilderPollsAllShards) {
   opts.shard.dict_size_limit = 256;
   opts.shard.stats.sample_every = 1;
   opts.shard.stats.reservoir_size = 256;
-  opts.shard.min_cpr_gain = -1;  // publish any candidate the policy asks for
-  ShardedDictionaryManager mgr(SampleKeys(stable, 0.1), opts,
-                               [] { return MakeKeyCountPolicy(500); });
+  opts.shard.min_cpr_gain = -1;  // publish any candidate the trigger asks for
+  opts.shard.rebuild_cpr_drop = 0.05;
+  opts.shard.rebuild_min_fill = 64;
+  ShardedDictionaryManager mgr(SampleKeys(stable, 0.1), opts);
+
+  // Off-distribution traffic for every shard: each address keeps its
+  // prefix, and so (barring a boundary that extends it) its shard, but
+  // gains a tail of characters no email carries, which the shards'
+  // dictionaries code poorly.
+  std::vector<std::string> drifted;
+  for (const auto& k : stable) drifted.push_back(k + "|QZXJ#QZXJ#QZXJ");
+  std::vector<size_t> per_shard(mgr.num_shards(), 0);
+  for (const auto& k : drifted) per_shard[mgr.Route(k)]++;
+  for (size_t s = 0; s < mgr.num_shards(); s++)
+    ASSERT_GE(per_shard[s], 64u) << "shard " << s;
 
   BackgroundRebuilder::Options ropt;
   ropt.poll_interval = std::chrono::milliseconds(5);
   BackgroundRebuilder rebuilder(&mgr, ropt);
   EXPECT_EQ(rebuilder.num_managers(), mgr.num_shards());
 
-  // Traffic to every shard; the key-count policy trips per shard and the
-  // shared loop publishes for each (bounded by iterations, not wall
-  // time, so sanitizer runs don't flake).
+  // Each shard's CPR-drop trigger fires and the shared loop publishes
+  // for each (bounded by iterations, not wall time, so sanitizer runs
+  // don't flake).
   for (int round = 0; round < 400; round++) {
-    for (const auto& k : stable) mgr.Encode(k);
+    for (const auto& k : drifted) mgr.Encode(k);
     rebuilder.Nudge();
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     bool all = true;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Exit-code contract of hope_cli argument validation (documented in the
 # CLI header: 0 ok, 1 runtime error, 2 usage error). Probes the cheap
-# paths only — selftest/drift runs are covered by hope_cli_smoke.
+# paths only — selftest runs are covered by hope_cli_smoke, drift runs
+# by hope_cli_drift_smoke.
 set -u
 
 cli="$1"

@@ -17,13 +17,16 @@
 //       exits non-zero on any mismatch. Used as the CI smoke test.
 //   hope_cli drift [scheme] [keys_per_phase] [shards] [mode]
 //       Demo of the dynamic dictionary manager: runs a drifting Email
-//       workload and prints static vs managed compression per phase.
+//       workload and prints static vs managed compression per phase;
+//       exits 1 if no rebuild was published.
 //       With shards >= 2, runs a sharded demo instead; mode picks it:
 //         localized (default) — URL drift confined to one shard's key
-//             range; only that shard's epoch should move.
+//             range; only that shard's epoch should move (exits 1 when
+//             the rebuilds are "not localized").
 //         rebalance — a traffic hotspot migrates across the key range;
-//             the weight-imbalance policy re-derives the router
-//             boundaries online (per-phase spread + router version).
+//             the weight-imbalance trigger re-derives the router
+//             boundaries online (per-phase spread + router version;
+//             exits 1 when the final verdict is "not re-balanced").
 //       The shards argument must be 2..256 (0, negative, non-numeric
 //       and absurd values are usage errors).
 //   hope_cli serve [scheme] [keys] [workers] [shards]
@@ -43,7 +46,8 @@
 //       Prints usage and exits 0.
 //
 // Exit codes: 0 success, 1 runtime error (bad file, failed decode,
-// selftest mismatch), 2 usage error.
+// selftest mismatch, a drift demo whose printed verdict failed, a serve
+// consistency failure), 2 usage error.
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -96,6 +100,8 @@ void PrintUsage(std::FILE* out) {
                "  localized confines URL drift to one shard (default),\n"
                "  rebalance migrates a hotspot across the key range and\n"
                "  lets the versioned router re-derive its boundaries.\n"
+               "  exit 1 when the demo's verdict fails (no rebuild\n"
+               "  published, rebuilds not localized, not re-balanced).\n"
                "serve: concurrent serving-layer demo — workers (max 64)\n"
                "  serve checked op mixes through migration-transparent\n"
                "  reads while rebalances run; nonzero exit on any\n"
@@ -284,9 +290,10 @@ int CmdDriftSharded(Scheme scheme, size_t keys_per_phase, size_t shards) {
   sopt.shard.stats.sample_every = 2;
   sopt.shard.stats.ewma_alpha = 0.005;
   sopt.shard.min_cpr_gain = 0.01;
-  hope::dynamic::ShardedDictionaryManager mgr(
-      hope::SampleKeys(phase0, 0.05), sopt,
-      [] { return hope::dynamic::MakeCompressionDropPolicy(0.03, 256); });
+  sopt.shard.rebuild_cpr_drop = 0.03;
+  sopt.shard.rebuild_min_fill = 256;
+  hope::dynamic::ShardedDictionaryManager mgr(hope::SampleKeys(phase0, 0.05),
+                                              sopt);
   hope::dynamic::BackgroundRebuilder rebuilder(&mgr);
 
   // Confine the drift to the shard owning the most part-B weight.
@@ -318,18 +325,18 @@ int CmdDriftSharded(Scheme scheme, size_t keys_per_phase, size_t shards) {
   uint64_t max_other = 0;
   for (size_t s = 0; s < mgr.num_shards(); s++)
     if (s != victim) max_other = std::max(max_other, mgr.shard(s).epoch());
+  const bool localized_ok = victim_epoch > 0 && max_other == 0;
   std::printf("victim shard epoch %llu, other shards' max epoch %llu -> "
               "rebuilds %s\n",
               static_cast<unsigned long long>(victim_epoch),
               static_cast<unsigned long long>(max_other),
-              victim_epoch > 0 && max_other == 0 ? "localized"
-                                                 : "not localized");
-  return 0;
+              localized_ok ? "localized" : "not localized");
+  return localized_ok ? 0 : 1;
 }
 
 // Rebalance demo: a traffic hotspot migrates across the key range while
 // a ShardedDictionaryManager re-derives its router boundaries online
-// (weight-imbalance policy + versioned router hot-swap). Prints the
+// (weight-imbalance trigger + versioned router hot-swap). Prints the
 // per-phase stream spread (max/mean routed traffic) and router version;
 // a fixed-boundary manager would end at spread == shards.
 int CmdDriftRebalance(Scheme scheme, size_t keys_per_phase, size_t shards) {
@@ -350,16 +357,17 @@ int CmdDriftRebalance(Scheme scheme, size_t keys_per_phase, size_t shards) {
   sopt.shard.stats.reservoir_halflife = 512;
   sopt.shard.min_cpr_gain = 0.01;
   sopt.traffic_ewma_alpha = 0.6;
-  hope::dynamic::ShardedDictionaryManager mgr(
-      hope::SampleKeys(phase0, 0.05), sopt,
-      [] { return hope::dynamic::MakeCompressionDropPolicy(0.03, 256); },
-      hope::dynamic::MakeWeightImbalancePolicy(
-          threshold, /*min_keys=*/keys_per_phase / 2,
-          /*cooldown_seconds=*/0.5, /*consecutive_polls=*/2));
+  sopt.shard.rebuild_cpr_drop = 0.03;
+  sopt.shard.rebuild_min_fill = 256;
+  sopt.rebalance_trigger_ratio = threshold;
+  sopt.rebalance_min_keys = keys_per_phase / 2;
+  sopt.rebalance_cooldown_seconds = 0.5;
+  hope::dynamic::ShardedDictionaryManager mgr(hope::SampleKeys(phase0, 0.05),
+                                              sopt);
   hope::dynamic::BackgroundRebuilder rebuilder(&mgr);
 
   std::printf("hotspot migration, %s, %zu shards, %zu phases x %zu keys, "
-              "imbalance policy %.1fx\n",
+              "imbalance trigger %.1fx\n",
               hope::SchemeName(scheme), mgr.num_shards(), drift.num_phases(),
               keys_per_phase, threshold);
   std::printf("%-6s %7s %12s %8s %7s  %s\n", "phase", "B-mix", "sharded-cpr",
@@ -388,13 +396,11 @@ int CmdDriftRebalance(Scheme scheme, size_t keys_per_phase, size_t shards) {
   for (int round = 0; round < 4 && final_spread > threshold; round++)
     final_spread = serve(drift.num_phases(), "settle");
   rebuilder.Stop();
+  const bool balanced = mgr.router_version() > 0 && final_spread <= threshold;
   std::printf("router version %llu, final spread %.2f -> %s\n",
               static_cast<unsigned long long>(mgr.router_version()),
-              final_spread,
-              mgr.router_version() > 0 && final_spread <= threshold
-                  ? "re-balanced"
-                  : "not re-balanced");
-  return 0;
+              final_spread, balanced ? "re-balanced" : "not re-balanced");
+  return balanced ? 0 : 1;
 }
 
 // Demo of the dynamic subsystem: drifting Email workload, static vs
@@ -435,9 +441,9 @@ int CmdDrift(int argc, char** argv) {
   mopt.scheme = scheme;
   mopt.dict_size_limit = limit;
   mopt.stats.sample_every = 4;
-  hope::dynamic::DictionaryManager mgr(
-      static_dict->Clone(), mopt,
-      hope::dynamic::MakeCompressionDropPolicy(0.02, 1024), phase0);
+  mopt.rebuild_cpr_drop = 0.02;
+  mopt.rebuild_min_fill = 1024;
+  hope::dynamic::DictionaryManager mgr(static_dict->Clone(), mopt, phase0);
   hope::dynamic::BackgroundRebuilder rebuilder(&mgr);
 
   std::printf("drifting Email workload, %s, %zu phases x %zu keys\n",
@@ -452,7 +458,7 @@ int CmdDrift(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     // Observer-free clone: measuring through the managed encoder would
-    // feed the stats collector and skew the policy being demonstrated.
+    // feed the stats collector and skew the trigger being demonstrated.
     auto clone = mgr.Acquire().hope->Clone();
     double static_cpr = static_dict->CompressionRate(keys);
     double managed_cpr = clone->CompressionRate(keys);
@@ -465,7 +471,7 @@ int CmdDrift(int argc, char** argv) {
   std::printf("rebuilds published: %llu, rejected: %llu\n",
               static_cast<unsigned long long>(mgr.rebuilds_published()),
               static_cast<unsigned long long>(mgr.rebuilds_rejected()));
-  return 0;
+  return mgr.rebuilds_published() > 0 ? 0 : 1;
 }
 
 // Serving demo: N workers (pinned where the OS allows) serve checked
@@ -516,17 +522,18 @@ int CmdServe(int argc, char** argv) {
   sopt.shard.stats.reservoir_halflife = 512;
   sopt.shard.min_cpr_gain = 0.01;
   sopt.traffic_ewma_alpha = 0.6;
+  sopt.shard.rebuild_cpr_drop = 0.03;
+  sopt.shard.rebuild_min_fill = 256;
+  sopt.rebalance_trigger_ratio = 1.5;
+  sopt.rebalance_min_keys = num_keys / 2;
+  sopt.rebalance_cooldown_seconds = 0.2;
   // Telemetry sinks outlive everything they're attached to (managers,
   // rebuilder, index, loop — all declared below them).
   hope::telemetry::MetricRegistry registry;
   hope::telemetry::TraceLog trace;
 
-  hope::dynamic::ShardedDictionaryManager mgr(
-      hope::SampleKeys(corpus, 0.05), sopt,
-      [] { return hope::dynamic::MakeCompressionDropPolicy(0.03, 256); },
-      hope::dynamic::MakeWeightImbalancePolicy(
-          /*trigger_ratio=*/1.5, /*min_keys=*/num_keys / 2,
-          /*cooldown_seconds=*/0.2, /*consecutive_polls=*/2));
+  hope::dynamic::ShardedDictionaryManager mgr(hope::SampleKeys(corpus, 0.05),
+                                              sopt);
   mgr.AttachTelemetry(&registry, &trace);
   hope::dynamic::BackgroundRebuilder rebuilder(&mgr);
   rebuilder.AttachTelemetry(&registry);
@@ -615,7 +622,7 @@ int CmdServe(int argc, char** argv) {
   for (size_t p = 0; p < drift.num_phases(); p++) {
     run_phase(p + 1 == drift.num_phases() ? "drift(last)" : "drift", p,
               /*write_frac=*/0.10, /*scan_frac=*/0.005);
-    // The policy wants sustained imbalance across consecutive polls
+    // The trigger wants sustained imbalance across consecutive polls
     // past its cooldown, and the background worker only polls once per
     // cycle, between rebuild sweeps over every shard, so poll the router
     // directly here instead of waiting for the worker's cycle.
@@ -644,7 +651,7 @@ int CmdVersion() {
   std::printf("dynamic: sharded dictionary manager (per-key-range shards, "
               "independent epochs),\n"
               "         online shard re-balancing (versioned router, "
-              "weight-imbalance policy,\n"
+              "weight-imbalance trigger,\n"
               "         cross-shard key migration), versioned + sharded "
               "index, shared\n"
               "         background rebuilder\n"
