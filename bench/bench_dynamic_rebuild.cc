@@ -4,8 +4,8 @@
 // 1. Global drift (the fig-15 Email provider split made gradual): a
 //    static dictionary (built once from a phase-0 sample, the paper's
 //    protocol) versus a managed one (stats collector + CPR-drop
-//    trigger + background rebuilder + versioned hot-swap) on the same
-//    drifting key stream. Series "phase"/"summary" in the JSON.
+//    trigger + versioned hot-swap) on the same drifting key stream.
+//    Series "phase"/"summary" in the JSON.
 //
 // 2. Localized drift (URL corpus, kUrlStyle model): only one shard's key
 //    range blends toward query-style URLs while the rest of the keyspace
@@ -26,18 +26,16 @@
 //    lookups and cross-shard scans correct across every migration.
 //    Series "rebalance_phase"/"rebalance_summary" in the JSON.
 //
-// Experiments 2 and 3 compare where two managers end up, so their
-// rebuild and rebalance polls run synchronously at phase boundaries,
-// with no rejection backoff and no rebalance cooldown (both are
-// wall-clock gates): a background worker's timing against the key
-// stream would make the compared CPRs and spreads vary run to run.
-#include <chrono>
+// Every experiment compares where two dictionaries end up, so rebuild
+// and rebalance polls run synchronously at phase boundaries, with no
+// rejection backoff and no rebalance cooldown (both are wall-clock
+// gates): a background worker's timing against the key stream would
+// make the compared CPRs and spreads vary run to run (one rejected
+// rebuild plus a 5 s backoff would freeze the remaining phases).
 #include <map>
-#include <thread>
 
 #include "bench/bench_common.h"
 #include "btree/btree.h"
-#include "dynamic/background_rebuilder.h"
 #include "dynamic/dictionary_manager.h"
 #include "dynamic/sharded_manager.h"
 #include "dynamic/versioned_index.h"
@@ -48,7 +46,6 @@
 namespace hope::bench {
 namespace {
 
-using dynamic::BackgroundRebuilder;
 using dynamic::DictionaryManager;
 using dynamic::ShardedDictionaryManager;
 using dynamic::VersionedIndex;
@@ -86,13 +83,11 @@ void RunGlobalDrift() {
   DictionaryManager::Options mopt = ManagerOptions(scheme, limit);
   mopt.rebuild_cpr_drop = 0.02;
   mopt.rebuild_min_fill = 1024;
+  mopt.rebuild_backoff_seconds = 0;  // one poll per phase boundary
   DictionaryManager mgr(static_dict->Clone(), mopt, phase0);
-  BackgroundRebuilder::Options ropt;
-  ropt.poll_interval = std::chrono::milliseconds(10);
-  BackgroundRebuilder rebuilder(&mgr, ropt);
 
   // A live index rides along: its lookups must stay correct across every
-  // swap the rebuilder performs.
+  // swap the manager publishes.
   VersionedIndex<BTree> index(&mgr);
   size_t index_checked = 0, index_wrong = 0;
 
@@ -110,12 +105,7 @@ void RunGlobalDrift() {
       mgr.Encode(keys[i]);
       if (i % 16 == 0) index.Insert(keys[i], i);
     }
-    // Give the background worker a bounded window to react like it would
-    // in a long-running server (the trigger decides whether to act).
-    for (int spin = 0; spin < 200 && mgr.ShouldRebuild(); spin++) {
-      rebuilder.Nudge();
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+    mgr.RebuildNow();  // the trigger decides whether to act
 
     // Spot-check index correctness across every generation the swaps
     // opened (lookups migrate nothing; the final MigrateAll drains).
@@ -145,7 +135,6 @@ void RunGlobalDrift() {
         .Num("epoch", static_cast<double>(mgr.epoch()))
         .Num("rebuilds", static_cast<double>(mgr.rebuilds_published()));
   }
-  rebuilder.Stop();
 
   // Post-drift summary on the final distribution: the acceptance signal
   // is managed > static here.

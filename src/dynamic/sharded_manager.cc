@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/check.h"
 #include "telemetry/trace_log.h"
 
 namespace hope::dynamic {
@@ -307,8 +306,8 @@ ShardedDictionaryManager::RebalanceLocked() {
 
   // Retrain BEFORE publishing: the new version becomes visible (via the
   // wait-free router_version()) only once fully prepared, so an index
-  // that sees it and calls PlansSince()/router() never waits out the
-  // dictionary builds on rebalance_mu_. Shards whose range changed get a
+  // that sees it and calls router() never waits out the dictionary
+  // builds on rebalance_mu_. Shards whose range changed get a
   // dictionary trained on their new range's slice of the corpus;
   // everyone else keeps dictionary + epoch.
   if (options_.retrain_moved_shards && !plan->moves.empty()) {
@@ -347,7 +346,6 @@ ShardedDictionaryManager::RebalanceLocked() {
     }
   }
 
-  plans_.push_back(plan);
   current_router_ = next;
   router_ptr_.store(next.get(), std::memory_order_seq_cst);
   // Swap first, retire second: the manager's reference on the
@@ -360,7 +358,6 @@ ShardedDictionaryManager::RebalanceLocked() {
   if (telemetry::TraceLog* t = trace_.load(std::memory_order_relaxed))
     t->Record(telemetry::TraceEventType::kRebalancePublish, -1,
               next->version(), plan->moves.size());
-  PrunePlansLocked();
 
   // Reset the hysteresis baseline: the new boundaries equalize expected
   // load, so the skew EWMA starts over from balanced (keeping the old
@@ -374,64 +371,6 @@ ShardedDictionaryManager::RebalanceLocked() {
   observed_at_rebalance_ = observed_total;
   last_rebalance_ = std::chrono::steady_clock::now();
   return plan;
-}
-
-std::vector<std::shared_ptr<const RebalancePlan>>
-ShardedDictionaryManager::PlansSince(uint64_t since_version) const {
-  MutexLock lock(rebalance_mu_);
-  // plans_[k] takes router version plans_base_ + k to plans_base_ + k+1.
-  HOPE_CHECK_MSG(since_version >= plans_base_,
-                 "PlansSince below the pruned plan-history floor");
-  size_t offset = static_cast<size_t>(since_version - plans_base_);
-  if (offset >= plans_.size())
-    return std::vector<std::shared_ptr<const RebalancePlan>>{};
-  return std::vector<std::shared_ptr<const RebalancePlan>>(
-      plans_.begin() + static_cast<long>(offset), plans_.end());
-}
-
-ShardedDictionaryManager::IndexRegistration
-ShardedDictionaryManager::RegisterIndex() {
-  MutexLock lock(rebalance_mu_);
-  // Pin and snapshot under one lock hold: a rebalance publishing between
-  // the two could otherwise prune the very plan the new index needs
-  // first.
-  IndexRegistration reg;
-  reg.id = next_index_id_++;
-  reg.router = current_router_;
-  index_versions_.emplace(reg.id, reg.router->version());
-  return reg;
-}
-
-void ShardedDictionaryManager::UpdateIndexVersion(uint64_t id,
-                                                  uint64_t version) {
-  MutexLock lock(rebalance_mu_);
-  auto it = index_versions_.find(id);
-  if (it == index_versions_.end()) return;
-  it->second = std::max(it->second, version);
-  PrunePlansLocked();
-}
-
-void ShardedDictionaryManager::DeregisterIndex(uint64_t id) {
-  MutexLock lock(rebalance_mu_);
-  if (index_versions_.erase(id) == 0) return;
-  PrunePlansLocked();
-}
-
-void ShardedDictionaryManager::PrunePlansLocked() {
-  uint64_t min_pinned = current_router_->version();
-  for (const auto& [id, version] : index_versions_)
-    min_pinned = std::min(min_pinned, version);
-  if (min_pinned <= plans_base_) return;
-  size_t drop = std::min(static_cast<size_t>(min_pinned - plans_base_),
-                         plans_.size());
-  // Dropping a plan releases its from/to RouterVersion references
-  // directly — plans are only ever reached through shared_ptr, never
-  // through the guarded raw pointer, so no grace period is needed here.
-  // The superseded RouterVersion's raw-reader grace is handled by the
-  // Retire at publish time.
-  plans_.erase(plans_.begin(), plans_.begin() + static_cast<long>(drop));
-  plans_base_ += drop;
-  plans_pruned_.fetch_add(drop);
 }
 
 uint64_t ShardedDictionaryManager::rebuilds_published() const {
@@ -462,12 +401,8 @@ void ShardedDictionaryManager::AttachTelemetry(
       [this] { return static_cast<double>(rebalances_published()); });
   add("hope_rebalance_noop_total", MK::kCounter,
       [this] { return static_cast<double>(rebalances_noop()); });
-  add("hope_rebalance_plans_pruned_total", MK::kCounter,
-      [this] { return static_cast<double>(plans_pruned()); });
-  // These take rebalance_mu_ at snapshot time; the registry is never
+  // Takes rebalance_mu_ at snapshot time; the registry is never
   // snapshotted with rebalance_mu_ held (see registry.h lock order).
-  add("hope_rebalance_plans_retained", MK::kGauge,
-      [this] { return static_cast<double>(plans_retained()); });
   add("hope_rebalance_weight_imbalance", MK::kGauge,
       [this] { return WeightImbalance(); });
   add("hope_router_version", MK::kGauge,

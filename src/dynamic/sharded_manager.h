@@ -45,19 +45,17 @@
 // the shard it picked (every shard dictionary encodes every key; only
 // compression quality is range-tuned). Index entries do have to follow
 // their new owner — ConcurrentShardedIndex::PollMigration
-// (serve/concurrent_index.h) consumes the RebalancePlan and migrates the
-// moved ranges.
+// (serve/concurrent_index.h) diffs its own router against the current
+// one and migrates the moved ranges.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -114,11 +112,12 @@ class RouterVersion {
   std::vector<std::string> boundaries_;
 };
 
-/// The key ranges that change owner between two consecutive router
-/// versions. Produced by ShardedDictionaryManager::RebalanceNow() and
-/// consumed by ConcurrentShardedIndex::PollMigration(), which migrates
-/// the moved entries. Shards not named in any move keep their range (and
-/// their dictionaries and epochs) untouched.
+/// The key ranges that change owner between two router versions, as
+/// computed by DiffRouters(). RebalanceNow() returns the plan of its own
+/// publish; ConcurrentShardedIndex::PollMigration() diffs the index's
+/// router against the manager's current one, however many versions
+/// apart, and migrates the moved entries. Shards not named in any move
+/// keep their range (and their dictionaries and epochs) untouched.
 struct RebalancePlan {
   struct Move {
     size_t from_shard = 0;
@@ -145,8 +144,9 @@ std::vector<std::string> DeriveWeightedBoundaries(
     std::vector<std::pair<std::string, double>> weighted, size_t num_ranges);
 
 /// Diffs two routers into the elementary key ranges whose owner changes
-/// (ranges between consecutive merged boundaries, ascending). Exposed
-/// for tests.
+/// (ranges between consecutive merged boundaries, ascending). Any two
+/// versions work, so an index several publishes behind catches up with
+/// one plan.
 RebalancePlan DiffRouters(std::shared_ptr<const RouterVersion> from,
                           std::shared_ptr<const RouterVersion> to);
 
@@ -215,8 +215,8 @@ class ShardedDictionaryManager {
   ShardedDictionaryManager& operator=(const ShardedDictionaryManager&) = delete;
 
   /// Retires the final router version and drains the reclaimer, so
-  /// destruction waits out in-flight Route() readers. Registered
-  /// indexes must deregister first (they must not outlive the manager).
+  /// destruction waits out in-flight Route() readers. Indexes must be
+  /// destroyed first (they must not outlive the manager).
   ~ShardedDictionaryManager();
 
   /// Shared-ownership snapshot of the current router version (immutable;
@@ -301,48 +301,6 @@ class ShardedDictionaryManager {
   std::shared_ptr<const RebalancePlan> RebalanceNow(bool force = false)
       HOPE_EXCLUDES(rebalance_mu_);
 
-  /// A registered index's pin on the plan history: plans taking the
-  /// router from `router->version()` onward are retained until the index
-  /// advances (UpdateIndexVersion) or deregisters. `router` is the
-  /// version current at registration, captured under the same lock so no
-  /// plan can be published-and-pruned between the two.
-  struct IndexRegistration {
-    uint64_t id = 0;
-    std::shared_ptr<const RouterVersion> router;
-  };
-
-  /// Registers a consumer of the plan history (a ConcurrentShardedIndex),
-  /// pinned at the current router version.
-  IndexRegistration RegisterIndex();
-
-  /// Records that index `id` has applied every plan up to `version`
-  /// (its router snapshot's version). Plans no index still needs are
-  /// pruned.
-  void UpdateIndexVersion(uint64_t id, uint64_t version);
-
-  /// Drops the pin. Unknown ids are ignored.
-  void DeregisterIndex(uint64_t id);
-
-  /// Plans published after router version `since_version`, oldest first
-  /// (the plan at history index k takes version k to k+1, so an index at
-  /// version v applies PlansSince(v) in order to catch up).
-  /// `since_version` must not predate the pruned history floor (a
-  /// HOPE_CHECK): replaying from such a gap would mis-route every key
-  /// whose move was in a pruned plan. A registered index never asks
-  /// below its own pin, and pruning never passes a pin.
-  std::vector<std::shared_ptr<const RebalancePlan>> PlansSince(
-      uint64_t since_version) const;
-
-  /// Currently retained plans (bounded by the laggiest registered
-  /// index, not by manager lifetime).
-  size_t plans_retained() const HOPE_EXCLUDES(rebalance_mu_) {
-    MutexLock lock(rebalance_mu_);
-    return plans_.size();
-  }
-
-  /// Plans dropped by pruning since construction.
-  uint64_t plans_pruned() const { return plans_pruned_.load(); }
-
   /// Grace periods for superseded RouterVersions (retired/reclaimed
   /// counters; TryReclaim for idle-period polling).
   ebr::EpochReclaimer& reclaimer() const { return reclaimer_; }
@@ -372,9 +330,6 @@ class ShardedDictionaryManager {
   std::shared_ptr<const RebalancePlan> RebalanceLocked()
       HOPE_REQUIRES(rebalance_mu_);
   double WeightImbalanceLocked() const HOPE_REQUIRES(rebalance_mu_);
-  /// Drops plans below the minimum version any registered index still
-  /// needs (or below the current version when none is registered).
-  void PrunePlansLocked() HOPE_REQUIRES(rebalance_mu_);
 
   const Options options_;
   /// Grace periods for router_ptr_'s pointees (mutable: read guards pin
@@ -387,10 +342,10 @@ class ShardedDictionaryManager {
   HOPE_EBR_PUBLISHED std::atomic<const RouterVersion*> router_ptr_;
   std::vector<std::unique_ptr<DictionaryManager>> shards_;
 
-  mutable Mutex rebalance_mu_;  ///< router, weights, plans, Rebalance
+  mutable Mutex rebalance_mu_;  ///< router, weights, Rebalance
   /// The current router version (the only one the manager itself owns;
-  /// superseded versions live on exactly as long as plans or index
-  /// snapshots reference them, plus the EBR grace period).
+  /// superseded versions live on exactly as long as callers' plans or
+  /// index snapshots reference them, plus the EBR grace period).
   std::shared_ptr<const RouterVersion> current_router_
       HOPE_GUARDED_BY(rebalance_mu_);
   /// EWMA traffic shares.
@@ -403,18 +358,6 @@ class ShardedDictionaryManager {
       HOPE_GUARDED_BY(rebalance_mu_);
   /// Consecutive skewed polls so far (see kRebalanceConsecutivePolls).
   uint32_t rebalance_streak_ HOPE_GUARDED_BY(rebalance_mu_) = 0;
-  /// Retained plan history, oldest first: plans_[k] takes router version
-  /// plans_base_ + k to plans_base_ + k + 1. Pruned against the
-  /// registered-index pins, so it is bounded by the laggiest consumer.
-  std::deque<std::shared_ptr<const RebalancePlan>> plans_
-      HOPE_GUARDED_BY(rebalance_mu_);
-  /// Version plans_.front() starts from.
-  uint64_t plans_base_ HOPE_GUARDED_BY(rebalance_mu_) = 0;
-  /// Registered plan consumers: id -> last applied router version.
-  std::unordered_map<uint64_t, uint64_t> index_versions_
-      HOPE_GUARDED_BY(rebalance_mu_);
-  uint64_t next_index_id_ HOPE_GUARDED_BY(rebalance_mu_) = 1;
-  std::atomic<uint64_t> plans_pruned_{0};
   std::atomic<uint64_t> rebalances_{0};
   std::atomic<uint64_t> rebalance_noops_{0};
 

@@ -60,9 +60,11 @@
 //
 // Plans are applied only by PollMigration() (a maintenance loop runs
 // `while (!MigrationIdle()) PollMigration();`) and Scan(); point
-// operations never migrate. Registration pins the manager's plan
-// history at this index's router version, so every plan is applied in
-// order and none is ever skipped. The manager must outlive the index.
+// operations never migrate. The index catches up by diffing its own
+// router against the manager's current one (DiffRouters), one plan per
+// catch-up however many versions behind it is, so each entry moves at
+// most once and only if its owner really changed. The manager must
+// outlive the index.
 #pragma once
 
 #include <atomic>
@@ -86,13 +88,10 @@ namespace hope::serve {
 template <typename Tree>
 class ConcurrentShardedIndex {
  public:
-  /// `manager` must outlive the index. Registers as a plan consumer so
-  /// unapplied history is never pruned; adopts the current router.
+  /// `manager` must outlive the index. Adopts the current router.
   explicit ConcurrentShardedIndex(dynamic::ShardedDictionaryManager* manager)
       : manager_(manager) {
-    auto reg = manager->RegisterIndex();
-    registration_id_ = reg.id;
-    router_ = std::move(reg.router);
+    router_ = manager->router();
     router_ptr_.store(router_.get(), std::memory_order_seq_cst);
     shards_.reserve(manager->num_shards());
     for (size_t i = 0; i < manager->num_shards(); i++)
@@ -100,7 +99,6 @@ class ConcurrentShardedIndex {
   }
 
   ~ConcurrentShardedIndex() {
-    manager_->DeregisterIndex(registration_id_);
     // Straggler readers pinned before destruction may still hold the
     // raw router/plan pointers; route the final references through the
     // reclaimer so they outlive any such pin (the manager's contract).
@@ -211,11 +209,12 @@ class ConcurrentShardedIndex {
     return produced;
   }
 
-  /// Applies pending rebalance plans in batches of at most `max_keys`
-  /// keys, off the serving path (a maintenance thread loops this).
-  /// Bounded work per call: readers double-route and writers re-route
-  /// while a plan is mid-flight, so there is no hurry. Returns entries
-  /// moved this call (0 also while another poller holds the lock).
+  /// Catches up with the manager's router in batches of at most
+  /// `max_keys` keys, off the serving path (a maintenance thread loops
+  /// this). Bounded work per call: readers double-route and writers
+  /// re-route while a plan is mid-flight, so there is no hurry. Returns
+  /// entries moved this call (0 also while another poller holds the
+  /// lock).
   size_t PollMigration(size_t max_keys = 512)
       HOPE_EXCLUDES(migration_mu_) {
     if (!migration_mu_.TryLock()) return 0;
@@ -225,7 +224,8 @@ class ConcurrentShardedIndex {
     return moved;
   }
 
-  /// True when every published plan has been fully applied here.
+  /// True when no plan is in flight and the index routes by the
+  /// manager's current router.
   bool MigrationIdle() const HOPE_EXCLUDES(migration_mu_) {
     MutexLock mlk(migration_mu_);
     return !mig_.plan &&
@@ -377,7 +377,6 @@ class ConcurrentShardedIndex {
         [keep = std::move(mig_.plan)]() mutable { keep.reset(); });
     mig_ = MigrationState{};
     plans_applied_.fetch_add(1, std::memory_order_relaxed);
-    manager_->UpdateIndexVersion(registration_id_, router_->version());
     migration_seq_.fetch_add(1, std::memory_order_seq_cst);
     if (telemetry::TraceLog* t = trace_.load(std::memory_order_relaxed))
       t->Record(telemetry::TraceEventType::kPlanRetired, -1,
@@ -450,27 +449,21 @@ class ConcurrentShardedIndex {
     while (budget > 0) {
       if (!mig_.plan) {
         if (router_->version() == manager_->router_version()) break;
-        auto plans = manager_->PlansSince(router_->version());
-        if (plans.empty()) break;
-        BeginPlanLocked(std::move(plans[0]));
+        BeginPlanLocked(std::make_shared<const dynamic::RebalancePlan>(
+            dynamic::DiffRouters(router_, manager_->router())));
       }
       moved += StepLocked(&budget);
     }
     return moved;
   }
 
-  /// Completes every pending plan (Scan's barrier). Each iteration
-  /// strictly advances the router version (or finishes the in-flight
-  /// plan), so this terminates even while the manager keeps publishing.
+  /// Completes the in-flight plan and catches up to the manager's
+  /// router (Scan's barrier). Each iteration finishes a plan that takes
+  /// the router to the version current when it began, so this terminates
+  /// unless the manager publishes faster than a plan completes.
   void ApplyAllLocked() HOPE_REQUIRES(migration_mu_) {
-    while (mig_.plan || router_->version() != manager_->router_version()) {
-      const uint64_t before = router_->version();
-      const bool had_plan = mig_.plan != nullptr;
+    while (mig_.plan || router_->version() != manager_->router_version())
       PollLocked(~size_t{0} >> 1);
-      if (!mig_.plan && !had_plan && router_->version() == before)
-        break;  // no progress possible (defensive; contract makes this
-                // unreachable)
-    }
   }
 
   /// Idle maintenance: drain multi-generation shards (dictionary
@@ -487,7 +480,6 @@ class ConcurrentShardedIndex {
   }
 
   dynamic::ShardedDictionaryManager* manager_;
-  uint64_t registration_id_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Reader-visible routing state: raw pointers published seq_cst,

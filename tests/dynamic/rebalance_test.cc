@@ -263,12 +263,6 @@ TEST(ShardedManagerRebalanceTest, ForcedRebalanceRederivesBoundaries) {
   auto before = mgr.router();
   EXPECT_EQ(before->version(), 0u);
 
-  // Pin the plan history at v0 the way a lagging index would; without
-  // any registered consumer the publish would prune its own plan
-  // immediately.
-  auto reg = mgr.RegisterIndex();
-  EXPECT_EQ(reg.router->version(), 0u);
-
   // Hot traffic confined to the top quarter; the reservoirs of the cold
   // shards stay empty, so the re-derived boundaries live inside the hot
   // range.
@@ -289,21 +283,6 @@ TEST(ShardedManagerRebalanceTest, ForcedRebalanceRederivesBoundaries) {
   // Shards kept their dictionaries: no epoch moved.
   for (size_t s = 0; s < mgr.num_shards(); s++)
     EXPECT_EQ(mgr.shard(s).epoch(), 0u) << s;
-
-  // The plan history replays for the registered consumer still at v0.
-  auto plans = mgr.PlansSince(0);
-  ASSERT_EQ(plans.size(), 1u);
-  EXPECT_EQ(plans[0], plan);
-  EXPECT_TRUE(mgr.PlansSince(1).empty());
-
-  // Advancing the consumer releases the pin: the plan is pruned (asking
-  // below the new floor fails a check; see
-  // ConcurrentIndexDeathTest.PlansSinceBelowPrunedFloorFailsCheck).
-  mgr.UpdateIndexVersion(reg.id, 1);
-  EXPECT_EQ(mgr.plans_retained(), 0u);
-  EXPECT_EQ(mgr.plans_pruned(), 1u);
-  EXPECT_TRUE(mgr.PlansSince(1).empty());
-  mgr.DeregisterIndex(reg.id);
 
   // Weights reset to balanced after the publish (hysteresis baseline).
   EXPECT_DOUBLE_EQ(mgr.WeightImbalance(), 1.0);

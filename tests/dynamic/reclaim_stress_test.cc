@@ -4,7 +4,7 @@
 // RouterVersion and RebalancePlan retained for the manager's lifetime),
 // these stress runs drive >= 1000 publish / rebalance cycles with
 // readers spinning and assert — via the reclaimer's retired/reclaimed
-// counters and the plan-history length — that live garbage stays flat.
+// counters — that live garbage stays flat.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,11 +93,10 @@ TEST(ReclaimStressTest, ThousandPublishesKeepLiveVersionsBounded) {
   EXPECT_EQ(mgr.reclaimer().reclaimed(), kPublishes);
 }
 
-// 1000 forced rebalances with a registered index that applies each plan
-// as it lands, and spinning Route() readers: superseded RouterVersions
-// and completed plans are retired and freed, and the plan history
-// hovers at <= 2 entries instead of accumulating 1000 plans.
-TEST(ReclaimStressTest, ThousandRebalancesKeepRoutersAndPlansBounded) {
+// 1000 forced rebalances with an index that applies each plan as it
+// lands, and spinning Route() readers: superseded RouterVersions and
+// completed plans are retired and freed instead of accumulating.
+TEST(ReclaimStressTest, ThousandRebalancesKeepRoutersBounded) {
   auto set_a = PrefixedKeys('a', 64);
   auto set_b = PrefixedKeys('b', 64);
 
@@ -127,7 +126,7 @@ TEST(ReclaimStressTest, ThousandRebalancesKeepRoutersAndPlansBounded) {
 
   constexpr uint64_t kCycles = 1000;
   uint64_t published = 0;
-  uint64_t max_pending = 0, max_plans = 0;
+  uint64_t max_pending = 0;
   for (uint64_t c = 0; c < kCycles; c++) {
     // Alternating reservoir contents flip the derived boundary between
     // the two key families, so every forced cycle publishes a plan.
@@ -137,11 +136,9 @@ TEST(ReclaimStressTest, ThousandRebalancesKeepRoutersAndPlansBounded) {
     auto plan = mgr.RebalanceNow(/*force=*/true);
     ASSERT_NE(plan, nullptr) << "cycle " << c;
     published++;
-    // Apply + release the plan pin, as a serving maintenance loop does.
+    // Catch up, as a serving maintenance loop does.
     while (!index.MigrationIdle()) index.PollMigration();
     max_pending = std::max(max_pending, mgr.reclaimer().pending());
-    max_plans = std::max(max_plans, static_cast<uint64_t>(
-                                        mgr.plans_retained()));
   }
 
   stop.store(true);
@@ -161,12 +158,6 @@ TEST(ReclaimStressTest, ThousandRebalancesKeepRoutersAndPlansBounded) {
   for (int i = 0; i < 10 && mgr.reclaimer().pending() > 0; i++)
     mgr.reclaimer().TryReclaim();
   EXPECT_EQ(mgr.reclaimer().reclaimed(), mgr.reclaimer().retired());
-
-  // Plans: the synced index keeps the history at a couple of entries;
-  // 1000 cycles pruned ~1000 plans instead of retaining them.
-  EXPECT_LE(max_plans, 2u);
-  EXPECT_EQ(mgr.plans_retained(), 0u);
-  EXPECT_EQ(mgr.plans_pruned(), kCycles);
 
   // All entries still resolve after 1000 migration-bearing plans.
   for (size_t i = 0; i < 20; i++) {

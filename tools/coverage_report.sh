@@ -35,7 +35,23 @@ gated=(
   "src/btree/btree.cc"
 )
 
+# Absolute: the paths below are used after the cd.
+build_dir="$(cd "$build_dir" && pwd)" || exit 2
 cd "$build_dir" || exit 2
+
+# Runs the suite to produce profiles, keeping its output in
+# coverage-ctest.log. On failure the failing tests' output and the
+# summary go to stderr before exit 2, so a failure that does not recur
+# on rerun is still on record.
+ctest_log="$build_dir/coverage-ctest.log"
+run_ctest() {
+  ctest --output-on-failure -j "$(nproc)" >"$ctest_log" 2>&1 && return 0
+  echo "coverage_report: ctest failed (full log: $ctest_log)" >&2
+  awk '/^ *[0-9]+\/[0-9]+ Test +#[0-9]+:/ { show = ($0 !~ / Passed +[0-9.]+ sec$/) }
+       /^[0-9]+% tests passed/ { show = 1 }
+       show' "$ctest_log" >&2
+  exit 2
+}
 
 compiler_is_clang=0
 if grep -qs "CMAKE_CXX_COMPILER_ID:INTERNAL=Clang" CMakeCache.txt ||
@@ -49,8 +65,7 @@ if [[ "$compiler_is_clang" -eq 1 ]]; then
   command -v llvm-cov >/dev/null || { echo "llvm-cov missing" >&2; exit 2; }
   export LLVM_PROFILE_FILE="$build_dir/profiles/%p-%m.profraw"
   mkdir -p "$build_dir/profiles"
-  ctest --output-on-failure -j "$(nproc)" >/dev/null || {
-    echo "coverage_report: ctest failed" >&2; exit 2; }
+  run_ctest
   llvm-profdata merge -sparse "$build_dir"/profiles/*.profraw \
     -o "$build_dir/coverage.profdata" || exit 2
   # Any instrumented test binary maps the library code; use them all as
@@ -68,8 +83,7 @@ if [[ "$compiler_is_clang" -eq 1 ]]; then
     "${gated[@]}"
 else
   command -v gcov >/dev/null || { echo "gcov missing" >&2; exit 2; }
-  ctest --output-on-failure -j "$(nproc)" >/dev/null || {
-    echo "coverage_report: ctest failed" >&2; exit 2; }
+  run_ctest
   # gcov --json-format drops one .gcov.json.gz per source next to cwd;
   # collect them in a scratch dir.
   scratch="$build_dir/gcov-json"
