@@ -116,11 +116,7 @@ void RunGlobalDrift() {
     }
 
     double static_cpr = MeasureCpr(*static_dict, keys);
-    // Measure through an observer-free clone of the live version: probing
-    // the managed encoder directly would feed the collector and let the
-    // measurement itself trigger rebuilds.
-    auto managed_clone = mgr.Acquire().hope->Clone();
-    double managed_cpr = MeasureCpr(*managed_clone, keys);
+    double managed_cpr = MeasureCpr(*mgr.Acquire().hope, keys);
     std::printf("  %-6zu %6.0f%% %12.3f %12.3f %8llu %9llu\n", p,
                 100 * drift.MixFraction(p), static_cpr, managed_cpr,
                 static_cast<unsigned long long>(mgr.epoch()),
@@ -140,8 +136,7 @@ void RunGlobalDrift() {
   // is managed > static here.
   auto final_keys = drift.Phase(drift.num_phases() - 1);
   double static_final = MeasureCpr(*static_dict, final_keys);
-  auto final_clone = mgr.Acquire().hope->Clone();
-  double managed_final = MeasureCpr(*final_clone, final_keys);
+  double managed_final = MeasureCpr(*mgr.Acquire().hope, final_keys);
   size_t migrated = index.MigrateAll();
   std::printf("\n  final distribution: static %.3fx vs managed %.3fx "
               "(%+.1f%%), %llu swaps\n",
@@ -244,8 +239,7 @@ void RunLocalizedDrift() {
       if (!index.Lookup(keys[i], &v)) index_wrong++;
     }
 
-    auto global_clone = global.Acquire().hope->Clone();
-    double global_cpr = MeasureCpr(*global_clone, keys);
+    double global_cpr = MeasureCpr(*global.Acquire().hope, keys);
     double sharded_cpr = MeasureShardedCpr(sharded, keys);
     auto epochs = sharded.Epochs();
     std::printf("  %-6zu %6.0f%% %12.3f %12.3f %8llu %12s\n", p,
@@ -264,8 +258,7 @@ void RunLocalizedDrift() {
         .Str("shard_epochs", EpochsString(epochs));
   }
   auto final_keys = phase_stream(drift.num_phases() - 1);
-  auto global_clone = global.Acquire().hope->Clone();
-  double global_final = MeasureCpr(*global_clone, final_keys);
+  double global_final = MeasureCpr(*global.Acquire().hope, final_keys);
   double sharded_final = MeasureShardedCpr(sharded, final_keys);
   auto epochs = sharded.Epochs();
   uint64_t max_other_epoch = 0;

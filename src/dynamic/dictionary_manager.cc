@@ -1,6 +1,7 @@
 #include "dynamic/dictionary_manager.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -40,6 +41,17 @@ int64_t SteadyNowNs() {
       .count();
 }
 
+/// `now_ns` plus `seconds` (>= 0, not NaN), saturating at the clock's
+/// maximum: casting a double past INT64_MAX to int64_t is undefined (on
+/// x86-64 it yields INT64_MIN, which would turn a huge backoff into none).
+int64_t DeadlineNs(int64_t now_ns, double seconds) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const double ns = seconds * 1e9;
+  return ns < static_cast<double>(kMax - now_ns)
+             ? now_ns + static_cast<int64_t>(ns)
+             : kMax;
+}
+
 }  // namespace
 
 const char* DictionaryManager::RebuildResultName(RebuildResult r) {
@@ -69,19 +81,18 @@ DictionaryManager::DictionaryManager(
                                  ? -1.0
                                  : std::min(o.rebuild_cpr_drop, kMaxCprDrop);
         o.rebuild_min_fill = std::max<size_t>(o.rebuild_min_fill, 1);
+        if (!(o.rebuild_backoff_seconds > 0)) o.rebuild_backoff_seconds = 0;
         return o;
       }()),
-      collector_(std::make_shared<EncodeStatsCollector>(options.stats)) {
+      collector_(options.stats) {
   if (!initial) throw std::invalid_argument("initial dictionary is null");
-  // Measure the baseline before the observer is attached so the
-  // measurement itself does not feed the stats.
   double baseline = 0;
   if (!baseline_keys.empty()) {
     baseline = MeanKeyCpr(*initial, baseline_keys);
     baseline_cpr_.store(baseline);
   }
-  collector_->MarkRebuild(baseline);
-  current_.store(new Version{0, WrapVersion(std::move(initial))},
+  collector_.MarkRebuild(baseline);
+  current_.store(new Version{0, std::move(initial)},
                  std::memory_order_seq_cst);
 }
 
@@ -105,16 +116,6 @@ DictionaryManager::~DictionaryManager() {
   reclaimer_.Drain();
 }
 
-std::shared_ptr<const Hope> DictionaryManager::WrapVersion(
-    std::unique_ptr<Hope> hope) {
-  hope->SetEncodeObserver(collector_.get());
-  // The deleter captures the collector so any outstanding snapshot keeps
-  // the observer alive even after the manager is destroyed.
-  return std::shared_ptr<const Hope>(
-      hope.release(),
-      [keep = collector_](const Hope* p) { delete p; });
-}
-
 DictSnapshot DictionaryManager::Acquire() const {
   // The guard pins the epoch across the raw load AND the shared_ptr
   // copy: the Version cannot be freed until the guard exits, and the
@@ -126,8 +127,8 @@ DictSnapshot DictionaryManager::Acquire() const {
 
 bool DictionaryManager::ShouldRebuild() const {
   if (options_.rebuild_cpr_drop < 0 || InBackoff()) return false;
-  if (collector_->ReservoirFill() < options_.rebuild_min_fill) return false;
-  const double ewma = collector_->EwmaCompressionRate();
+  if (collector_.ReservoirFill() < options_.rebuild_min_fill) return false;
+  const double ewma = collector_.EwmaCompressionRate();
   const double baseline = baseline_cpr_.load();
   return ewma > 0 && baseline > 0 &&
          ewma < baseline * (1.0 - options_.rebuild_cpr_drop);
@@ -145,8 +146,7 @@ DictionaryManager::RebuildResult DictionaryManager::RebuildNow(bool force) {
   auto reject = [&, this](RebuildResult r) {
     rejected_.fetch_add(1);
     backoff_until_ns_.store(
-        SteadyNowNs() +
-            static_cast<int64_t>(options_.rebuild_backoff_seconds * 1e9),
+        DeadlineNs(SteadyNowNs(), options_.rebuild_backoff_seconds),
         std::memory_order_relaxed);
     if (trace != nullptr)
       trace->Record(telemetry::TraceEventType::kRebuildReject, shard,
@@ -154,7 +154,7 @@ DictionaryManager::RebuildResult DictionaryManager::RebuildNow(bool force) {
     return r;
   };
 
-  std::vector<std::string> corpus = collector_->ReservoirSnapshot();
+  std::vector<std::string> corpus = collector_.ReservoirSnapshot();
   if (corpus.size() < kMinRebuildCorpus)
     return RebuildResult::kInsufficientData;
 
@@ -183,10 +183,9 @@ DictionaryManager::RebuildResult DictionaryManager::RebuildNow(bool force) {
 
   // The EWMA approximates the live dictionary's mean per-key CPR on
   // recent keys, so the candidate is gated on the same statistic over the
-  // reservoir (measuring the live dictionary directly would feed the
-  // observer and pollute the very stats being compared).
+  // reservoir.
   double candidate_cpr = MeanKeyCpr(*candidate, corpus);
-  double live_cpr = collector_->EwmaCompressionRate();
+  double live_cpr = collector_.EwmaCompressionRate();
   if (options_.min_cpr_gain >= 0 && live_cpr > 0 &&
       candidate_cpr < live_cpr * (1.0 + options_.min_cpr_gain))
     return reject(RebuildResult::kRejectedNoGain);
@@ -203,7 +202,7 @@ uint64_t DictionaryManager::Publish(
     const std::vector<std::string>* baseline_keys) {
   MutexLock lock(rebuild_mu_);
   std::vector<std::string> corpus =
-      baseline_keys ? *baseline_keys : collector_->ReservoirSnapshot();
+      baseline_keys ? *baseline_keys : collector_.ReservoirSnapshot();
   // With no traffic observed yet there is nothing to measure the
   // candidate on; carry the previous baseline forward rather than storing
   // 0, which would unseed the EWMA and permanently disable the
@@ -223,11 +222,11 @@ uint64_t DictionaryManager::PublishLocked(std::unique_ptr<Hope> candidate,
   uint64_t epoch =
       current_.load(std::memory_order_relaxed)->epoch + 1;
   const Version* old = current_.exchange(
-      new Version{epoch, WrapVersion(std::move(candidate))},
+      new Version{epoch, std::move(candidate)},
       std::memory_order_seq_cst);
   reclaimer_.RetireDelete(old);
   baseline_cpr_.store(fresh_cpr);
-  collector_->MarkRebuild(fresh_cpr);
+  collector_.MarkRebuild(fresh_cpr);
   published_.fetch_add(1);
   return epoch;
 }

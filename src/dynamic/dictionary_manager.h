@@ -3,16 +3,17 @@
 // drifts away from the build sample.
 //
 //   readers ──Acquire()──► {epoch, shared_ptr<const Hope>}   (lock-free)
-//   encodes ──observer──► EncodeStatsCollector (reservoir + CPR EWMA)
+//   served encodes ──OnEncode()──► EncodeStatsCollector (reservoir + EWMA)
 //   CPR-drop trigger ──ShouldRebuild()──► BackgroundRebuilder ──RebuildNow()
 //   candidate Hope ──validate──► Publish() ──► new epoch, old versions
 //                                              live until last reader drops
 //
 // A snapshot stays valid for as long as the caller holds it — even past
-// the manager's destruction: versions are immutable and reference-counted
-// (each one also pins the stats collector its observer hook points at),
-// so a reader that acquired epoch N can keep encoding/decoding with it
-// while epoch N+1 (or N+5) is live.
+// the manager's destruction: versions are immutable, reference-counted
+// and hold no pointer back into the manager, so a reader that acquired
+// epoch N can keep encoding/decoding with it while epoch N+1 (or N+5) is
+// live. Encoding through a snapshot is a plain encode: only
+// Encode() here and VersionedIndex's served encodes feed the collector.
 //
 // The current version is published through a plain atomic<const
 // Version*> protected by epoch-based reclamation (common/epoch_reclaim
@@ -63,7 +64,9 @@ class DictionaryManager {
     /// After a rejected candidate, suppress triggered rebuilds for this
     /// long: when traffic is intrinsically less compressible the trigger
     /// condition persists, and without backoff the background worker
-    /// would repeat the full build+validate cycle every poll.
+    /// would repeat the full build+validate cycle every poll. NaN or
+    /// negative clamp to 0; a deadline past the clock's range saturates
+    /// (never expires).
     double rebuild_backoff_seconds = 5.0;
     /// The rebuild trigger: fire once the EWMA compression rate falls
     /// more than this fraction below the published baseline (0.05 = 5%
@@ -86,11 +89,10 @@ class DictionaryManager {
   };
   static const char* RebuildResultName(RebuildResult r);
 
-  /// Takes ownership of the initial dictionary (epoch 0) and attaches the
-  /// stats collector to its encode path. `baseline_keys` (typically the
-  /// build sample) seeds the baseline compression rate the CPR-drop
-  /// trigger compares against; without it the baseline stays unknown
-  /// until the first publish.
+  /// Takes ownership of the initial dictionary (epoch 0). `baseline_keys`
+  /// (typically the build sample) seeds the baseline compression rate the
+  /// CPR-drop trigger compares against; without it the baseline stays
+  /// unknown until the first publish.
   DictionaryManager(std::unique_ptr<Hope> initial, Options options,
                     const std::vector<std::string>& baseline_keys = {});
 
@@ -115,14 +117,19 @@ class DictionaryManager {
     return current_.load(std::memory_order_seq_cst)->epoch;
   }
 
-  /// Convenience: encode through the current version (feeds the stats
-  /// collector via the observer hook).
+  /// Serving encode through the current version; feeds the stats
+  /// collector. Encodes that are not real requests go through a
+  /// snapshot's Hope instead.
   std::string Encode(std::string_view key, size_t* bit_len = nullptr) const {
-    return Acquire().hope->Encode(key, bit_len);
+    size_t bits = 0;
+    std::string enc = Acquire().hope->Encode(key, &bits);
+    collector_.OnEncode(key, bits);
+    if (bit_len) *bit_len = bits;
+    return enc;
   }
 
-  EncodeStatsCollector& stats() { return *collector_; }
-  const EncodeStatsCollector& stats() const { return *collector_; }
+  EncodeStatsCollector& stats() { return collector_; }
+  const EncodeStatsCollector& stats() const { return collector_; }
 
   /// True while a rejected candidate's backoff window is active; rebuild
   /// attempts are suppressed (pollers should stop nudging).
@@ -141,10 +148,10 @@ class DictionaryManager {
   RebuildResult RebuildNow(bool force = false) HOPE_EXCLUDES(rebuild_mu_);
 
   /// Installs an externally built candidate unconditionally (validation
-  /// belongs to the RebuildNow path), attaching the stats collector and
-  /// bumping the epoch. Returns the new epoch. The fresh baseline CPR is
-  /// measured on `baseline_keys` when given (e.g. the corpus the caller
-  /// built the candidate from), else on the reservoir.
+  /// belongs to the RebuildNow path), bumping the epoch. Returns the new
+  /// epoch. The fresh baseline CPR is measured on `baseline_keys` when
+  /// given (e.g. the corpus the caller built the candidate from), else on
+  /// the reservoir.
   uint64_t Publish(std::unique_ptr<Hope> candidate,
                    const std::vector<std::string>* baseline_keys = nullptr)
       HOPE_EXCLUDES(rebuild_mu_);
@@ -179,13 +186,9 @@ class DictionaryManager {
   uint64_t PublishLocked(std::unique_ptr<Hope> candidate, double fresh_cpr)
       HOPE_REQUIRES(rebuild_mu_);
 
-  /// Attaches the collector as the observer and returns a shared_ptr
-  /// whose deleter also pins the collector, so a snapshot that outlives
-  /// the manager never encodes through a dangling observer.
-  std::shared_ptr<const Hope> WrapVersion(std::unique_ptr<Hope> hope);
-
   const Options options_;
-  std::shared_ptr<EncodeStatsCollector> collector_;
+  /// Thread-safe; mutable so the const serving Encode() can feed it.
+  mutable EncodeStatsCollector collector_;
 
   /// Grace periods for current_'s pointees (mutable: pinning a read
   /// guard mutates reclaimer state even on const paths).

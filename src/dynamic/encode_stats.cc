@@ -10,7 +10,10 @@ EncodeStatsCollector::EncodeStatsCollector(Options options)
         Options o = options;
         o.reservoir_size = std::max<size_t>(1, o.reservoir_size);
         o.sample_every = std::max<size_t>(1, o.sample_every);
-        o.ewma_alpha = std::clamp(o.ewma_alpha, 1e-6, 1.0);
+        // NaN fails every comparison, so `!(x >= lo)` sends it to the
+        // floor (std::clamp would pass it through and poison the EWMA).
+        o.ewma_alpha =
+            !(o.ewma_alpha >= 1e-6) ? 1e-6 : std::min(o.ewma_alpha, 1.0);
         if (std::isnan(o.reservoir_halflife) || o.reservoir_halflife < 0)
           o.reservoir_halflife = 0;
         return o;

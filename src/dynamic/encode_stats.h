@@ -1,8 +1,9 @@
 // Encode-path statistics for the dynamic dictionary manager: a sampled
 // reservoir of recently encoded keys (the rebuild corpus) and an EWMA of
-// the per-key compression rate (the staleness signal). Attached to every
-// published Hope version through the EncodeObserver hook, so readers feed
-// it for free as they encode.
+// the per-key compression rate (the staleness signal). Fed only by the
+// callers that know an encode serves a real request —
+// DictionaryManager::Encode and VersionedIndex's newest-generation
+// encode — so maintenance and measurement encodes never reach it.
 //
 // Hot-path cost is kept low by observing only every `sample_every`-th
 // encode; the sampled updates take one mutex. All methods are
@@ -18,7 +19,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "hope/encoder.h"
 
 namespace hope::dynamic {
 
@@ -34,12 +34,14 @@ inline double PerKeyCpr(size_t key_size, size_t bit_len) {
                            static_cast<double>(padded);
 }
 
-class EncodeStatsCollector : public EncodeObserver {
+class EncodeStatsCollector {
  public:
   struct Options {
     size_t reservoir_size = 4096;  ///< keys retained for rebuilds
     size_t sample_every = 8;       ///< observe every k-th encode (>= 1)
-    double ewma_alpha = 0.02;      ///< weight of each observed key's CPR
+    /// Weight of each observed key's CPR; clamps to [1e-6, 1] (NaN to
+    /// 1e-6).
+    double ewma_alpha = 0.02;
     /// 0 (default): uniform reservoir sampling (Vitter's Algorithm R)
     /// over the stream since the last swap. > 0: recency-biased
     /// sampling — once the reservoir is full, each sampled key replaces
@@ -57,10 +59,10 @@ class EncodeStatsCollector : public EncodeObserver {
   EncodeStatsCollector() : EncodeStatsCollector(Options{}) {}
   explicit EncodeStatsCollector(Options options);
 
-  /// EncodeObserver: records the key into the reservoir (Vitter's
-  /// algorithm R over the sampled stream) and folds its compression rate
-  /// into the EWMA.
-  void OnEncode(std::string_view key, size_t bit_len) override;
+  /// Records one served encode of `key` to `bit_len` bits: samples the
+  /// key into the reservoir (Vitter's algorithm R over the sampled
+  /// stream) and folds its compression rate into the EWMA.
+  void OnEncode(std::string_view key, size_t bit_len);
 
   /// EWMA of original bytes / byte-padded encoded bytes. Returns 0 until
   /// the first sampled key.

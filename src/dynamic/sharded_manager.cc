@@ -107,9 +107,11 @@ ShardedDictionaryManager::ShardedDictionaryManager(
     const std::vector<std::string>& sample, Options options)
     : options_([&] {
         Options o = options;
-        o.traffic_ewma_alpha = std::clamp(o.traffic_ewma_alpha, 1e-6, 1.0);
+        // NaN fails every comparison, so the `!(x >= lo)` and `!(x > 0)`
+        // forms catch it (std::clamp would pass NaN through).
+        double& alpha = o.traffic_ewma_alpha;
+        alpha = !(alpha >= 1e-6) ? 1e-6 : std::min(alpha, 1.0);
         o.min_rebalance_corpus = std::max<size_t>(o.min_rebalance_corpus, 2);
-        // NaN fails every comparison, so the `!(x > 0)` forms catch it.
         double& ratio = o.rebalance_trigger_ratio;
         ratio = !(ratio > 0) ? 0.0 : std::max(ratio, 1.0);
         o.rebalance_min_keys = std::max<uint64_t>(o.rebalance_min_keys, 1);

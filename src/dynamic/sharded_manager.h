@@ -178,7 +178,8 @@ class ShardedDictionaryManager {
     /// would overfit); its baseline still comes from its own partition.
     size_t min_shard_sample = 64;
     /// Weight of each PollRebalance() traffic observation when folding
-    /// per-shard encode-count shares into the EWMA weights.
+    /// per-shard encode-count shares into the EWMA weights; clamps to
+    /// [1e-6, 1] (NaN to 1e-6).
     double traffic_ewma_alpha = 0.3;
     /// RebalanceNow() refuses to re-derive boundaries from fewer than
     /// this many reservoir keys (union over shards): a handful of keys

@@ -19,8 +19,15 @@
 // stays concurrent-safe via immutable snapshots). The serving layer
 // (serve/concurrent_index.h) instead wraps each shard's index in a
 // shared_mutex: Peek() is the const read path, safe under a shared lock
-// concurrently with other Peek()s (its lazy probe-encoder build is
-// once_flag-protected); every mutating call requires the exclusive lock.
+// concurrently with other Peek()s; every mutating call requires the
+// exclusive lock.
+//
+// Only the encodes that serve a request — the newest-generation encode of
+// Insert() and Peek(), and a caller's EncodeRequest() — feed the
+// manager's stats collector. Old-generation probes, eviction, migration
+// and log compaction re-encode keys mechanically and feed nothing, so
+// retired dictionaries and synthetic bursts never reach the EWMA or the
+// reservoir.
 //
 // Tree must provide: Insert(string_view, uint64_t),
 // Lookup(string_view, uint64_t*) const, Erase(string_view), size().
@@ -29,7 +36,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -65,9 +71,9 @@ class VersionedIndex {
     // Evict any stale copy so an old generation can never shadow the
     // fresh value after this one migrates or is erased.
     for (size_t g = 0; g + 1 < gens_.size(); g++)
-      gens_[g]->tree.Erase(gens_[g]->ProbeEncode(key));
+      gens_[g]->tree.Erase(gens_[g]->Encode(key));
     Generation& newest = *gens_.back();
-    newest.tree.Insert(newest.Encode(key), value);
+    newest.tree.Insert(EncodeRequest(key), value);
     newest.log.push_back(key);
     CompactLog(newest);
   }
@@ -76,15 +82,14 @@ class VersionedIndex {
   /// migrating hits, adopting epochs, or otherwise mutating the index.
   /// This is the concurrent reader path — safe under a shared lock
   /// alongside other Peek()s. The newest-generation encode is real
-  /// serving traffic and feeds the stats collector (the collector is
-  /// thread-safe); old-generation probes use the observer-free clone.
-  /// Old generations drain via MigrateAll(), not here, so a Peek-only
-  /// workload leaves generation counts unchanged.
+  /// serving traffic and feeds the stats collector; old-generation probes
+  /// do not. Old generations drain via MigrateAll(), not here, so a
+  /// Peek-only workload leaves generation counts unchanged.
   bool Peek(const std::string& key, uint64_t* value) const {
     for (size_t g = gens_.size(); g-- > 0;) {
       const Generation& gen = *gens_[g];
-      std::string enc = g + 1 == gens_.size() ? gen.Encode(key)
-                                              : gen.ProbeEncode(key);
+      std::string enc =
+          g + 1 == gens_.size() ? EncodeRequest(key) : gen.Encode(key);
       uint64_t v = 0;
       if (gen.tree.Lookup(enc, &v)) {
         if (value) *value = v;
@@ -97,7 +102,7 @@ class VersionedIndex {
   bool Erase(const std::string& key) {
     bool erased = false;
     for (auto& gen : gens_)
-      erased |= gen->tree.Erase(gen->ProbeEncode(key));
+      erased |= gen->tree.Erase(gen->Encode(key));
     PruneEmpty();
     return erased;
   }
@@ -112,10 +117,10 @@ class VersionedIndex {
     Refresh();
     for (auto& gen : gens_) {
       uint64_t v = 0;
-      if (gen->tree.Lookup(gen->ProbeEncode(key), &v)) return false;
+      if (gen->tree.Lookup(gen->Encode(key), &v)) return false;
     }
     Generation& newest = *gens_.back();
-    newest.tree.Insert(newest.ProbeEncode(key), value);
+    newest.tree.Insert(newest.Encode(key), value);
     newest.log.push_back(key);
     CompactLog(newest);
     return true;
@@ -143,7 +148,7 @@ class VersionedIndex {
     for (const std::string& key : keys) {
       for (size_t g = gens_.size(); g-- > 0;) {
         Generation& gen = *gens_[g];
-        std::string enc = gen.ProbeEncode(key);
+        std::string enc = gen.Encode(key);
         uint64_t v = 0;
         if (!gen.tree.Lookup(enc, &v)) continue;
         gen.tree.Erase(enc);
@@ -164,14 +169,14 @@ class VersionedIndex {
     for (size_t g = 0; g + 1 < gens_.size(); g++) {
       Generation& gen = *gens_[g];
       for (const std::string& key : gen.log) {
-        std::string enc = gen.ProbeEncode(key);
+        std::string enc = gen.Encode(key);
         uint64_t v = 0;
         // Logged keys may have been erased or already migrated (the log
         // is append-only); only live entries move.
         if (!gen.tree.Lookup(enc, &v)) continue;
         gen.tree.Erase(enc);
         Generation& newest = *gens_.back();
-        newest.tree.Insert(newest.ProbeEncode(key), v);
+        newest.tree.Insert(newest.Encode(key), v);
         newest.log.push_back(key);
         moved++;
       }
@@ -199,35 +204,29 @@ class VersionedIndex {
   /// The newest generation's tree — valid for scans once
   /// NumGenerations() == 1 (call MigrateAll() first).
   const Tree& tree() const { return gens_.back()->tree; }
-  const DictSnapshot& snapshot() const { return gens_.back()->dict; }
+
+  /// Encodes a request's key under the newest generation's dictionary
+  /// and feeds the manager's stats collector: the one serving encode,
+  /// used by Insert(), Peek() and a scan's start key (scan through tree()
+  /// with it). Const; the collector is thread-safe.
+  std::string EncodeRequest(const std::string& key) const {
+    size_t bits = 0;
+    std::string enc = gens_.back()->dict.hope->Encode(key, &bits);
+    manager_->stats().OnEncode(key, bits);
+    return enc;
+  }
 
  private:
   struct Generation {
     explicit Generation(DictSnapshot snapshot) : dict(std::move(snapshot)) {}
 
-    /// Serving encode: goes through the manager-published version, so it
-    /// feeds the stats collector like any other live traffic. Use ONLY
-    /// for encodes that represent a real request (newest-generation
-    /// insert/lookup of the caller's key).
+    /// Maintenance encode under this generation's dictionary; feeds no
+    /// stats (see EncodeRequest for the serving encode).
     std::string Encode(const std::string& key) const {
       return dict.hope->Encode(key);
     }
 
-    /// Maintenance encode: eviction passes, old-generation probes,
-    /// migration and log compaction re-encode keys mechanically; routing
-    /// them through the published version would pollute the EWMA/
-    /// reservoir with retired-dictionary stats and synthetic bursts. The
-    /// observer-free clone is built lazily on first maintenance touch;
-    /// once_flag makes the build safe under concurrent Peek()s (Encode
-    /// itself is const and stateless, so the built clone is shareable).
-    std::string ProbeEncode(const std::string& key) const {
-      std::call_once(probe_once, [this] { probe = dict.hope->Clone(); });
-      return probe->Encode(key);
-    }
-
     DictSnapshot dict;
-    mutable std::once_flag probe_once;
-    mutable std::unique_ptr<Hope> probe;  ///< observer-free clone (lazy)
     Tree tree;
     std::vector<std::string> log;  ///< original keys inserted here
   };
@@ -255,7 +254,7 @@ class VersionedIndex {
       if (!seen.insert(key).second) continue;
       if (key < begin || (end && key >= *end)) continue;
       uint64_t v = 0;
-      if (gen.tree.Lookup(gen.ProbeEncode(key), &v)) live.push_back(key);
+      if (gen.tree.Lookup(gen.Encode(key), &v)) live.push_back(key);
     }
     return live;
   }

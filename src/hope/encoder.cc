@@ -12,7 +12,6 @@ std::string Encoder::Encode(std::string_view key, size_t* bit_len) const {
   dict_->EncodeSpan(key, 0, &writer, nullptr);
   std::string out = writer.TakeBytes();
   if (bit_len) *bit_len = writer.total_bits();
-  if (observer_) observer_->OnEncode(key, writer.total_bits());
   return out;
 }
 
@@ -41,7 +40,6 @@ std::vector<std::string> Encoder::EncodeBatch(
       dict_->EncodeSpan(keys[i], 0, &writer, nullptr);
       writer.CopyBytesTo(&out[i]);
       bits += writer.total_bits();
-      if (observer_) observer_->OnEncode(keys[i], writer.total_bits());
     }
     if (total_bits) *total_bits = bits;
     return out;
@@ -81,7 +79,6 @@ std::vector<std::string> Encoder::EncodeBatch(
                      static_cast<uint32_t>(writer.total_bits())});
     writer.CopyBytesTo(&out[i]);
     bits += writer.total_bits();
-    if (observer_) observer_->OnEncode(key, writer.total_bits());
   }
   if (total_bits) *total_bits = bits;
   return out;

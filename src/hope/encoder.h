@@ -17,17 +17,6 @@
 
 namespace hope {
 
-/// Observes every completed encode, once per key, on the encoding thread.
-/// Implementations must be thread-safe: multiple readers may share one
-/// encoder. Used by the dynamic dictionary manager to sample recent keys
-/// and track the achieved compression rate without the core library
-/// depending on it.
-class EncodeObserver {
- public:
-  virtual ~EncodeObserver() = default;
-  virtual void OnEncode(std::string_view key, size_t bit_len) = 0;
-};
-
 /// Stateless encoder over a dictionary.
 class Encoder {
  public:
@@ -53,15 +42,8 @@ class Encoder {
 
   const Dictionary& dict() const { return *dict_; }
 
-  /// Installs a stats hook invoked after every Encode/EncodeBatch key
-  /// (nullptr detaches). Not owned; must outlive the encoder and be set
-  /// before the encoder is shared across threads.
-  void set_observer(EncodeObserver* observer) { observer_ = observer; }
-  EncodeObserver* observer() const { return observer_; }
-
  private:
   std::unique_ptr<Dictionary> dict_;
-  EncodeObserver* observer_ = nullptr;
 };
 
 }  // namespace hope

@@ -91,14 +91,6 @@ class Hope {
   const Encoder& encoder() const { return *encoder_; }
   Scheme scheme() const { return scheme_; }
 
-  /// Installs an encode-path stats hook (see EncodeObserver). Must be
-  /// called before the instance is shared across threads — the dynamic
-  /// DictionaryManager attaches its collector here before publishing a
-  /// version as `shared_ptr<const Hope>`.
-  void SetEncodeObserver(EncodeObserver* observer) {
-    encoder_->set_observer(observer);
-  }
-
   /// Uncompressed bytes / compressed bytes over a key set (§6.1).
   double CompressionRate(const std::vector<std::string>& keys) const;
 
@@ -112,9 +104,9 @@ class Hope {
   /// malformed input.
   static std::unique_ptr<Hope> Deserialize(std::string_view bytes);
 
-  /// Fresh instance over the same dictionary entries (identical
-  /// encodings, no observer attached). The supported way to measure a
-  /// managed/observed instance without feeding its stats hook.
+  /// Independent copy over the same dictionary entries (identical
+  /// encodings), for a caller that needs to own or publish its own
+  /// instance.
   std::unique_ptr<Hope> Clone() const;
 
  private:

@@ -202,8 +202,7 @@ class ConcurrentShardedIndex {
       WriterLock lk(shards_[s]->mu);
       dynamic::VersionedIndex<Tree>& shard = shards_[s]->index;
       shard.MigrateAll();
-      std::string enc = s == first ? shard.snapshot().hope->Encode(start)
-                                   : std::string();
+      std::string enc = s == first ? shard.EncodeRequest(start) : std::string();
       produced += shard.tree().Scan(enc, count - produced, out);
     }
     return produced;

@@ -7,7 +7,6 @@
 // consumers must link both.
 #pragma once
 
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -73,20 +72,19 @@ class LocalizedDrift {
   size_t victim_ = 0;
 };
 
-/// Mean CPR of a key set through the sharded manager, measured through
-/// per-shard observer-free clones (probing the managed encoders would
-/// feed the collectors and let the measurement itself trigger rebuilds).
+/// Mean CPR of a key set through the sharded manager's current shard
+/// dictionaries (one snapshot per shard, taken up front).
 inline double MeasureShardedCpr(
     const dynamic::ShardedDictionaryManager& sharded,
     const std::vector<std::string>& keys) {
-  std::vector<std::unique_ptr<Hope>> clones;
-  clones.reserve(sharded.num_shards());
+  std::vector<dynamic::DictSnapshot> snaps;
+  snaps.reserve(sharded.num_shards());
   for (size_t s = 0; s < sharded.num_shards(); s++)
-    clones.push_back(sharded.shard(s).Acquire().hope->Clone());
+    snaps.push_back(sharded.shard(s).Acquire());
   size_t original = 0, compressed = 0;
   for (const auto& k : keys) {
     size_t bits = 0;
-    clones[sharded.Route(k)]->Encode(k, &bits);
+    snaps[sharded.Route(k)].hope->Encode(k, &bits);
     original += k.size();
     compressed += (bits + 7) / 8;
   }

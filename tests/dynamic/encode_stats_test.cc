@@ -191,6 +191,17 @@ TEST(EncodeStatsTest, DegenerateOptionsAreClamped) {
   EXPECT_EQ(c.ReservoirFill(), 1u);
   // alpha clamped to 1.0: EWMA tracks the last key exactly.
   EXPECT_DOUBLE_EQ(c.EwmaCompressionRate(), 4.0);
+  // NaN, zero and negative alphas clamp to the 1e-6 floor: the EWMA
+  // stays finite and barely moves off its first sample.
+  for (double alpha : {std::nan(""), 0.0, -1.0}) {
+    EncodeStatsCollector::Options slow;
+    slow.sample_every = 1;
+    slow.ewma_alpha = alpha;
+    EncodeStatsCollector s(slow);
+    s.OnEncode("abcd", 16);      // CPR 2.0 seeds the EWMA
+    s.OnEncode("abcdefgh", 16);  // CPR 4.0
+    EXPECT_NEAR(s.EwmaCompressionRate(), 2.0, 1e-5) << alpha;
+  }
 }
 
 }  // namespace

@@ -103,7 +103,7 @@ TEST(HotSwapTest, SnapshotOutlivesManager) {
     mgr.Publish(BuildFrom(drift.Phase(2)));
     snap = mgr.Acquire();
   }
-  // The version pins its observer (the manager's collector), so encoding
+  // The version holds no pointer back into the manager, so encoding
   // through a snapshot after the manager died is safe (ASan-checked).
   for (size_t i = 0; i < 50; i++) {
     size_t bits = 0;
@@ -358,8 +358,8 @@ TEST(HotSwapTest, BackgroundRebuilderPublishesUnderDrift) {
   EXPECT_GE(rebuilder.rebuilds_completed(), 1u);
 }
 
-// The CPR-drop trigger's edges and option clamps. These tests drive the
-// collector's observer hook directly with chosen (length, bits) pairs:
+// The CPR-drop trigger's edges and option clamps. These tests feed the
+// collector directly with chosen (length, bits) pairs:
 // with ewma_alpha = 1 the EWMA equals the last fed key's CPR, so each
 // check sits at an exact distance from the baseline.
 
@@ -443,6 +443,21 @@ TEST(RebuildTriggerTest, ClampsDegenerateOptions) {
     EXPECT_NE(mgr.RebuildNow(/*force=*/true),
               DictionaryManager::RebuildResult::kNotTriggered)
         << off;
+  }
+  // A NaN or negative rejection backoff clamps to 0 (none); one past the
+  // steady clock's range saturates (the cast alone would wrap it into
+  // the past, i.e. no backoff at all).
+  for (double backoff : {std::numeric_limits<double>::quiet_NaN(), -5.0,
+                         1e10, std::numeric_limits<double>::infinity()}) {
+    DictionaryManager::Options o = ExactEwma(0.05, 1);
+    o.min_cpr_gain = 1e9;  // every candidate is rejected
+    o.rebuild_backoff_seconds = backoff;
+    DictionaryManager mgr(BuildFrom(phase0), o, phase0);
+    for (size_t i = 0; i < 64; i++) mgr.Encode(phase0[i]);
+    EXPECT_EQ(mgr.RebuildNow(/*force=*/true),
+              DictionaryManager::RebuildResult::kRejectedNoGain)
+        << backoff;
+    EXPECT_EQ(mgr.InBackoff(), backoff > 0) << backoff;
   }
   // A fill floor of 0 clamps to 1: an empty reservoir never triggers,
   // even with the EWMA already far below the baseline.

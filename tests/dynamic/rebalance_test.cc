@@ -227,6 +227,13 @@ TEST(WeightImbalancePolicyTest, DegenerateParametersAreClamped) {
     ASSERT_DOUBLE_EQ(mgr.WeightImbalance(), 1.0);
     EXPECT_EQ(mgr.rebalances_noop(), 1u) << cooldown;
   }
+  // A NaN traffic alpha clamps to the 1e-6 floor: a skewed poll barely
+  // moves the weights, which stay finite.
+  auto slow = TriggerOptions(0, 1, 0.0);
+  slow.traffic_ewma_alpha = std::nan("");
+  ShardedDictionaryManager mgr(sample, slow);
+  SkewedPoll(mgr);
+  for (double w : mgr.TrafficWeights()) EXPECT_NEAR(w, 0.25, 1e-5);
 }
 
 TEST(ShardedManagerRebalanceTest, TrafficWeightsTrackEncodeCounts) {

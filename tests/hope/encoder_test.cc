@@ -148,68 +148,5 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-/// Records every OnEncode call in order.
-class RecordingObserver : public EncodeObserver {
- public:
-  void OnEncode(std::string_view key, size_t bit_len) override {
-    calls.emplace_back(std::string(key), bit_len);
-  }
-  std::vector<std::pair<std::string, size_t>> calls;
-};
-
-/// EncodeBatch must report each key to the observer exactly once, in
-/// batch order, with the key's exact bit length.
-void ExpectOneObserverCallPerKey(Hope* hope,
-                                 const std::vector<std::string>& batch) {
-  std::vector<size_t> expected_bits;
-  for (const auto& key : batch) {
-    size_t bits = 0;
-    hope->Encode(key, &bits);
-    expected_bits.push_back(bits);
-  }
-  RecordingObserver observer;
-  hope->SetEncodeObserver(&observer);
-  hope->EncodeBatch(batch);
-  hope->SetEncodeObserver(nullptr);
-  ASSERT_EQ(observer.calls.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); i++) {
-    EXPECT_EQ(observer.calls[i].first, batch[i]) << "call " << i;
-    EXPECT_EQ(observer.calls[i].second, expected_bits[i]) << batch[i];
-  }
-}
-
-TEST(EncodeBatchObserverTest, OneCallPerKeyOnEveryBatchPath) {
-  const auto emails = GenerateEmails(2000, 25);
-  auto grams = Hope::Build(Scheme::kThreeGrams, emails, 1024);
-  const size_t lookahead = grams->dict().MaxLookahead();
-  ASSERT_EQ(lookahead, 3u);
-
-  // Sorted emails share long prefixes: the prefix-reuse path.
-  std::vector<std::string> sorted(emails.begin(), emails.begin() + 500);
-  std::sort(sorted.begin(), sorted.end());
-  ExpectOneObserverCallPerKey(grams.get(), sorted);
-
-  // No adjacent pair shares `lookahead` leading bytes, so no prefix can be
-  // reused and the batch takes the per-key path.
-  auto pool = GenerateWikiTitles(400, 26);
-  auto urls = GenerateUrls(400, 27);
-  pool.insert(pool.end(), urls.begin(), urls.end());
-  pool.insert(pool.end(), emails.begin(), emails.begin() + 400);
-  std::shuffle(pool.begin(), pool.end(), std::mt19937_64(28));
-  std::vector<std::string> unrelated;
-  for (const auto& key : pool) {
-    if (!unrelated.empty() &&
-        unrelated.back().compare(0, lookahead, key, 0, lookahead) == 0)
-      continue;
-    unrelated.push_back(key);
-  }
-  ASSERT_GT(unrelated.size(), 100u);
-  ExpectOneObserverCallPerKey(grams.get(), unrelated);
-
-  // Unbounded lookahead never reuses, even on a sorted batch.
-  auto alm = Hope::Build(Scheme::kAlm, emails, 1024);
-  ExpectOneObserverCallPerKey(alm.get(), sorted);
-}
-
 }  // namespace
 }  // namespace hope

@@ -313,8 +313,6 @@ int CmdDriftSharded(Scheme scheme, size_t keys_per_phase, size_t shards) {
       rebuilder.Nudge();
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    // MeasureShardedCpr probes observer-free clones: measuring through
-    // the managed encoders would feed the collectors being demonstrated.
     std::printf("%-6zu %6.0f%% %12.3f  %s\n", p, 100 * drift.MixFraction(p),
                 hope::MeasureShardedCpr(mgr, keys),
                 hope::EpochsString(mgr.Epochs()).c_str());
@@ -457,11 +455,8 @@ int CmdDrift(int argc, char** argv) {
       rebuilder.Nudge();
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    // Observer-free clone: measuring through the managed encoder would
-    // feed the stats collector and skew the trigger being demonstrated.
-    auto clone = mgr.Acquire().hope->Clone();
     double static_cpr = static_dict->CompressionRate(keys);
-    double managed_cpr = clone->CompressionRate(keys);
+    double managed_cpr = mgr.Acquire().hope->CompressionRate(keys);
     std::printf("%-6zu %6.0f%% %12.3f %12.3f %8llu\n", p,
                 100 * drift.MixFraction(p), static_cpr, managed_cpr,
                 static_cast<unsigned long long>(mgr.epoch()));
