@@ -32,6 +32,15 @@
 // gates): a background worker's timing against the key stream would
 // make the compared CPRs and spreads vary run to run (one rejected
 // rebuild plus a 5 s backoff would freeze the remaining phases).
+//
+// Each experiment ends in a verdict: the managed dictionary published a
+// rebuild ("rebuilds" in "summary"), the sharded rebuilds stayed on the
+// drifted shard ("rebuilds_localized"), and the re-balanced spread ended
+// under the threshold ("spread_under_threshold"). A missed verdict makes
+// the bench exit 1 once the report is written, as a *_failures count
+// does, so the ctest smoke run gates all three. The localized verdict
+// needs HOPE_BENCH_KEYS >= 10000: at 5000 and below (1000 keys per
+// phase), a stable shard's thin traffic also trips a rebuild.
 #include <map>
 
 #include "bench/bench_common.h"
@@ -50,6 +59,14 @@ using dynamic::DictionaryManager;
 using dynamic::ShardedDictionaryManager;
 using dynamic::VersionedIndex;
 using serve::ConcurrentShardedIndex;
+
+size_t missed_verdicts = 0;
+
+void Verdict(bool held, const char* what) {
+  if (held) return;
+  std::fprintf(stderr, "verdict missed: %s\n", what);
+  missed_verdicts++;
+}
 
 DictionaryManager::Options ManagerOptions(Scheme scheme, size_t limit) {
   DictionaryManager::Options mopt;
@@ -157,6 +174,8 @@ void RunGlobalDrift() {
       .Num("index_lookups_checked", static_cast<double>(index_checked))
       .Failures("index_lookup_failures", index_wrong)
       .Num("index_migrated", static_cast<double>(migrated));
+  Verdict(mgr.rebuilds_published() > 0,
+          "global drift: the managed dictionary published no rebuild");
 }
 
 void RunLocalizedDrift() {
@@ -299,6 +318,7 @@ void RunLocalizedDrift() {
       .Failures("index_lookup_failures", index_wrong)
       .Num("index_generations_drained",
            static_cast<double>(old_generations));
+  Verdict(localized, "localized drift: rebuilds not confined to the victim");
 }
 
 void RunRebalance() {
@@ -484,6 +504,7 @@ void RunRebalance() {
       .Num("index_scans_checked", static_cast<double>(scans_checked))
       .Failures("index_scan_failures", scans_wrong)
       .Num("index_migrated", static_cast<double>(migrated));
+  Verdict(balanced, "hotspot migration: spread ended above the threshold");
 }
 
 void Run() {
@@ -496,6 +517,7 @@ void Run() {
 }  // namespace hope::bench
 
 int main(int argc, char** argv) {
-  return hope::bench::BenchMain(argc, argv, "dynamic_rebuild",
-                                hope::bench::Run);
+  const int rc = hope::bench::BenchMain(argc, argv, "dynamic_rebuild",
+                                        hope::bench::Run);
+  return rc == 0 && hope::bench::missed_verdicts > 0 ? 1 : rc;
 }

@@ -54,18 +54,6 @@ int64_t DeadlineNs(int64_t now_ns, double seconds) {
 
 }  // namespace
 
-const char* DictionaryManager::RebuildResultName(RebuildResult r) {
-  switch (r) {
-    case RebuildResult::kRebuilt: return "rebuilt";
-    case RebuildResult::kNotTriggered: return "not-triggered";
-    case RebuildResult::kInsufficientData: return "insufficient-data";
-    case RebuildResult::kRejectedBuildError: return "rejected-build-error";
-    case RebuildResult::kRejectedRoundTrip: return "rejected-round-trip";
-    case RebuildResult::kRejectedNoGain: return "rejected-no-gain";
-  }
-  return "?";
-}
-
 bool DictionaryManager::InBackoff() const {
   return SteadyNowNs() < backoff_until_ns_.load(std::memory_order_relaxed);
 }

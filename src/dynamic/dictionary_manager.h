@@ -87,7 +87,6 @@ class DictionaryManager {
     kRejectedRoundTrip,  ///< candidate failed lossless validation
     kRejectedNoGain,     ///< candidate did not improve compression enough
   };
-  static const char* RebuildResultName(RebuildResult r);
 
   /// Takes ownership of the initial dictionary (epoch 0). `baseline_keys`
   /// (typically the build sample) seeds the baseline compression rate the

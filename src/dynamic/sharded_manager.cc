@@ -174,12 +174,6 @@ std::vector<uint64_t> ShardedDictionaryManager::Epochs() const {
   return epochs;
 }
 
-bool ShardedDictionaryManager::ShouldRebuild() const {
-  for (const auto& shard : shards_)
-    if (shard->ShouldRebuild()) return true;
-  return false;
-}
-
 size_t ShardedDictionaryManager::RebuildPending() {
   size_t published = 0;
   for (auto& shard : shards_)

@@ -262,9 +262,6 @@ class ShardedDictionaryManager {
   /// Per-shard epochs in boundary order (diagnostics / bench output).
   std::vector<uint64_t> Epochs() const;
 
-  /// True when any shard's rebuild trigger fires.
-  bool ShouldRebuild() const;
-
   /// Polls every shard once: RebuildNow() on each, in boundary order.
   /// Returns the number of shards that published. Used by tests and by
   /// callers without a BackgroundRebuilder; the shared worker loop calls

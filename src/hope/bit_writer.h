@@ -38,10 +38,9 @@ class BitWriter {
   void ReserveBits(size_t bits) { buf_.reserve(bits / 8 + 8); }
 
   /// Rewinds the writer to its state after the first `bits` bits were
-  /// appended (`bits` <= total_bits()). Equivalent to InitFromPrefix on
-  /// this writer's own output, but with no byte copying — the batch
-  /// encoder's shared-prefix reuse rewinds the previous key's tail off
-  /// instead of re-seeding from the previous output string.
+  /// appended (`bits` <= total_bits()), as if only those bits had been
+  /// written. No bytes are copied: the batch encoder's shared-prefix
+  /// reuse rewinds the previous key's tail off in place.
   void TruncateToBits(size_t bits) {
     size_t flushed = buf_.size() * 8;
     if (bits >= flushed) {
@@ -61,22 +60,6 @@ class BitWriter {
       buf_.resize(full);
     }
     total_bits_ = bits;
-  }
-
-  /// Seeds the writer with the first `bits` bits of an existing encoding.
-  void InitFromPrefix(const std::string& bytes, size_t bits) {
-    Clear();
-    size_t full_bytes = bits / 8;
-    buf_.assign(bytes, 0, full_bytes);
-    total_bits_ = full_bytes * 8;
-    size_t rem = bits - total_bits_;
-    if (rem > 0) {
-      uint8_t last = static_cast<uint8_t>(bytes[full_bytes]);
-      // Keep the top `rem` bits of the partial byte in the accumulator.
-      acc_ = (static_cast<uint64_t>(last) << 56) & ~(~uint64_t{0} >> rem);
-      acc_bits_ = static_cast<int>(rem);
-      total_bits_ += rem;
-    }
   }
 
   void Append(Code code) {

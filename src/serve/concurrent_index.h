@@ -67,6 +67,7 @@
 // outlive the index.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -209,16 +210,16 @@ class ConcurrentShardedIndex {
   }
 
   /// Catches up with the manager's router in batches of at most
-  /// `max_keys` keys, off the serving path (a maintenance thread loops
-  /// this). Bounded work per call: readers double-route and writers
-  /// re-route while a plan is mid-flight, so there is no hurry. Returns
-  /// entries moved this call (0 also while another poller holds the
-  /// lock).
+  /// `max_keys` keys (0 counts as 1, so every call makes progress), off
+  /// the serving path (a maintenance thread loops this). Bounded work
+  /// per call: readers double-route and writers re-route while a plan is
+  /// mid-flight, so there is no hurry. Returns entries moved this call
+  /// (0 also while another poller holds the lock).
   size_t PollMigration(size_t max_keys = 512)
       HOPE_EXCLUDES(migration_mu_) {
     if (!migration_mu_.TryLock()) return 0;
     MutexLock mlk(migration_mu_, std::adopt_lock);
-    size_t moved = PollLocked(max_keys);
+    size_t moved = PollLocked(std::max<size_t>(max_keys, 1));
     if (!mig_.plan) DrainGenerationsLocked();
     return moved;
   }

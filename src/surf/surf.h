@@ -45,9 +45,6 @@ class Surf {
 
   size_t num_keys() const { return num_keys_; }
 
-  /// Total trie labels (edges + terminators); the dominant memory term.
-  size_t NumLabels() const { return labels_.size(); }
-
   size_t MemoryBytes() const;
 
   /// Average trie depth of the leaves (levels), Fig. 10 bottom row.

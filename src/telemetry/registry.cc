@@ -288,9 +288,4 @@ RegistrySnapshot MetricRegistry::Snapshot() const {
   return snap;
 }
 
-MetricRegistry& MetricRegistry::Global() {
-  static MetricRegistry* instance = new MetricRegistry();
-  return *instance;
-}
-
 }  // namespace hope::telemetry

@@ -13,7 +13,7 @@
 //
 // Lifetime: Register* returns a movable RAII Registration that removes
 // the entry when destroyed, so a test-scoped ServerLoop or manager can
-// attach to the Global() registry without dangling pointers outliving
+// attach to a longer-lived registry without dangling pointers outliving
 // it — subsystems store their registrations as members, destroyed
 // before the metrics they point at.
 //
@@ -139,11 +139,6 @@ class MetricRegistry {
     MutexLock lock(mu_);
     return entries_.size();
   }
-
-  /// Process-wide default instance (CLI and benches create their own
-  /// scoped registries; Global() serves embedders that want exactly
-  /// one).
-  static MetricRegistry& Global();
 
  private:
   struct Entry {

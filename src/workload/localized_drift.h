@@ -1,4 +1,4 @@
-// Localized-drift harness shared by bench_dynamic_rebuild and hope_cli:
+// Localized-drift harness of bench_dynamic_rebuild:
 // confines a DriftingWorkload's A->B blend to the key range of a single
 // shard (the "victim"), so a ShardedDictionaryManager sees drift in one
 // shard while every other shard's traffic stays stable.
@@ -95,8 +95,7 @@ inline double MeasureShardedCpr(
 
 /// max/mean of a stream's routed per-shard counts under a manager's
 /// current router: 1.0 = perfectly balanced, N = every request on one of
-/// N shards. The spread metric the rebalance bench, CLI demo, and docs
-/// all quote.
+/// N shards. The spread metric the rebalance bench and the docs quote.
 inline double StreamSpread(const dynamic::ShardedDictionaryManager& mgr,
                            const std::vector<std::string>& keys) {
   std::vector<size_t> counts(mgr.num_shards(), 0);

@@ -42,20 +42,6 @@ TEST(BitWriterTest, SixtyFourBitCode) {
   EXPECT_EQ(static_cast<uint8_t>(bytes[7]), 0x0D);
 }
 
-TEST(BitWriterTest, InitFromPrefix) {
-  BitWriter w;
-  w.Append(Code{0b10110ull << 59, 5});
-  w.Append(Code{0b0011ull << 60, 4});
-  std::string full = w.TakeBytes();
-  size_t bits = w.total_bits();
-
-  BitWriter w2;
-  w2.InitFromPrefix(full, 5);
-  w2.Append(Code{0b0011ull << 60, 4});
-  EXPECT_EQ(w2.total_bits(), bits);
-  EXPECT_EQ(w2.TakeBytes(), full);
-}
-
 class SchemeEncoderTest : public ::testing::TestWithParam<Scheme> {
  protected:
   void SetUp() override {

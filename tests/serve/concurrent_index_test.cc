@@ -150,6 +150,22 @@ TEST(ConcurrentIndexTest, BatchedMigrationKeepsEveryKeyVisible) {
   fx.ExpectAllPresent("post-migration");
 }
 
+TEST(ConcurrentIndexTest, ZeroBatchPollStillAppliesThePlan) {
+  // ServerLoop passes Options::migration_batch through as-is, so a
+  // maintenance loop configured with 0 must still finish a plan: a zero
+  // batch counts as one key per call.
+  Fixture fx;
+  ASSERT_FALSE(fx.ForcePlan()->moves.empty());
+  size_t steps = 0;
+  while (!fx.index->MigrationIdle()) {
+    fx.index->PollMigration(/*max_keys=*/0);
+    ASSERT_LT(++steps, 10000u) << "PollMigration(0) made no progress";
+  }
+  EXPECT_EQ(fx.index->plans_applied(), 1u);
+  EXPECT_EQ(fx.index->router_version(), fx.mgr->router_version());
+  fx.ExpectAllPresent("post-migration");
+}
+
 TEST(ConcurrentIndexTest, LookupMidPlanUsesFallbackBeforeAnyBatch) {
   Fixture fx;
   auto plan = fx.ForcePlan();

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Exit-code contract of hope_cli argument validation (documented in the
 # CLI header: 0 ok, 1 runtime error, 2 usage error). Probes the cheap
-# paths only — selftest runs are covered by hope_cli_smoke, drift runs
-# by hope_cli_drift_smoke.
+# paths only — selftest runs are covered by hope_cli_smoke, serve runs
+# by hope_cli_serve_smoke. The drift experiments live in
+# bench_dynamic_rebuild (ctest bench_dynamic_rebuild_smoke).
 set -u
 
 cli="$1"
@@ -19,21 +20,6 @@ expect() {
   fi
 }
 
-# drift shards argument: 0, negative, non-numeric, trailing junk and
-# absurd values are usage errors.
-expect 2 drift double-char 100 0
-expect 2 drift double-char 100 -3
-expect 2 drift double-char 100 abc
-expect 2 drift double-char 100 12x
-expect 2 drift double-char 100 257
-expect 2 drift double-char 100 99999999999999999999
-# keys_per_phase validation predates this PR; keep it covered.
-expect 2 drift double-char 0
-expect 2 drift double-char -5
-# mode argument: unknown modes, or a mode without a sharded demo.
-expect 2 drift double-char 100 4 bogus-mode
-expect 2 drift double-char 100 1 rebalance
-expect 2 drift double-char 100 1 localized
 # serve arguments share the digits-only ParsePositiveUint contract:
 # keys, workers, shards each reject non-numeric, signed, zero, trailing
 # junk and out-of-range values (workers > 64, shards > 256 or < 2).
@@ -49,17 +35,13 @@ expect 2 serve single-char 100 2 257
 expect 2 serve single-char 100 2 -4
 expect 2 serve single-char 99999999999999999999
 expect 2 serve bogus-scheme
-# bad scheme / subcommand / missing args.
-expect 2 drift bogus-scheme
+# bad scheme / subcommand / missing args; drift is not a subcommand.
 expect 2 bogus-subcommand
+expect 2 drift single-char 100
 expect 2 build double-char only-two-args
-# help is success, and prints the drift modes and the serve demo.
+# help is success, and prints the serve demo.
 expect 0 --help
 expect 0 help
-if ! "$cli" --help 2>/dev/null | grep -q rebalance; then
-  echo "FAIL: --help does not mention the rebalance demo"
-  fail=1
-fi
 if ! "$cli" --help 2>/dev/null | grep -q serve; then
   echo "FAIL: --help does not mention the serve demo"
   fail=1

@@ -119,7 +119,7 @@ inline bool ParseServeArgs(const std::vector<std::string>& args,
     return false;
   if (pos.size() > 2 && !ParseCount(pos[2]->c_str(), 64, &out->workers))
     return false;
-  // Same bounds contract as drift: 2..256 shards, digits only.
+  // 2..256 shards, digits only.
   if (pos.size() > 3 && !ParseCount(pos[3]->c_str(), 256, &out->shards))
     return false;
   if (out->shards < 2) return false;

@@ -15,20 +15,6 @@
 //       Builds every scheme on a synthetic sample, round-trips
 //       encode/decode (including through serialize/deserialize), and
 //       exits non-zero on any mismatch. Used as the CI smoke test.
-//   hope_cli drift [scheme] [keys_per_phase] [shards] [mode]
-//       Demo of the dynamic dictionary manager: runs a drifting Email
-//       workload and prints static vs managed compression per phase;
-//       exits 1 if no rebuild was published.
-//       With shards >= 2, runs a sharded demo instead; mode picks it:
-//         localized (default) — URL drift confined to one shard's key
-//             range; only that shard's epoch should move (exits 1 when
-//             the rebuilds are "not localized").
-//         rebalance — a traffic hotspot migrates across the key range;
-//             the weight-imbalance trigger re-derives the router
-//             boundaries online (per-phase spread + router version;
-//             exits 1 when the final verdict is "not re-balanced").
-//       The shards argument must be 2..256 (0, negative, non-numeric
-//       and absurd values are usage errors).
 //   hope_cli serve [scheme] [keys] [workers] [shards]
 //                  [--stats-file <path>] [--stats-interval <ms>]
 //       Demo of the concurrent serving layer: worker threads serve
@@ -36,7 +22,7 @@
 //       ConcurrentShardedIndex while a migrating hotspot forces online
 //       rebalances; prints per-phase latency percentiles + throughput
 //       and exits non-zero if any consistency check fails. Numeric
-//       arguments are digits-only (same contract as drift). With
+//       arguments are digits-only. With
 //       --stats-file, a stats thread appends one JSON-lines telemetry
 //       snapshot (all registered counters/gauges/histograms) every
 //       --stats-interval ms (default 200).
@@ -45,9 +31,12 @@
 //   hope_cli --help | help
 //       Prints usage and exits 0.
 //
+// The drift experiments (global, localized and hotspot-migration drift
+// through the dynamic managers) are run by bench_dynamic_rebuild, whose
+// rows are tracked in bench-results/BENCH_dynamic.json.
+//
 // Exit codes: 0 success, 1 runtime error (bad file, failed decode,
-// selftest mismatch, a drift demo whose printed verdict failed, a serve
-// consistency failure), 2 usage error.
+// selftest mismatch, a serve consistency failure), 2 usage error.
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -63,7 +52,6 @@
 #include "tools/cli_args.h"
 #include "datasets/datasets.h"
 #include "dynamic/background_rebuilder.h"
-#include "dynamic/dictionary_manager.h"
 #include "dynamic/sharded_manager.h"
 #include "hope/hope.h"
 #include "btree/btree.h"
@@ -72,7 +60,6 @@
 #include "telemetry/registry.h"
 #include "telemetry/trace_log.h"
 #include "workload/drift.h"
-#include "workload/localized_drift.h"
 
 namespace {
 
@@ -87,8 +74,6 @@ void PrintUsage(std::FILE* out) {
                "       hope_cli decode <dict.hope>   (bitlen+hex on stdin)\n"
                "       hope_cli stats  <dict.hope> [keys.txt]\n"
                "       hope_cli selftest\n"
-               "       hope_cli drift  [scheme] [keys_per_phase] [shards] "
-               "[localized|rebalance]\n"
                "       hope_cli serve  [scheme] [keys] [workers] [shards]\n"
                "                       [--stats-file <path>] "
                "[--stats-interval <ms>]\n"
@@ -96,12 +81,6 @@ void PrintUsage(std::FILE* out) {
                "       hope_cli --help\n"
                "schemes: single-char double-char alm 3-grams 4-grams "
                "alm-improved\n"
-               "drift: shards in 2..256 selects the sharded demo; mode\n"
-               "  localized confines URL drift to one shard (default),\n"
-               "  rebalance migrates a hotspot across the key range and\n"
-               "  lets the versioned router re-derive its boundaries.\n"
-               "  exit 1 when the demo's verdict fails (no rebuild\n"
-               "  published, rebuilds not localized, not re-balanced).\n"
                "serve: concurrent serving-layer demo — workers (max 64)\n"
                "  serve checked op mixes through migration-transparent\n"
                "  reads while rebalances run; nonzero exit on any\n"
@@ -269,204 +248,6 @@ int CmdSelftest() {
     }
   }
   return failures ? 1 : 0;
-}
-
-// Sharded drift demo: a localized URL drift (one shard's key range
-// blends toward query-style URLs, the rest of the keyspace stays
-// stable) served through a ShardedDictionaryManager with one shared
-// BackgroundRebuilder. Only the drifted shard's epoch should move.
-int CmdDriftSharded(Scheme scheme, size_t keys_per_phase, size_t shards) {
-  hope::DriftOptions dopt;
-  dopt.model = hope::DriftModel::kUrlStyle;
-  dopt.num_phases = 5;
-  dopt.keys_per_phase = keys_per_phase;
-  hope::DriftingWorkload drift(dopt);
-  auto phase0 = drift.Phase(0);
-
-  hope::dynamic::ShardedDictionaryManager::Options sopt;
-  sopt.num_shards = shards;
-  sopt.shard.scheme = scheme;
-  sopt.shard.dict_size_limit = size_t{1} << 14;
-  sopt.shard.stats.sample_every = 2;
-  sopt.shard.stats.ewma_alpha = 0.005;
-  sopt.shard.min_cpr_gain = 0.01;
-  sopt.shard.rebuild_cpr_drop = 0.03;
-  sopt.shard.rebuild_min_fill = 256;
-  hope::dynamic::ShardedDictionaryManager mgr(hope::SampleKeys(phase0, 0.05),
-                                              sopt);
-  hope::dynamic::BackgroundRebuilder rebuilder(&mgr);
-
-  // Confine the drift to the shard owning the most part-B weight.
-  hope::LocalizedDrift localized(drift, mgr);
-  const size_t victim = localized.victim();
-
-  std::printf("localized URL drift, %s, %zu shards (victim %zu), "
-              "%zu phases x %zu keys\n",
-              hope::SchemeName(scheme), mgr.num_shards(), victim,
-              drift.num_phases(), keys_per_phase);
-  std::printf("%-6s %7s %12s  %s\n", "phase", "B-mix", "sharded-cpr",
-              "shard-epochs");
-  for (size_t p = 0; p < drift.num_phases(); p++) {
-    auto keys = localized.PhaseStream(p, keys_per_phase, dopt.seed);
-    for (const auto& k : keys) mgr.Encode(k);
-    for (int spin = 0; spin < 100 && mgr.ShouldRebuild(); spin++) {
-      rebuilder.Nudge();
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    std::printf("%-6zu %6.0f%% %12.3f  %s\n", p, 100 * drift.MixFraction(p),
-                hope::MeasureShardedCpr(mgr, keys),
-                hope::EpochsString(mgr.Epochs()).c_str());
-    std::fflush(stdout);
-  }
-  rebuilder.Stop();
-  uint64_t victim_epoch = mgr.shard(victim).epoch();
-  uint64_t max_other = 0;
-  for (size_t s = 0; s < mgr.num_shards(); s++)
-    if (s != victim) max_other = std::max(max_other, mgr.shard(s).epoch());
-  const bool localized_ok = victim_epoch > 0 && max_other == 0;
-  std::printf("victim shard epoch %llu, other shards' max epoch %llu -> "
-              "rebuilds %s\n",
-              static_cast<unsigned long long>(victim_epoch),
-              static_cast<unsigned long long>(max_other),
-              localized_ok ? "localized" : "not localized");
-  return localized_ok ? 0 : 1;
-}
-
-// Rebalance demo: a traffic hotspot migrates across the key range while
-// a ShardedDictionaryManager re-derives its router boundaries online
-// (weight-imbalance trigger + versioned router hot-swap). Prints the
-// per-phase stream spread (max/mean routed traffic) and router version;
-// a fixed-boundary manager would end at spread == shards.
-int CmdDriftRebalance(Scheme scheme, size_t keys_per_phase, size_t shards) {
-  hope::DriftOptions dopt;
-  dopt.model = hope::DriftModel::kHotspotMigrate;
-  dopt.num_phases = 5;
-  dopt.keys_per_phase = keys_per_phase;
-  hope::DriftingWorkload drift(dopt);
-  auto phase0 = drift.Phase(0);
-
-  const double threshold = 1.5;
-  hope::dynamic::ShardedDictionaryManager::Options sopt;
-  sopt.num_shards = shards;
-  sopt.shard.scheme = scheme;
-  sopt.shard.dict_size_limit = size_t{1} << 14;
-  sopt.shard.stats.sample_every = 2;
-  sopt.shard.stats.ewma_alpha = 0.005;
-  sopt.shard.stats.reservoir_halflife = 512;
-  sopt.shard.min_cpr_gain = 0.01;
-  sopt.traffic_ewma_alpha = 0.6;
-  sopt.shard.rebuild_cpr_drop = 0.03;
-  sopt.shard.rebuild_min_fill = 256;
-  sopt.rebalance_trigger_ratio = threshold;
-  sopt.rebalance_min_keys = keys_per_phase / 2;
-  sopt.rebalance_cooldown_seconds = 0.5;
-  hope::dynamic::ShardedDictionaryManager mgr(hope::SampleKeys(phase0, 0.05),
-                                              sopt);
-  hope::dynamic::BackgroundRebuilder rebuilder(&mgr);
-
-  std::printf("hotspot migration, %s, %zu shards, %zu phases x %zu keys, "
-              "imbalance trigger %.1fx\n",
-              hope::SchemeName(scheme), mgr.num_shards(), drift.num_phases(),
-              keys_per_phase, threshold);
-  std::printf("%-6s %7s %12s %8s %7s  %s\n", "phase", "B-mix", "sharded-cpr",
-              "spread", "rtr-ver", "shard-epochs");
-  auto serve = [&](size_t p, const char* label) {
-    auto keys = drift.Phase(p);
-    for (const auto& k : keys) mgr.Encode(k);
-    for (int spin = 0; spin < 30; spin++) {
-      rebuilder.Nudge();
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    double s = hope::StreamSpread(mgr, keys);
-    std::printf("%-6s %6.0f%% %12.3f %8.2f %7llu  %s\n", label,
-                100 * drift.MixFraction(p), hope::MeasureShardedCpr(mgr, keys),
-                s, static_cast<unsigned long long>(mgr.router_version()),
-                hope::EpochsString(mgr.Epochs()).c_str());
-    std::fflush(stdout);
-    return s;
-  };
-  for (size_t p = 0; p < drift.num_phases(); p++)
-    serve(p, std::to_string(p).c_str());
-  // Settle rounds: the blend saturates past the last phase (the hotspot
-  // stops moving), so the router gets to converge under the threshold.
-  double final_spread =
-      hope::StreamSpread(mgr, drift.Phase(drift.num_phases()));
-  for (int round = 0; round < 4 && final_spread > threshold; round++)
-    final_spread = serve(drift.num_phases(), "settle");
-  rebuilder.Stop();
-  const bool balanced = mgr.router_version() > 0 && final_spread <= threshold;
-  std::printf("router version %llu, final spread %.2f -> %s\n",
-              static_cast<unsigned long long>(mgr.router_version()),
-              final_spread, balanced ? "re-balanced" : "not re-balanced");
-  return balanced ? 0 : 1;
-}
-
-// Demo of the dynamic subsystem: drifting Email workload, static vs
-// managed dictionary, background rebuilds, per-phase report.
-int CmdDrift(int argc, char** argv) {
-  Scheme scheme = Scheme::kDoubleChar;
-  if (argc > 2 && !ParseScheme(argv[2], &scheme)) return Usage();
-  size_t keys_per_phase = 10000;
-  if (argc > 3 && !ParseCount(argv[3], size_t{1} << 32, &keys_per_phase))
-    return Usage();
-  size_t shards = 1;
-  // 256 caps the demo at something a terminal table can show; beyond it
-  // (and 0, negatives, junk) is a usage error with exit code 2.
-  if (argc > 4 && !ParseCount(argv[4], 256, &shards)) return Usage();
-  bool rebalance = false;
-  if (argc > 5) {
-    if (!std::strcmp(argv[5], "rebalance")) {
-      rebalance = true;
-    } else if (std::strcmp(argv[5], "localized") != 0) {
-      return Usage();
-    }
-    if (shards < 2) return Usage();  // modes only exist for sharded demos
-  }
-  if (shards > 1)
-    return rebalance ? CmdDriftRebalance(scheme, keys_per_phase, shards)
-                     : CmdDriftSharded(scheme, keys_per_phase, shards);
-
-  hope::DriftOptions dopt;
-  dopt.num_phases = 5;
-  dopt.keys_per_phase = keys_per_phase;
-  hope::DriftingWorkload drift(dopt);
-  auto phase0 = drift.Phase(0);
-  auto sample = hope::SampleKeys(phase0, 0.02);
-  const size_t limit = size_t{1} << 14;
-
-  auto static_dict = Hope::Build(scheme, sample, limit);
-  hope::dynamic::DictionaryManager::Options mopt;
-  mopt.scheme = scheme;
-  mopt.dict_size_limit = limit;
-  mopt.stats.sample_every = 4;
-  mopt.rebuild_cpr_drop = 0.02;
-  mopt.rebuild_min_fill = 1024;
-  hope::dynamic::DictionaryManager mgr(static_dict->Clone(), mopt, phase0);
-  hope::dynamic::BackgroundRebuilder rebuilder(&mgr);
-
-  std::printf("drifting Email workload, %s, %zu phases x %zu keys\n",
-              hope::SchemeName(scheme), drift.num_phases(), keys_per_phase);
-  std::printf("%-6s %7s %12s %12s %8s\n", "phase", "B-mix", "static-cpr",
-              "managed-cpr", "epoch");
-  for (size_t p = 0; p < drift.num_phases(); p++) {
-    auto keys = drift.Phase(p);
-    for (const auto& k : keys) mgr.Encode(k);
-    for (int spin = 0; spin < 100 && mgr.ShouldRebuild(); spin++) {
-      rebuilder.Nudge();
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    double static_cpr = static_dict->CompressionRate(keys);
-    double managed_cpr = mgr.Acquire().hope->CompressionRate(keys);
-    std::printf("%-6zu %6.0f%% %12.3f %12.3f %8llu\n", p,
-                100 * drift.MixFraction(p), static_cpr, managed_cpr,
-                static_cast<unsigned long long>(mgr.epoch()));
-    std::fflush(stdout);
-  }
-  rebuilder.Stop();
-  std::printf("rebuilds published: %llu, rejected: %llu\n",
-              static_cast<unsigned long long>(mgr.rebuilds_published()),
-              static_cast<unsigned long long>(mgr.rebuilds_rejected()));
-  return mgr.rebuilds_published() > 0 ? 0 : 1;
 }
 
 // Serving demo: N workers (pinned where the OS allows) serve checked
@@ -671,7 +452,6 @@ int main(int argc, char** argv) {
   if (!std::strcmp(argv[1], "decode")) return CmdDecode(argc, argv);
   if (!std::strcmp(argv[1], "stats")) return CmdStats(argc, argv);
   if (!std::strcmp(argv[1], "selftest")) return CmdSelftest();
-  if (!std::strcmp(argv[1], "drift")) return CmdDrift(argc, argv);
   if (!std::strcmp(argv[1], "serve")) return CmdServe(argc, argv);
   if (!std::strcmp(argv[1], "version")) return CmdVersion();
   return Usage();
