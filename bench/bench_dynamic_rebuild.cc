@@ -50,7 +50,7 @@
 #include "dynamic/versioned_index.h"
 #include "serve/concurrent_index.h"
 #include "workload/drift.h"
-#include "workload/localized_drift.h"
+#include "bench/localized_drift.h"
 
 namespace hope::bench {
 namespace {

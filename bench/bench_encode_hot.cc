@@ -8,6 +8,11 @@
 //   shuffled_b32 — EncodeBatch over shuffled runs of 32 (no reusable
 //                  prefixes: the per-key EncodeSpan loop behind the
 //                  batch API)
+//   sorted_all   — one EncodeBatch over the whole sorted key vector in
+//                  place, as set-up calls it: sorting moved the string
+//                  headers, not the bytes, so consecutive keys' bytes
+//                  sit at unrelated heap addresses (the runs above are
+//                  copies, allocated in sorted order)
 //
 // `mode` is a row-identity field in tools/bench_diff.py, so each series
 // is gated independently; cycles_per_byte joins the latency family and
@@ -134,6 +139,11 @@ void Run() {
     };
     emit("sorted_b32", batch(sorted_runs));
     emit("shuffled_b32", batch(shuffled_runs));
+    emit("sorted_all", Measure(chars, [&] {
+           size_t bits = 0;
+           auto enc = hope->EncodeBatch(keys, &bits);
+           return bits;
+         }));
   }
 }
 

@@ -3,8 +3,8 @@
 // shard (the "victim"), so a ShardedDictionaryManager sees drift in one
 // shard while every other shard's traffic stays stable.
 //
-// Header-only and layered above both hope_workload and hope_dynamic —
-// consumers must link both.
+// Header-only and private to bench_dynamic_rebuild, which links both
+// hope_workload and hope_dynamic (it uses each).
 #pragma once
 
 #include <random>

@@ -6,6 +6,17 @@
 
 namespace hope {
 
+namespace {
+
+// Prefetches a key's first byte and its terminator, so a short key whose
+// heap bytes straddle a cache-line boundary arrives whole.
+inline void PrefetchKey(const std::string& key) {
+  simd::PrefetchRead(key.data());
+  simd::PrefetchRead(key.data() + key.size());
+}
+
+}  // namespace
+
 std::string Encoder::Encode(std::string_view key, size_t* bit_len) const {
   BitWriter writer;
   writer.ReserveBits(key.size() * 8);
@@ -36,6 +47,8 @@ std::vector<std::string> Encoder::EncodeBatch(
     // No prefix to reuse: encode each key straight through the
     // devirtualized span, recycling one writer's buffer across keys.
     for (size_t i = 0; i < keys.size(); i++) {
+      if (i + kPrefetchAhead < keys.size())
+        PrefetchKey(keys[i + kPrefetchAhead]);
       writer.Clear();
       dict_->EncodeSpan(keys[i], 0, &writer, nullptr);
       writer.CopyBytesTo(&out[i]);
@@ -51,6 +64,7 @@ std::vector<std::string> Encoder::EncodeBatch(
   std::vector<EncodeTrace> trace;
   writer.ReserveBits(keys[0].size() * 8);
   for (size_t i = 0; i < keys.size(); i++) {
+    if (i + kPrefetchAhead < keys.size()) PrefetchKey(keys[i + kPrefetchAhead]);
     const std::string& key = keys[i];
     size_t resume = 0;
     size_t resume_bits = 0;

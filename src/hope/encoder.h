@@ -33,6 +33,14 @@ class Encoder {
   /// the unbounded-lookahead ALM family) encode key by key. Every key's
   /// output is byte-identical to Encode; `total_bits` (optional) receives
   /// the sum of the exact bit lengths.
+  ///
+  /// Set-up calls this on a whole sorted key vector, and that pass is
+  /// bound by memory, not by the dictionary: sorting a vector<string>
+  /// moves the headers but leaves each key's heap bytes where they were
+  /// allocated, so key i's bytes are a cache and TLB miss at an address
+  /// unrelated to key i-1's. Both loops therefore prefetch the bytes of
+  /// the key kPrefetchAhead positions on, so those misses overlap instead
+  /// of forming a chain.
   std::vector<std::string> EncodeBatch(const std::vector<std::string>& keys,
                                        size_t* total_bits = nullptr) const;
 
@@ -41,6 +49,9 @@ class Encoder {
                                                  std::string_view b) const;
 
   const Dictionary& dict() const { return *dict_; }
+
+  /// How many keys ahead of the one being encoded EncodeBatch prefetches.
+  static constexpr size_t kPrefetchAhead = 16;
 
  private:
   std::unique_ptr<Dictionary> dict_;

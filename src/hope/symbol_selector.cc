@@ -1,6 +1,7 @@
 #include "hope/symbol_selector.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.h"
 #include "common/str_utils.h"
@@ -31,12 +32,30 @@ void AddGapIntervals(const std::string& lo, const std::string& hi,
 
 void TestEncodeWeights(const std::vector<std::string>& samples,
                        std::vector<IntervalSpec>* intervals) {
-  // Sorted boundary binary search: the entry for a source string is the
-  // last interval whose left bound is <= the string.
+  // The entry for a source string is the last interval whose left bound
+  // is <= the string. first[b] is the first interval whose left bound is
+  // >= the 1-byte string b (first[256] = end); iv[0]'s bound is "", so
+  // first[b] >= 1. A source starting with byte c is >= every bound before
+  // first[c] and < every bound from first[c + 1] on, so its entry lies in
+  // [first[c] - 1, first[c + 1]): one interval for Single-Char, ~257 of
+  // Double-Char's 65,792 instead of all of them.
   auto& iv = *intervals;
   for (auto& spec : iv) spec.weight = 0;
-  auto lookup = [&iv](std::string_view src) -> size_t {
-    size_t lo = 0, hi = iv.size();  // invariant: iv[lo].left_bound <= src
+  std::array<size_t, 257> first;
+  size_t next = 0;
+  for (unsigned b = 0; b < 256; b++) {
+    while (next < iv.size() &&
+           (iv[next].left_bound.empty() ||
+            static_cast<unsigned char>(iv[next].left_bound[0]) < b))
+      next++;
+    first[b] = next;
+  }
+  first[256] = iv.size();
+  auto lookup = [&iv, &first](std::string_view src) -> size_t {
+    const auto c = static_cast<unsigned char>(src[0]);
+    HOPE_DCHECK(first[c] > 0);  // iv[0]'s left bound is ""
+    // invariant: iv[lo].left_bound <= src < iv[hi].left_bound
+    size_t lo = first[c] - 1, hi = first[c + 1];
     while (hi - lo > 1) {
       size_t mid = (lo + hi) / 2;
       if (std::string_view(iv[mid].left_bound) <= src)

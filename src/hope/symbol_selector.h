@@ -33,10 +33,13 @@ class SymbolSelector {
 void AddGapIntervals(const std::string& lo, const std::string& hi,
                      std::vector<IntervalSpec>* out);
 
-/// Runs a test encode of the samples against the intervals (binary search
-/// per lookup) and fills each interval's access weight (§4.2: "it performs
-/// a test encoding of the sample keys ... to obtain the probability that a
-/// source string falls into each interval").
+/// Runs a test encode of the samples against the intervals and fills each
+/// interval's access weight (§4.2: "it performs a test encoding of the
+/// sample keys ... to obtain the probability that a source string falls
+/// into each interval"). Each lookup binary-searches only the intervals
+/// whose left bounds share the source's first byte (plus the one before
+/// them), found through a 257-entry first-byte table built once per call;
+/// the weights equal those of a search over all intervals.
 void TestEncodeWeights(const std::vector<std::string>& samples,
                        std::vector<IntervalSpec>* intervals);
 

@@ -1,16 +1,19 @@
 // Differential fuzz target for the encode hot path: for fuzz-derived
 // keys, every devirtualized/SIMD leg — EncodeSpan (traced and untraced)
 // and the Encode facade — must be byte-identical to the naive per-symbol virtual Lookup loop, across
-// every compatible scheme × dictionary implementation. This is the
-// fuzzing twin of simd_equivalence_test: the unit test pins curated
-// keys, the fuzzer feeds adversarial ones (NULs, 0xFF runs, boundary
-// straddles) into exactly the same oracle.
+// every compatible scheme × dictionary implementation. EncodeBatch over
+// all the input's keys, in input order and sorted, must then match
+// Encode key by key (prefix reuse, prefetching past the batch's end).
+// This is the fuzzing twin of simd_equivalence_test: the unit test pins
+// curated keys, the fuzzer feeds adversarial ones (NULs, 0xFF runs,
+// boundary straddles) into exactly the same oracle.
 //
 // The CMake registration replays the corpus under HOPE_FUSED=never and
 // HOPE_POPCNT=never (plus the HOPE_NO_SIMD CI build), so each escape
 // hatch's path diffs against the same scalar reference. Env vars are
 // read at dictionary construction / descent time, before any fuzz input
 // arrives.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -136,16 +139,42 @@ void DiffOneDict(const Hope& hope, const std::vector<std::string>& keys) {
   }
 }
 
+/// One EncodeBatch over `keys` against Encode on each key, bytes and total
+/// bits; DiffOneDict has already pinned Encode to the reference.
+void DiffBatch(const Hope& hope, const std::vector<std::string>& keys) {
+  size_t batch_bits = 0;
+  std::vector<std::string> batch = hope.EncodeBatch(keys, &batch_bits);
+  HOPE_CHECK_MSG(batch.size() == keys.size(),
+                 "EncodeBatch returned a different key count");
+  size_t bits = 0;
+  for (size_t i = 0; i < keys.size(); i++) {
+    size_t key_bits = 0;
+    HOPE_CHECK_MSG(batch[i] == hope.Encode(keys[i], &key_bits),
+                   "EncodeBatch bytes diverged from Encode");
+    bits += key_bits;
+  }
+  HOPE_CHECK_MSG(batch_bits == bits,
+                 "EncodeBatch total bits diverged from Encode");
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   hope::fuzz::FuzzInput in(data, size);
-  // Up to 8 length-prefixed keys of up to 64 bytes; always include the
-  // empty key (batch edge) so every input exercises it.
+  // Length-prefixed keys of up to 64 bytes, enough of them for a batch to
+  // run past EncodeBatch's prefetch distance; always include the empty
+  // key (batch edge) so every input exercises it.
+  constexpr size_t kMaxKeys = 3 * hope::Encoder::kPrefetchAhead;
   std::vector<std::string> keys;
   keys.emplace_back();
-  while (in.remaining() > 0 && keys.size() < 8)
+  while (in.remaining() > 0 && keys.size() < kMaxKeys)
     keys.push_back(in.TakeString(64));
-  for (const auto& hope : AllDicts()) DiffOneDict(*hope, keys);
+  std::vector<std::string> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  for (const auto& hope : AllDicts()) {
+    DiffOneDict(*hope, keys);
+    DiffBatch(*hope, keys);
+    DiffBatch(*hope, sorted);
+  }
   return 0;
 }

@@ -147,6 +147,14 @@ def gen_encode_diff(d: str):
     write(d, "high_bytes", pack([b"\xff" * 33, b"\x80\x7f" * 10]))
     write(d, "empty_and_one", pack([b"", b"z"]))
     write(d, "long_run", pack([b"m" * 64, b"mm" * 20]))
+    # Batches longer than EncodeBatch's prefetch distance (16 keys): the
+    # target batch-encodes all of an input's keys, as given and sorted.
+    write(d, "batch_past_prefetch", pack(
+        [b"com.gmail@user%03d" % (i * 7 % 40) for i in range(40)]))
+    write(d, "batch_nul_led", pack(
+        [b"\x00" * (i % 5 + 1) + bytes([i * 37 % 256]) for i in range(24)]))
+    write(d, "batch_ff_runs", pack(
+        [b"\xff" * (i + 1) for i in range(20)] + [b"a\xff\xff", b"\xfe\xff"]))
 
 
 def gen_parse(d: str):

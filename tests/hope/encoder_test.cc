@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 
+#include "common/str_utils.h"
 #include "datasets/datasets.h"
 #include "hope/hope.h"
 
@@ -93,21 +95,79 @@ TEST_P(SchemeEncoderTest, LosslessRoundTrip) {
   }
 }
 
+// EncodeBatch's output and total_bits against per-key Encode.
+void ExpectBatchMatchesEncode(const Hope& hope,
+                              const std::vector<std::string>& keys) {
+  size_t batch_bits = 0;
+  auto batch = hope.EncodeBatch(keys, &batch_bits);
+  ASSERT_EQ(batch.size(), keys.size());
+  size_t indiv_bits = 0;
+  for (size_t i = 0; i < keys.size(); i++) {
+    size_t bits = 0;
+    std::string e = hope.Encode(keys[i], &bits);
+    indiv_bits += bits;
+    ASSERT_EQ(batch[i], e) << "batch of " << keys.size() << ", key " << i
+                           << ": " << keys[i];
+  }
+  EXPECT_EQ(batch_bits, indiv_bits) << "batch of " << keys.size();
+}
+
 TEST_P(SchemeEncoderTest, BatchEncodingMatchesIndividual) {
   std::vector<std::string> sorted(keys_.begin(), keys_.begin() + 500);
   std::sort(sorted.begin(), sorted.end());
-  size_t batch_bits = 0;
-  auto batch = hope_->EncodeBatch(sorted, &batch_bits);
-  ASSERT_EQ(batch.size(), sorted.size());
-  size_t indiv_bits = 0;
-  for (size_t i = 0; i < sorted.size(); i++) {
-    size_t bits = 0;
-    std::string e = hope_->Encode(sorted[i], &bits);
-    indiv_bits += bits;
-    ASSERT_EQ(batch[i], e) << "batch mismatch at " << i << ": "
-                           << sorted[i];
+  ExpectBatchMatchesEncode(*hope_, sorted);
+}
+
+// EncodeBatch's prefix-reuse branch runs iff some adjacent pair shares at
+// least the dictionary's lookahead.
+bool TakesReuseBranch(const Hope& hope,
+                      const std::vector<std::string>& keys) {
+  const size_t lookahead = hope.dict().MaxLookahead();
+  for (size_t i = 1; i < keys.size(); i++)
+    if (LcpLen(keys[i - 1], keys[i]) >= lookahead) return true;
+  return false;
+}
+
+// Batch sizes around the prefetch distance, where the last kPrefetchAhead
+// keys of a batch must not prefetch past its end, through both branches:
+// sorted emails (prefix reuse, except under the ALM family's unbounded
+// lookahead) and keys whose first bytes alternate (no reuse).
+TEST_P(SchemeEncoderTest, BatchPrefetchEdgesMatchIndividual) {
+  constexpr size_t kAhead = Encoder::kPrefetchAhead;
+  auto pool = GenerateEmails(5000, 31);
+  std::sort(pool.begin(), pool.end());
+  const bool bounded =
+      hope_->dict().MaxLookahead() != std::numeric_limits<size_t>::max();
+  for (size_t n : {size_t{0}, size_t{1}, kAhead - 1, kAhead, kAhead + 1,
+                   pool.size()}) {
+    std::vector<std::string> sorted(pool.begin(), pool.begin() + n);
+    EXPECT_EQ(TakesReuseBranch(*hope_, sorted), bounded && n > 1) << n;
+    ExpectBatchMatchesEncode(*hope_, sorted);
+
+    std::vector<std::string> alternating;
+    for (size_t i = 0; i < n; i++)
+      alternating.push_back((i % 2 ? "a" : "b") + pool[i]);
+    EXPECT_FALSE(TakesReuseBranch(*hope_, alternating)) << n;
+    ExpectBatchMatchesEncode(*hope_, alternating);
   }
-  EXPECT_EQ(batch_bits, indiv_bits);
+}
+
+// Set-up's layout: each key's bytes were allocated in shuffled order and
+// only the headers were sorted, so consecutive keys sit at unrelated heap
+// addresses. The keys are longer than the small-string buffer, so every
+// one of them lives on the heap.
+TEST_P(SchemeEncoderTest, SortedBatchOfShuffledAllocationsMatchesIndividual) {
+  auto pool = GenerateEmails(5000, 32);
+  std::mt19937_64 rng(33);
+  std::shuffle(pool.begin(), pool.end(), rng);
+  std::vector<std::string> keys;
+  keys.reserve(pool.size());
+  for (const auto& k : pool) keys.push_back(k + "/padding-past-sso");
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(TakesReuseBranch(*hope_, keys),
+            hope_->dict().MaxLookahead() !=
+                std::numeric_limits<size_t>::max());
+  ExpectBatchMatchesEncode(*hope_, keys);
 }
 
 TEST_P(SchemeEncoderTest, PairEncodingMatchesIndividual) {

@@ -54,20 +54,24 @@ TEST(GapIntervalsTest, EmptyGapEmitsNothing) {
   EXPECT_TRUE(out.empty());
 }
 
+// The six schemes' selectors, by index 0-5.
+std::unique_ptr<SymbolSelector> MakeSelector(int which) {
+  switch (which) {
+    case 0: return MakeSingleCharSelector();
+    case 1: return MakeDoubleCharSelector();
+    case 2: return MakeNGramSelector(3);
+    case 3: return MakeNGramSelector(4);
+    case 4: return MakeAlmSelector();
+    default: return MakeAlmImprovedSelector();
+  }
+}
+
 class SelectorParamTest
     : public ::testing::TestWithParam<std::tuple<int, size_t>> {};
 
 TEST_P(SelectorParamTest, ProducesValidCompleteIntervals) {
   auto [which, limit] = GetParam();
-  std::unique_ptr<SymbolSelector> sel;
-  switch (which) {
-    case 0: sel = MakeSingleCharSelector(); break;
-    case 1: sel = MakeDoubleCharSelector(); break;
-    case 2: sel = MakeNGramSelector(3); break;
-    case 3: sel = MakeNGramSelector(4); break;
-    case 4: sel = MakeAlmSelector(); break;
-    default: sel = MakeAlmImprovedSelector(); break;
-  }
+  auto sel = MakeSelector(which);
   auto keys = GenerateEmails(2000, 11);
   auto intervals = sel->Select(keys, limit);
   ASSERT_FALSE(intervals.empty());
@@ -169,6 +173,72 @@ TEST(TestEncodeTest, CountsMatchManualTrace) {
   TestEncodeWeights(keys, &intervals);
   EXPECT_DOUBLE_EQ(intervals[static_cast<size_t>('a')].weight, 4.0);
   EXPECT_DOUBLE_EQ(intervals[static_cast<size_t>('b')].weight, 2.0);
+}
+
+// The reference for TestEncodeWeights: each lookup binary-searches every
+// interval, with no first-byte table.
+std::vector<double> ReferenceWeights(const std::vector<std::string>& samples,
+                                     const std::vector<IntervalSpec>& iv) {
+  std::vector<double> weights(iv.size(), 0);
+  for (const std::string& key : samples) {
+    std::string_view src(key);
+    while (!src.empty()) {
+      size_t lo = 0, hi = iv.size();  // invariant: iv[lo].left_bound <= src
+      while (hi - lo > 1) {
+        size_t mid = (lo + hi) / 2;
+        if (std::string_view(iv[mid].left_bound) <= src)
+          lo = mid;
+        else
+          hi = mid;
+      }
+      weights[lo] += 1;
+      src.remove_prefix(iv[lo].symbol.size());
+    }
+  }
+  return weights;
+}
+
+// Keys at the edges of the first-byte table: NUL-led keys, 0xff runs, every
+// 1-byte key, and 2-byte keys under every first byte, including the bytes
+// at which no interval boundary starts (most of them for the gram and ALM
+// schemes).
+std::vector<std::string> EdgeKeys() {
+  std::vector<std::string> keys = {
+      std::string(1, '\0'),          std::string("\0\0\0", 3),
+      std::string("\0abc", 4),        std::string("\0\xff", 2),
+      std::string(1, '\xff'),        std::string(4, '\xff'),
+      std::string(40, '\xff'),       std::string("a\xff\xff\xff", 4),
+      std::string("\xff\0\xff", 3), std::string("\xfe\xff", 2)};
+  for (int b = 0; b < 256; b++) {
+    const char c = static_cast<char>(b);
+    keys.push_back(std::string(1, c));
+    keys.push_back(std::string{c, '\0'});
+    keys.push_back(std::string{c, c});
+    keys.push_back(std::string{c, '\xff'});
+  }
+  return keys;
+}
+
+TEST(TestEncodeTest, BucketedWeightsMatchFullBinarySearch) {
+  const std::vector<std::vector<std::string>> samples = {
+      GenerateEmails(2000, 41), GenerateUrls(2000, 42),
+      GenerateWikiTitles(2000, 43)};
+  std::vector<std::string> probes = EdgeKeys();
+  for (const auto& sample : samples)
+    probes.insert(probes.end(), sample.begin(), sample.end());
+  for (int which = 0; which < 6; which++) {
+    for (const auto& sample : samples) {
+      auto intervals = MakeSelector(which)->Select(sample, 4096);
+      ASSERT_EQ(ValidateIntervals(intervals), "") << which;
+      const std::vector<double> expected = ReferenceWeights(probes, intervals);
+      TestEncodeWeights(probes, &intervals);
+      ASSERT_EQ(intervals.size(), expected.size());
+      for (size_t i = 0; i < intervals.size(); i++)
+        ASSERT_EQ(intervals[i].weight, expected[i])
+            << "selector " << which << ", interval " << i << " ["
+            << intervals[i].left_bound << "]";
+    }
+  }
 }
 
 }  // namespace
