@@ -12,7 +12,11 @@
 //                  place, as set-up calls it: sorting moved the string
 //                  headers, not the bytes, so consecutive keys' bytes
 //                  sit at unrelated heap addresses (the runs above are
-//                  copies, allocated in sorted order)
+//                  copies, allocated in sorted order). The batch is
+//                  above EncodeBatch's split threshold, so this is the
+//                  wall clock of the split across the process's CPUs
+//   sorted_all_1 — the same batch as one range on the calling thread
+//                  (the per-core loop each part of the split runs)
 //
 // `mode` is a row-identity field in tools/bench_diff.py, so each series
 // is gated independently; cycles_per_byte joins the latency family and
@@ -142,6 +146,12 @@ void Run() {
     emit("sorted_all", Measure(chars, [&] {
            size_t bits = 0;
            auto enc = hope->EncodeBatch(keys, &bits);
+           return bits;
+         }));
+    emit("sorted_all_1", Measure(chars, [&] {
+           size_t bits = 0;
+           auto enc = internal::EncodeBatchInParts(hope->encoder(), keys,
+                                                   /*parts=*/1, &bits);
            return bits;
          }));
   }

@@ -41,6 +41,15 @@ class Encoder {
   /// unrelated to key i-1's. Both loops therefore prefetch the bytes of
   /// the key kPrefetchAhead positions on, so those misses overlap instead
   /// of forming a chain.
+  ///
+  /// A batch of at least 2 * kMinKeysPerThread keys is also cut into
+  /// contiguous ranges, one per CPU the process may run on (NumCpus()),
+  /// at most kMaxThreads and at least kMinKeysPerThread keys each. The
+  /// calling thread encodes the first range and one new thread each of
+  /// the others; a range whose thread cannot start is encoded on the
+  /// calling thread. Prefix reuse restarts at each range's first key, so
+  /// the output and `total_bits` are the same bytes whatever the split.
+  /// A smaller batch reads no CPU count and starts no thread.
   std::vector<std::string> EncodeBatch(const std::vector<std::string>& keys,
                                        size_t* total_bits = nullptr) const;
 
@@ -52,9 +61,26 @@ class Encoder {
 
   /// How many keys ahead of the one being encoded EncodeBatch prefetches.
   static constexpr size_t kPrefetchAhead = 16;
+  /// Fewest keys EncodeBatch hands to one thread: below this a thread's
+  /// start-up cost is a visible share of its work.
+  static constexpr size_t kMinKeysPerThread = size_t{1} << 14;
+  /// Most threads (the caller included) one EncodeBatch uses.
+  static constexpr size_t kMaxThreads = 8;
 
  private:
   std::unique_ptr<Dictionary> dict_;
 };
+
+namespace internal {
+
+/// EncodeBatch with the split forced to `parts` contiguous ranges, capped
+/// at Encoder::kMaxThreads (0 or 1: one range on the calling thread), for
+/// tests and benches that pin the split. Not part of the public API:
+/// callers use EncodeBatch.
+std::vector<std::string> EncodeBatchInParts(
+    const Encoder& encoder, const std::vector<std::string>& keys,
+    size_t parts, size_t* total_bits = nullptr);
+
+}  // namespace internal
 
 }  // namespace hope

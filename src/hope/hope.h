@@ -72,6 +72,12 @@ class Hope {
     return encoder_->Encode(key, bit_len);
   }
 
+  /// Encodes sorted keys with shared-prefix reuse (Appendix B); output is
+  /// byte-identical to Encode on each key. A batch of at least
+  /// 2 * Encoder::kMinKeysPerThread keys is split into contiguous ranges
+  /// encoded in parallel, one per CPU the process may use (at most
+  /// Encoder::kMaxThreads); a smaller one starts no thread. See
+  /// Encoder::EncodeBatch.
   std::vector<std::string> EncodeBatch(const std::vector<std::string>& keys,
                                        size_t* total_bits = nullptr) const {
     return encoder_->EncodeBatch(keys, total_bits);

@@ -1,18 +1,11 @@
 #include "serve/cpu_pin.h"
 
-#include <thread>
-
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
 #endif
 
 namespace hope::serve {
-
-unsigned NumCpus() {
-  unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
-}
 
 bool PinCurrentThreadToCpu(unsigned cpu) {
 #if defined(__linux__)

@@ -7,9 +7,6 @@
 
 namespace hope::serve {
 
-/// Logical CPUs visible to this process (>= 1).
-unsigned NumCpus();
-
 /// Pins the calling thread to `cpu` (modulo the platform's CPU-set
 /// size). Returns false when unsupported or rejected by the OS.
 bool PinCurrentThreadToCpu(unsigned cpu);

@@ -41,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cpus.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "serve/concurrent_index.h"

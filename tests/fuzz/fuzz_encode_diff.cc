@@ -3,7 +3,8 @@
 // and the Encode facade — must be byte-identical to the naive per-symbol virtual Lookup loop, across
 // every compatible scheme × dictionary implementation. EncodeBatch over
 // all the input's keys, in input order and sorted, must then match
-// Encode key by key (prefix reuse, prefetching past the batch's end).
+// Encode key by key (prefix reuse, prefetching past the batch's end), and
+// the sorted keys split into 2-4 ranges must match one range.
 // This is the fuzzing twin of simd_equivalence_test: the unit test pins
 // curated keys, the fuzzer feeds adversarial ones (NULs, 0xFF runs,
 // boundary straddles) into exactly the same oracle.
@@ -157,6 +158,24 @@ void DiffBatch(const Hope& hope, const std::vector<std::string>& keys) {
                  "EncodeBatch total bits diverged from Encode");
 }
 
+/// The split entry at 2-4 parts against the sequential pass over the same
+/// keys: each range restarts prefix reuse at its first key, so a key
+/// that shares a prefix with the one across a boundary must still encode
+/// to the same bytes.
+void DiffSplit(const Hope& hope, const std::vector<std::string>& keys) {
+  size_t seq_bits = 0;
+  const std::vector<std::string> seq =
+      hope::internal::EncodeBatchInParts(hope.encoder(), keys, 1, &seq_bits);
+  for (size_t parts = 2; parts <= 4; parts++) {
+    size_t bits = 0;
+    HOPE_CHECK_MSG(hope::internal::EncodeBatchInParts(hope.encoder(), keys,
+                                                      parts, &bits) == seq,
+                   "split EncodeBatch bytes diverged from one range");
+    HOPE_CHECK_MSG(bits == seq_bits,
+                   "split EncodeBatch total bits diverged from one range");
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -175,6 +194,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     DiffOneDict(*hope, keys);
     DiffBatch(*hope, keys);
     DiffBatch(*hope, sorted);
+    DiffSplit(*hope, sorted);
   }
   return 0;
 }

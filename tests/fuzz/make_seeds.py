@@ -155,6 +155,10 @@ def gen_encode_diff(d: str):
         [b"\x00" * (i % 5 + 1) + bytes([i * 37 % 256]) for i in range(24)]))
     write(d, "batch_ff_runs", pack(
         [b"\xff" * (i + 1) for i in range(20)] + [b"a\xff\xff", b"\xfe\xff"]))
+    # Sorted keys that all share a 14-byte prefix: every boundary of the
+    # target's 2-4 part split cuts a run the sequential pass reuses.
+    write(d, "split_shared_prefix", pack(
+        [b"com.gmail@user%02d" % i for i in range(12)]))
 
 
 def gen_parse(d: str):

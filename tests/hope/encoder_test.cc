@@ -95,21 +95,39 @@ TEST_P(SchemeEncoderTest, LosslessRoundTrip) {
   }
 }
 
-// EncodeBatch's output and total_bits against per-key Encode.
-void ExpectBatchMatchesEncode(const Hope& hope,
-                              const std::vector<std::string>& keys) {
-  size_t batch_bits = 0;
-  auto batch = hope.EncodeBatch(keys, &batch_bits);
-  ASSERT_EQ(batch.size(), keys.size());
+// A batch encoding's output and total_bits against per-key Encode.
+void ExpectMatchesEncode(const Hope& hope,
+                         const std::vector<std::string>& keys,
+                         const std::vector<std::string>& batch,
+                         size_t batch_bits, const std::string& what) {
+  ASSERT_EQ(batch.size(), keys.size()) << what;
   size_t indiv_bits = 0;
   for (size_t i = 0; i < keys.size(); i++) {
     size_t bits = 0;
     std::string e = hope.Encode(keys[i], &bits);
     indiv_bits += bits;
-    ASSERT_EQ(batch[i], e) << "batch of " << keys.size() << ", key " << i
-                           << ": " << keys[i];
+    ASSERT_EQ(batch[i], e) << what << ", key " << i << ": " << keys[i];
   }
-  EXPECT_EQ(batch_bits, indiv_bits) << "batch of " << keys.size();
+  EXPECT_EQ(batch_bits, indiv_bits) << what;
+}
+
+void ExpectBatchMatchesEncode(const Hope& hope,
+                              const std::vector<std::string>& keys) {
+  size_t bits = 0;
+  auto batch = hope.EncodeBatch(keys, &bits);
+  ExpectMatchesEncode(hope, keys, batch, bits,
+                      "batch of " + std::to_string(keys.size()));
+}
+
+void ExpectSplitMatchesEncode(const Hope& hope,
+                              const std::vector<std::string>& keys,
+                              size_t parts) {
+  size_t bits = 0;
+  auto batch =
+      internal::EncodeBatchInParts(hope.encoder(), keys, parts, &bits);
+  ExpectMatchesEncode(hope, keys, batch, bits,
+                      std::to_string(keys.size()) + " keys in " +
+                          std::to_string(parts) + " parts");
 }
 
 TEST_P(SchemeEncoderTest, BatchEncodingMatchesIndividual) {
@@ -150,6 +168,43 @@ TEST_P(SchemeEncoderTest, BatchPrefetchEdgesMatchIndividual) {
     EXPECT_FALSE(TakesReuseBranch(*hope_, alternating)) << n;
     ExpectBatchMatchesEncode(*hope_, alternating);
   }
+}
+
+// The split at every forced part count 1-kMaxThreads (8). Every adjacent
+// pair of the sorted keys shares a 16-byte prefix, longer than any
+// bounded lookahead, so each range boundary cuts a run the sequential
+// pass would reuse. Batch sizes give ranges of kPrefetchAhead - 1,
+// kPrefetchAhead and kPrefetchAhead + 1 keys, more parts than keys, and
+// no keys; the alternating keys take the no-reuse branch.
+TEST_P(SchemeEncoderTest, SplitBatchMatchesIndividual) {
+  constexpr size_t kAhead = Encoder::kPrefetchAhead;
+  constexpr size_t kMaxParts = Encoder::kMaxThreads;
+  std::vector<std::string> run;
+  for (size_t i = 0; i < kMaxParts * (kAhead + 1); i++) {
+    std::string n = std::to_string(i);
+    run.push_back("com.example@user" + std::string(4 - n.size(), '0') + n);
+  }
+  ASSERT_TRUE(std::is_sorted(run.begin(), run.end()));
+  for (size_t parts = 1; parts <= kMaxParts; parts++) {
+    for (size_t n : {size_t{0}, size_t{1}, parts - 1, parts * (kAhead - 1),
+                     parts * kAhead, parts * kAhead + 1,
+                     parts * (kAhead + 1)}) {
+      std::vector<std::string> sorted(run.begin(), run.begin() + n);
+      ExpectSplitMatchesEncode(*hope_, sorted, parts);
+      std::vector<std::string> alternating;
+      for (size_t i = 0; i < n; i++)
+        alternating.push_back((i % 2 ? "a" : "b") + run[i]);
+      ExpectSplitMatchesEncode(*hope_, alternating, parts);
+    }
+  }
+}
+
+// The smallest batch EncodeBatch itself splits (on a machine with more
+// than one CPU).
+TEST_P(SchemeEncoderTest, BatchAboveSplitThresholdMatchesIndividual) {
+  auto keys = GenerateEmails(2 * Encoder::kMinKeysPerThread + 1, 34);
+  std::sort(keys.begin(), keys.end());
+  ExpectBatchMatchesEncode(*hope_, keys);
 }
 
 // Set-up's layout: each key's bytes were allocated in shuffled order and
