@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <new>
 
 #include "common/str_utils.h"
 
@@ -14,7 +15,7 @@ constexpr size_t kMaxStoredPrefix = 8;
 }  // namespace
 
 struct Art::Leaf {
-  const std::string* key;  // tuple-owned full key
+  KeyRef key;  // the full tuple key, in the tree's arena
   uint64_t value;
 };
 
@@ -54,13 +55,9 @@ size_t NodeSize(NodeType t) {
   return 0;
 }
 
-void DeleteNode(Art::Node* n) {
-  switch (n->type) {
-    case kNode4: delete static_cast<Node4*>(n); break;
-    case kNode16: delete static_cast<Node16*>(n); break;
-    case kNode48: delete static_cast<Node48*>(n); break;
-    case kNode256: delete static_cast<Node256*>(n); break;
-  }
+void FreeNode(Art::Node* n, Arena* arena, size_t* memory) {
+  *memory -= NodeSize(n->type);
+  arena->FreeBlock(n, NodeSize(n->type));
 }
 
 Art::Child* FindChildSlot(Art::Node* n, uint8_t b) {
@@ -142,56 +139,37 @@ bool ForEachChild(const Art::Node* n, Fn fn) {
 
 }  // namespace
 
-Art::~Art() {
-  if (root_) FreeChild(root_);
-}
-
-void Art::FreeChild(Child c) {
-  if (IsLeaf(c)) {
-    delete AsLeaf(c);
-    return;
-  }
-  Node* n = AsNode(c);
-  ForEachChild(n, [&](uint8_t, Child child) {
-    FreeChild(child);
-    return true;
-  });
-  if (n->term_leaf) delete n->term_leaf;
-  DeleteNode(n);
-}
-
-const std::string* Art::Intern(std::string_view key) {
-  tuples_.emplace_back(key);
-  return &tuples_.back();
-}
-
 Art::Leaf* Art::NewLeaf(std::string_view key, uint64_t value) {
-  auto* leaf = new Leaf{Intern(key), value};
+  // Leaf first: in fresh arena space the key's bytes then follow it.
+  auto* leaf = static_cast<Leaf*>(arena_.AllocateBlock(sizeof(Leaf)));
+  *leaf = Leaf{arena_.Intern(key), value};
   memory_ += sizeof(Leaf);
   size_++;
   return leaf;
 }
 
+void Art::FreeLeaf(Leaf* leaf) {
+  arena_.FreeBlock(leaf, sizeof(Leaf));
+  memory_ -= sizeof(Leaf);
+  size_--;
+}
+
 namespace {
 
-Art::Node* NewNode(NodeType t, size_t* memory) {
+Art::Node* NewNode(NodeType t, Arena* arena, size_t* memory) {
   *memory += NodeSize(t);
+  void* block = arena->AllocateBlock(NodeSize(t));
   Art::Node* n = nullptr;
   switch (t) {
-    case kNode4: n = new Node4(); break;
-    case kNode16: n = new Node16(); break;
+    case kNode4: n = new (block) Node4(); break;
+    case kNode16: n = new (block) Node16(); break;
     case kNode48: {
-      auto* x = new Node48();
+      auto* x = new (block) Node48();
       std::memset(x->child_index, 0xFF, sizeof(x->child_index));
       n = x;
       break;
     }
-    case kNode256: {
-      auto* x = new Node256();
-      std::memset(x->children, 0, sizeof(x->children));
-      n = x;
-      break;
-    }
+    case kNode256: n = new (block) Node256(); break;
   }
   n->type = t;
   return n;
@@ -211,12 +189,12 @@ int InsertSorted(uint8_t (&keys)[N], ChildT (&children)[N], int count,
   return pos;
 }
 
-Art::Node* Grow(Art::Node* old, size_t* memory) {
+Art::Node* Grow(Art::Node* old, Arena* arena, size_t* memory) {
   Art::Node* bigger = nullptr;
   switch (old->type) {
     case kNode4: {
       auto* o = static_cast<Node4*>(old);
-      auto* n = static_cast<Node16*>(NewNode(kNode16, memory));
+      auto* n = static_cast<Node16*>(NewNode(kNode16, arena, memory));
       std::copy(o->keys, o->keys + 4, n->keys);
       std::copy(o->children, o->children + 4, n->children);
       n->num_children = 4;
@@ -225,7 +203,7 @@ Art::Node* Grow(Art::Node* old, size_t* memory) {
     }
     case kNode16: {
       auto* o = static_cast<Node16*>(old);
-      auto* n = static_cast<Node48*>(NewNode(kNode48, memory));
+      auto* n = static_cast<Node48*>(NewNode(kNode48, arena, memory));
       for (int i = 0; i < 16; i++) {
         n->child_index[o->keys[i]] = static_cast<uint8_t>(i);
         n->children[i] = o->children[i];
@@ -236,7 +214,7 @@ Art::Node* Grow(Art::Node* old, size_t* memory) {
     }
     case kNode48: {
       auto* o = static_cast<Node48*>(old);
-      auto* n = static_cast<Node256*>(NewNode(kNode256, memory));
+      auto* n = static_cast<Node256*>(NewNode(kNode256, arena, memory));
       for (int b = 0; b < 256; b++)
         if (o->child_index[b] != 0xFF)
           n->children[b] = o->children[o->child_index[b]];
@@ -251,14 +229,13 @@ Art::Node* Grow(Art::Node* old, size_t* memory) {
   bigger->prefix_len = old->prefix_len;
   std::copy(old->prefix, old->prefix + kMaxStoredPrefix, bigger->prefix);
   bigger->term_leaf = old->term_leaf;
-  *memory -= NodeSize(old->type);
-  DeleteNode(old);
+  FreeNode(old, arena, memory);
   return bigger;
 }
 
 Art::Child* AddChild(Art::Node*& node, uint8_t b, Art::Child child,
-                     size_t* memory) {
-  if (IsFull(node)) node = Grow(node, memory);
+                     Arena* arena, size_t* memory) {
+  if (IsFull(node)) node = Grow(node, arena, memory);
   switch (node->type) {
     case kNode4: {
       auto* x = static_cast<Node4*>(node);
@@ -316,28 +293,29 @@ void Art::InsertIntoSlot(Child* slot, std::string_view key, uint64_t value,
     Child c = *slot;
     if (IsLeaf(c)) {
       Leaf* leaf = AsLeaf(c);
-      const std::string& lkey = *leaf->key;
+      std::string_view lkey = KeyAt(leaf->key);
       if (lkey == key) {
         leaf->value = value;
         return;
       }
       // Split into a node holding the common part after `depth`.
       std::string_view krest = key.substr(depth);
-      std::string_view lrest = std::string_view(lkey).substr(depth);
+      std::string_view lrest = lkey.substr(depth);
       size_t lcp = LcpLen(krest, lrest);
-      Node* node = NewNode(kNode4, &memory_);
+      Node* node = NewNode(kNode4, &arena_, &memory_);
       SetStoredPrefix(node, krest.substr(0, lcp));
       Leaf* new_leaf = NewLeaf(key, value);
       if (depth + lcp == key.size()) {
         node->term_leaf = new_leaf;
       } else {
         AddChild(node, static_cast<uint8_t>(key[depth + lcp]),
-                 TagLeaf(new_leaf), &memory_);
+                 TagLeaf(new_leaf), &arena_, &memory_);
       }
       if (depth + lcp == lkey.size()) {
         node->term_leaf = leaf;
       } else {
-        AddChild(node, static_cast<uint8_t>(lkey[depth + lcp]), c, &memory_);
+        AddChild(node, static_cast<uint8_t>(lkey[depth + lcp]), c, &arena_,
+                 &memory_);
       }
       *slot = node;
       return;
@@ -351,38 +329,38 @@ void Art::InsertIntoSlot(Child* slot, std::string_view key, uint64_t value,
     std::string_view krest = key.substr(depth);
     size_t check = std::min<size_t>(plen, krest.size());
     size_t m = 0;  // matched bytes
-    const std::string* rep = nullptr;
+    const Leaf* rep = nullptr;
     while (m < check) {
       uint8_t pb;
       if (m < kMaxStoredPrefix) {
         pb = node->prefix[m];
       } else {
-        if (!rep) rep = MinLeaf(c)->key;
-        pb = static_cast<uint8_t>((*rep)[depth + m]);
+        if (!rep) rep = MinLeaf(c);
+        pb = static_cast<uint8_t>(KeyAt(rep->key)[depth + m]);
       }
       if (static_cast<uint8_t>(krest[m]) != pb) break;
       m++;
     }
     if (m < plen) {
       // Mismatch (or key exhausted) inside the prefix: split the prefix.
-      if (!rep && plen > kMaxStoredPrefix) rep = MinLeaf(c)->key;
+      if (!rep && plen > kMaxStoredPrefix) rep = MinLeaf(c);
       std::string_view full_prefix =
-          rep ? std::string_view(*rep).substr(depth, plen)
+          rep ? KeyAt(rep->key).substr(depth, plen)
               : std::string_view(reinterpret_cast<const char*>(node->prefix),
                                  plen);
-      Node* parent = NewNode(kNode4, &memory_);
+      Node* parent = NewNode(kNode4, &arena_, &memory_);
       SetStoredPrefix(parent, full_prefix.substr(0, m));
       // Old node keeps the tail of the prefix (after the branch byte).
       uint8_t old_branch = static_cast<uint8_t>(full_prefix[m]);
       std::string old_tail(full_prefix.substr(m + 1));
       SetStoredPrefix(node, old_tail);
-      AddChild(parent, old_branch, c, &memory_);
+      AddChild(parent, old_branch, c, &arena_, &memory_);
       Leaf* new_leaf = NewLeaf(key, value);
       if (depth + m == key.size()) {
         parent->term_leaf = new_leaf;
       } else {
         AddChild(parent, static_cast<uint8_t>(key[depth + m]),
-                 TagLeaf(new_leaf), &memory_);
+                 TagLeaf(new_leaf), &arena_, &memory_);
       }
       *slot = parent;
       return;
@@ -401,7 +379,7 @@ void Art::InsertIntoSlot(Child* slot, std::string_view key, uint64_t value,
     if (!child_slot) {
       Leaf* leaf = NewLeaf(key, value);
       Node* grown = node;
-      AddChild(grown, b, TagLeaf(leaf), &memory_);
+      AddChild(grown, b, TagLeaf(leaf), &arena_, &memory_);
       if (grown != node) *slot = grown;
       return;
     }
@@ -483,20 +461,19 @@ std::pair<uint8_t, Art::Child> OnlyChild(const Art::Node* n) {
 
 /// Shrinks a node to the next-smaller size class when sparse enough
 /// (with slack so alternating insert/erase does not thrash).
-Art::Node* MaybeShrink(Art::Node* n, size_t* memory) {
+Art::Node* MaybeShrink(Art::Node* n, Arena* arena, size_t* memory) {
   auto transplant = [&](Art::Node* smaller) {
     smaller->prefix_len = n->prefix_len;
     std::copy(n->prefix, n->prefix + kMaxStoredPrefix, smaller->prefix);
     smaller->term_leaf = n->term_leaf;
-    *memory -= NodeSize(n->type);
-    DeleteNode(n);
+    FreeNode(n, arena, memory);
     return smaller;
   };
   switch (n->type) {
     case kNode16: {
       if (n->num_children > 3) return n;
       auto* x = static_cast<Node16*>(n);
-      auto* s = static_cast<Node4*>(NewNode(kNode4, memory));
+      auto* s = static_cast<Node4*>(NewNode(kNode4, arena, memory));
       for (int i = 0; i < x->num_children; i++) {
         s->keys[i] = x->keys[i];
         s->children[i] = x->children[i];
@@ -507,7 +484,7 @@ Art::Node* MaybeShrink(Art::Node* n, size_t* memory) {
     case kNode48: {
       if (n->num_children > 12) return n;
       auto* x = static_cast<Node48*>(n);
-      auto* s = static_cast<Node16*>(NewNode(kNode16, memory));
+      auto* s = static_cast<Node16*>(NewNode(kNode16, arena, memory));
       int out = 0;
       for (int b = 0; b < 256; b++)
         if (x->child_index[b] != 0xFF) {
@@ -520,7 +497,7 @@ Art::Node* MaybeShrink(Art::Node* n, size_t* memory) {
     case kNode256: {
       if (n->num_children > 40) return n;
       auto* x = static_cast<Node256*>(n);
-      auto* s = static_cast<Node48*>(NewNode(kNode48, memory));
+      auto* s = static_cast<Node48*>(NewNode(kNode48, arena, memory));
       int out = 0;
       for (int b = 0; b < 256; b++)
         if (x->children[b]) {
@@ -542,7 +519,7 @@ void Art::CollapseIfNeeded(Child* slot, size_t /*depth*/) {
   Node* n = AsNode(*slot);
   size_t entries = n->num_children + (n->term_leaf ? 1 : 0);
   if (entries >= 2) {
-    *slot = MaybeShrink(n, &memory_);
+    *slot = MaybeShrink(n, &arena_, &memory_);
     return;
   }
   assert(entries == 1);
@@ -551,8 +528,7 @@ void Art::CollapseIfNeeded(Child* slot, size_t /*depth*/) {
     // carry their full key, so no prefix bookkeeping is needed).
     *slot = TagLeaf(n->term_leaf);
     n->term_leaf = nullptr;
-    memory_ -= NodeSize(n->type);
-    DeleteNode(n);
+    FreeNode(n, &arena_, &memory_);
     return;
   }
   auto [b, only] = OnlyChild(n);
@@ -575,18 +551,15 @@ void Art::CollapseIfNeeded(Child* slot, size_t /*depth*/) {
     std::copy(stored, stored + pos, c->prefix);
     *slot = only;
   }
-  memory_ -= NodeSize(n->type);
-  DeleteNode(n);
+  FreeNode(n, &arena_, &memory_);
 }
 
 bool Art::EraseFromSlot(Child* slot, std::string_view key, size_t depth) {
   Child c = *slot;
   if (IsLeaf(c)) {
     Leaf* leaf = AsLeaf(c);
-    if (*leaf->key != key) return false;
-    delete leaf;
-    memory_ -= sizeof(Leaf);
-    size_--;
+    if (KeyAt(leaf->key) != key) return false;
+    FreeLeaf(leaf);
     *slot = nullptr;  // the caller unlinks the child entry
     return true;
   }
@@ -598,17 +571,15 @@ bool Art::EraseFromSlot(Child* slot, std::string_view key, size_t depth) {
   for (size_t i = 0; i < stored; i++)
     if (static_cast<uint8_t>(key[depth + i]) != n->prefix[i]) return false;
   if (plen > kMaxStoredPrefix) {
-    const std::string& rep = *MinLeaf(c)->key;
+    std::string_view rep = KeyAt(MinLeaf(c)->key);
     for (size_t i = kMaxStoredPrefix; i < plen; i++)
       if (key[depth + i] != rep[depth + i]) return false;
   }
   depth += plen;
   if (depth == key.size()) {
-    if (!n->term_leaf || *n->term_leaf->key != key) return false;
-    delete n->term_leaf;
+    if (!n->term_leaf || KeyAt(n->term_leaf->key) != key) return false;
+    FreeLeaf(n->term_leaf);
     n->term_leaf = nullptr;
-    memory_ -= sizeof(Leaf);
-    size_--;
     CollapseIfNeeded(slot, depth);
     return true;
   }
@@ -625,10 +596,8 @@ bool Art::Erase(std::string_view key) {
   if (!root_) return false;
   if (IsLeaf(root_)) {
     Leaf* leaf = AsLeaf(root_);
-    if (*leaf->key != key) return false;
-    delete leaf;
-    memory_ -= sizeof(Leaf);
-    size_--;
+    if (KeyAt(leaf->key) != key) return false;
+    FreeLeaf(leaf);
     root_ = nullptr;
     return true;
   }
@@ -650,7 +619,7 @@ bool Art::Lookup(std::string_view key, uint64_t* value) const {
       if (static_cast<uint8_t>(key[depth + i]) != n->prefix[i]) return false;
     depth += plen;
     if (depth == key.size()) {
-      if (!n->term_leaf || *n->term_leaf->key != key) return false;
+      if (!n->term_leaf || KeyAt(n->term_leaf->key) != key) return false;
       if (value) *value = n->term_leaf->value;
       return true;
     }
@@ -660,7 +629,7 @@ bool Art::Lookup(std::string_view key, uint64_t* value) const {
     depth++;
   }
   const Leaf* leaf = AsLeaf(c);
-  if (*leaf->key != key) return false;  // final verification
+  if (KeyAt(leaf->key) != key) return false;  // final verification
   if (value) *value = leaf->value;
   return true;
 }
@@ -690,7 +659,7 @@ size_t Art::EmitGE(Child c, std::string_view start, size_t depth,
   if (produced >= count) return produced;
   if (IsLeaf(c)) {
     const Leaf* leaf = AsLeaf(c);
-    if (std::string_view(*leaf->key) >= start) {
+    if (KeyAt(leaf->key) >= start) {
       if (out) out->push_back(leaf->value);
       produced++;
     }
@@ -703,14 +672,14 @@ size_t Art::EmitGE(Child c, std::string_view start, size_t depth,
   std::string_view srest =
       depth <= start.size() ? start.substr(depth) : std::string_view();
   size_t check = std::min<size_t>(plen, srest.size());
-  const std::string* rep = nullptr;
+  const Leaf* rep = nullptr;
   for (size_t i = 0; i < check; i++) {
     uint8_t pb;
     if (i < kMaxStoredPrefix) {
       pb = n->prefix[i];
     } else {
-      if (!rep) rep = MinLeaf(c)->key;
-      pb = static_cast<uint8_t>((*rep)[depth + i]);
+      if (!rep) rep = MinLeaf(c);
+      pb = static_cast<uint8_t>(KeyAt(rep->key)[depth + i]);
     }
     uint8_t sb = static_cast<uint8_t>(srest[i]);
     if (pb < sb) return produced;                        // subtree < start
@@ -770,13 +739,13 @@ double Art::AverageLeafDepth() const {
 
 std::string Art::CheckChild(Child c, std::string* path) const {
   if (IsLeaf(c)) {
-    const Leaf* leaf = AsLeaf(c);
+    std::string_view key = KeyAt(AsLeaf(c)->key);
     // The path must be a prefix of the leaf key (stored prefix bytes may
     // be truncated, so compare only what the path knows).
-    if (leaf->key->size() < path->size()) return "leaf key shorter than path";
+    if (key.size() < path->size()) return "leaf key shorter than path";
     for (size_t i = 0; i < path->size(); i++) {
       char p = (*path)[i];
-      if (p != '\x01' && (*leaf->key)[i] != p)  // \x01 marks skipped bytes
+      if (p != '\x01' && key[i] != p)  // \x01 marks skipped bytes
         return "leaf key does not match path";
     }
     return "";
@@ -791,7 +760,7 @@ std::string Art::CheckChild(Child c, std::string* path) const {
                         ? static_cast<char>(n->prefix[i])
                         : '\x01');
   if (n->term_leaf) {
-    if (n->term_leaf->key->size() != path->size())
+    if (KeyAt(n->term_leaf->key).size() != path->size())
       return "terminator key length mismatch";
   }
   uint8_t prev = 0;

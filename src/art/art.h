@@ -2,11 +2,18 @@
 // evaluation (§5): adaptive node sizes (Node4/16/48/256), *optimistic*
 // path compression (a node stores its prefix length but only the first 8
 // prefix bytes; lookups skip the rest and verify against the full key
-// stored with the tuple), and single-value leaves holding a pointer to
-// the externally-owned key ("the DBMS verifies the match when it
-// retrieves the tuple"). MemoryBytes() counts index structures only —
-// nodes and leaves — not tuple key bytes, mirroring the paper's
-// accounting (ART "only stores partial keys", Fig. 7).
+// stored with the tuple), and single-value leaves holding a reference to
+// the tuple key ("the DBMS verifies the match when it retrieves the
+// tuple"). MemoryBytes() counts index structures only — nodes and
+// leaves — not tuple key bytes, mirroring the paper's accounting (ART
+// "only stores partial keys", Fig. 7).
+//
+// Memory. Nodes, leaves and the tuple key bytes all come from the tree's
+// Arena (common/arena.h): a node that grows or shrinks moves to a block
+// of its new size class and its old block goes on a free list, an erased
+// leaf's block is reused by the next insert, and key bytes are
+// append-only. Destroying the tree frees the arena's chunks, with no walk
+// over the nodes.
 //
 // Prefix keys (a key that is a strict prefix of another) are supported
 // via a per-node terminator leaf instead of key padding, so arbitrary
@@ -15,23 +22,23 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/arena.h"
 
 namespace hope {
 
 class Art {
  public:
   Art() = default;
-  ~Art();
 
   Art(const Art&) = delete;
   Art& operator=(const Art&) = delete;
 
   /// Inserts a key/value pair; overwrites the value if the key exists.
-  /// The key is interned into the tuple arena (simulating the record the
+  /// The key is copied into the tree's arena (simulating the record the
   /// index points at).
   void Insert(std::string_view key, uint64_t value);
 
@@ -80,8 +87,8 @@ class Art {
     return reinterpret_cast<Child>(reinterpret_cast<uintptr_t>(l) | 1);
   }
 
-  const std::string* Intern(std::string_view key);
   Leaf* NewLeaf(std::string_view key, uint64_t value);
+  void FreeLeaf(Leaf* leaf);
 
   void InsertIntoSlot(Child* slot, std::string_view key, uint64_t value,
                       size_t depth);
@@ -92,12 +99,11 @@ class Art {
                  std::vector<uint64_t>* out) const;
   size_t EmitGE(Child c, std::string_view start, size_t depth, size_t count,
                 size_t produced, std::vector<uint64_t>* out) const;
-  void FreeChild(Child c);
   std::string CheckChild(Child c, std::string* path) const;
   void DepthStats(Child c, size_t depth, size_t* total, size_t* leaves) const;
 
+  Arena arena_;  // nodes, leaves and tuple key bytes
   Child root_ = nullptr;
-  std::deque<std::string> tuples_;  // externally-owned full keys
   size_t size_ = 0;
   size_t memory_ = 0;
 };

@@ -2,46 +2,18 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
-#include "common/check.h"
 #include "common/simd.h"
 
 namespace hope {
 
 namespace {
 
-constexpr int kLenShift = 48;
-constexpr uint64_t kAddrMask = (uint64_t{1} << kLenShift) - 1;
-// The length tag of a key of this many bytes or more, whose length is
-// then an 8-byte prefix of its bytes.
-constexpr size_t kEscapeLen = 0xFFFF;
-// Regular chunks double from kMinChunk to kMaxChunk (or fit the key that
-// opens them), so a small tree holds little slack and a large one few
-// chunks.
-constexpr size_t kMinChunk = size_t{1} << 10;
-constexpr size_t kMaxChunk = size_t{1} << 16;
-
-const char* KeyAddr(uint64_t ref) {
-  return reinterpret_cast<const char*>(ref & kAddrMask);
-}
-
-std::string_view KeyAt(uint64_t ref) {
-  const char* p = KeyAddr(ref);
-  size_t len = ref >> kLenShift;
-  if (len == kEscapeLen) {
-    uint64_t n;
-    std::memcpy(&n, p, sizeof(n));
-    return {p + sizeof(n), n};
-  }
-  return {p, len};
-}
-
 /// Starts loading every key of a node, so the probes of the binary
 /// search that follows miss in parallel rather than one after another.
 template <typename KeyArray>
 void PrefetchKeys(const KeyArray& keys, int count) {
-  for (int i = 0; i < count; i++) simd::PrefetchRead(KeyAddr(keys[i]));
+  for (int i = 0; i < count; i++) simd::PrefetchRead(KeyAddress(keys[i]));
 }
 
 /// First index in [0, count) with keys[i] > key (upper bound).
@@ -117,41 +89,9 @@ void BTree::FreeRec(Node* node) {
   }
 }
 
-char* BTree::Allocate(size_t n) {
-  if (n <= static_cast<size_t>(arena_end_ - arena_cur_)) {
-    char* p = arena_cur_;
-    arena_cur_ += n;
-    return p;
-  }
-  bool own = n > kMaxChunk;
-  size_t size =
-      std::max(n, std::clamp(2 * chunk_bytes_, kMinChunk, kMaxChunk));
-  chunks_.push_back(std::make_unique_for_overwrite<char[]>(size));
-  char* p = chunks_.back().get();
-  HOPE_CHECK_MSG((reinterpret_cast<uintptr_t>(p) + size) >> kLenShift == 0,
-                 "key arena chunk past the 48-bit address range");
-  // A dedicated chunk leaves the current one's free bytes in use.
-  if (own) return p;
-  chunk_bytes_ = size;
-  arena_cur_ = p + n;
-  arena_end_ = p + size;
-  return p;
-}
-
-BTree::KeyRef BTree::Intern(std::string_view key) {
-  bool escape = key.size() >= kEscapeLen;
-  char* p = Allocate(key.size() + (escape ? sizeof(uint64_t) : 0));
-  char* bytes = p;
-  if (escape) {
-    uint64_t n = key.size();
-    std::memcpy(p, &n, sizeof(n));
-    bytes += sizeof(n);
-  }
-  // The empty key needs no chunk: Allocate(0) may return nullptr.
-  if (!key.empty()) std::memcpy(bytes, key.data(), key.size());
+KeyRef BTree::Intern(std::string_view key) {
   key_bytes_ += key.size();
-  return reinterpret_cast<uintptr_t>(p) |
-         (uint64_t{escape ? kEscapeLen : key.size()} << kLenShift);
+  return arena_.Intern(key);
 }
 
 void BTree::Insert(std::string_view key, uint64_t value) {

@@ -5,14 +5,11 @@
 // keys (Fig. 7: B+trees store full keys and benefit most from key
 // compression).
 //
-// Key layout. Each key's bytes sit contiguously, with no header, in a
-// chunked append-only byte arena; a key larger than a chunk gets a chunk
-// of its own. A key reference is one tagged word: the address in the low
-// 48 bits and the length in the high 16, so a comparison reads a single
-// run of bytes and the length costs no load. A key of 65,535 bytes or
-// more carries the escape tag 0xFFFF instead, and its bytes follow an
-// 8-byte length prefix. A search prefetches every key a node references
-// before it bisects the node, so the dependent misses overlap.
+// Key layout. Each key's bytes sit contiguously, with no header, in the
+// tree's Arena (common/arena.h), and each 8-byte key slot is a tagged
+// KeyRef, so a comparison reads a single run of bytes and the length
+// costs no load. A search prefetches every key a node references before
+// it bisects the node, so the dependent misses overlap.
 //
 // Split policy. Before an insert descends into a full leaf, the parent
 // first shifts one of that leaf's entries into an adjacent sibling under
@@ -38,10 +35,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/arena.h"
 
 namespace hope {
 
@@ -91,10 +89,6 @@ class BTree {
   std::string CheckInvariants() const;
 
  private:
-  // Tagged key reference: address in bits 0-47, length in bits 48-63
-  // (0xFFFF: the length is an 8-byte prefix at the address).
-  using KeyRef = uint64_t;
-
   struct Node {
     bool leaf;
     uint16_t count = 0;
@@ -120,9 +114,6 @@ class BTree {
   static constexpr int kMinFill = kSlots / 2;
 
   KeyRef Intern(std::string_view key);
-  // `n` contiguous arena bytes; a request larger than a chunk gets a
-  // chunk of its own.
-  char* Allocate(size_t n);
   // `spine`: node is the last child at every level above it.
   SplitResult InsertRec(Node* node, std::string_view key, uint64_t value,
                         bool spine);
@@ -143,10 +134,7 @@ class BTree {
 
   Node* root_ = nullptr;
   LeafNode* rightmost_ = nullptr;  // last leaf of the chain; the append target
-  std::vector<std::unique_ptr<char[]>> chunks_;  // the key arena
-  char* arena_cur_ = nullptr;  // free bytes of the current chunk
-  char* arena_end_ = nullptr;
-  size_t chunk_bytes_ = 0;     // size of the last regular chunk
+  Arena arena_;  // key bytes
   size_t size_ = 0;
   size_t key_bytes_ = 0;
   size_t node_bytes_ = 0;

@@ -1,5 +1,6 @@
-// How many CPUs this process may run on: the one count that sizes both
-// EncodeBatch's fan-out and the serving layer's worker pinning.
+// The CPUs this process may run on: the one count that sizes
+// EncodeBatch's fan-out, and the CPU ids the serving layer pins its
+// workers to.
 #pragma once
 
 namespace hope {
@@ -9,5 +10,11 @@ namespace hope {
 /// back to std::thread::hardware_concurrency() where the mask cannot be
 /// read, and never returns less than 1.
 unsigned NumCpus();
+
+/// The id of the (i mod NumCpus())-th CPU of the calling thread's
+/// affinity mask, in increasing id order, so pinning thread i to it never
+/// leaves the CPUs the process was given. Where the mask cannot be read,
+/// i mod NumCpus().
+unsigned NthCpu(unsigned i);
 
 }  // namespace hope

@@ -2,21 +2,35 @@
 
 #include <algorithm>
 #include <cassert>
-#include <new>
 
 namespace hope {
 
 Hot::Node* Hot::AllocNode(uint32_t offset, uint16_t count) {
-  Node* n = static_cast<Node*>(::operator new(NodeBytes(count)));
+  Node* n = static_cast<Node*>(arena_.AllocateBlock(NodeBytes(count)));
   n->offset = offset;
   n->count = count;
-  memory_ += NodeBytes(count) + sizeof(void*);  // + allocator header
+  memory_ += NodeBytes(count) + sizeof(void*);  // see MemoryBytes()
   return n;
 }
 
 void Hot::FreeNode(Node* n) {
   memory_ -= NodeBytes(n->count) + sizeof(void*);
-  ::operator delete(n);
+  arena_.FreeBlock(n, NodeBytes(n->count));
+}
+
+Hot::Leaf* Hot::NewLeaf(std::string_view key, uint64_t value) {
+  // Leaf first: in fresh arena space the key's bytes then follow it.
+  auto* leaf = static_cast<Leaf*>(arena_.AllocateBlock(sizeof(Leaf)));
+  *leaf = Leaf{arena_.Intern(key), value};
+  memory_ += sizeof(Leaf);
+  size_++;
+  return leaf;
+}
+
+void Hot::FreeLeaf(Leaf* leaf) {
+  arena_.FreeBlock(leaf, sizeof(Leaf));
+  memory_ -= sizeof(Leaf);
+  size_--;
 }
 
 Hot::Node* Hot::WithEdge(Node* n, Edge e) {
@@ -44,20 +58,6 @@ const Hot::Edge* Hot::FindEdge(const Node* n, int byte) {
   return lo < n->count && n->edges[lo].byte == byte ? &n->edges[lo] : nullptr;
 }
 
-Hot::~Hot() {
-  if (root_) FreeChild(root_);
-}
-
-void Hot::FreeChild(Child c) {
-  if (IsLeaf(c)) {
-    delete AsLeaf(c);
-    return;
-  }
-  Node* n = AsNode(c);
-  for (uint16_t i = 0; i < n->count; i++) FreeChild(n->edges[i].child);
-  FreeNode(n);
-}
-
 const Hot::Leaf* Hot::DescendBestEffort(std::string_view key) const {
   Child c = root_;
   while (!IsLeaf(c)) {
@@ -75,15 +75,12 @@ const Hot::Leaf* Hot::MinLeaf(Child c) const {
 
 void Hot::Insert(std::string_view key, uint64_t value) {
   if (!root_) {
-    tuples_.emplace_back(key);
-    root_ = TagLeaf(new Leaf{&tuples_.back(), value});
-    memory_ += sizeof(Leaf);
-    size_ = 1;
+    root_ = TagLeaf(NewLeaf(key, value));
     return;
   }
   // Phase 1: find a candidate leaf and the first discriminating offset.
   const Leaf* cand = DescendBestEffort(key);
-  const std::string& ckey = *cand->key;
+  std::string_view ckey = KeyAt(cand->key);
   size_t o = 0;
   while (ByteAt(key, o) == ByteAt(ckey, o)) {
     if (o >= key.size() && o >= ckey.size()) {  // equal keys
@@ -108,10 +105,7 @@ void Hot::Insert(std::string_view key, uint64_t value) {
     slot = &e->child;
   }
 
-  tuples_.emplace_back(key);
-  Leaf* leaf = new Leaf{&tuples_.back(), value};
-  memory_ += sizeof(Leaf);
-  size_++;
+  Leaf* leaf = NewLeaf(key, value);
 
   if (!IsLeaf(*slot) && AsNode(*slot)->offset == o) {
     // The discriminating position already exists: add a sibling edge.
@@ -148,10 +142,8 @@ bool Hot::EraseRec(Child* slot, std::string_view key) {
   Child c = *slot;
   if (IsLeaf(c)) {
     Leaf* leaf = AsLeaf(c);
-    if (*leaf->key != key) return false;
-    delete leaf;
-    memory_ -= sizeof(Leaf);
-    size_--;
+    if (KeyAt(leaf->key) != key) return false;
+    FreeLeaf(leaf);
     *slot = nullptr;  // the caller unlinks the edge
     return true;
   }
@@ -189,7 +181,7 @@ bool Hot::Lookup(std::string_view key, uint64_t* value) const {
     c = exact->child;
   }
   const Leaf* leaf = AsLeaf(c);
-  if (*leaf->key != key) return false;  // full-key verification
+  if (KeyAt(leaf->key) != key) return false;  // full-key verification
   if (value) *value = leaf->value;
   return true;
 }
@@ -214,7 +206,7 @@ size_t Hot::EmitGE(Child c, std::string_view start, size_t count,
   if (produced >= count) return produced;
   if (IsLeaf(c)) {
     const Leaf* leaf = AsLeaf(c);
-    if (std::string_view(*leaf->key) >= start) {
+    if (KeyAt(leaf->key) >= start) {
       if (out) out->push_back(leaf->value);
       produced++;
     }
@@ -223,7 +215,7 @@ size_t Hot::EmitGE(Child c, std::string_view start, size_t count,
   const Node* n = AsNode(c);
   // All keys in this subtree share their bytes below n->offset (Patricia
   // invariant), so one representative decides the comparison up to there.
-  const std::string& rep = *MinLeaf(c)->key;
+  std::string_view rep = KeyAt(MinLeaf(c)->key);
   for (size_t i = 0; i < n->offset; i++) {
     int sb = ByteAt(start, i);
     int rb = ByteAt(rep, i);
@@ -281,10 +273,10 @@ std::string Hot::CheckRec(Child c, uint32_t min_offset) const {
   // Subtree agreement: every child subtree's min leaf must agree with the
   // node's min leaf on all bytes below n->offset, and carry the edge byte
   // at n->offset.
-  const std::string& rep = *MinLeaf(c)->key;
+  std::string_view rep = KeyAt(MinLeaf(c)->key);
   for (uint16_t i = 0; i < n->count; i++) {
     const Edge& e = n->edges[i];
-    const std::string& ck = *MinLeaf(e.child)->key;
+    std::string_view ck = KeyAt(MinLeaf(e.child)->key);
     for (size_t j = 0; j < n->offset; j++)
       if (ByteAt(ck, j) != ByteAt(rep, j))
         return "subtree bytes disagree below discriminating offset";

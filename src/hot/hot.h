@@ -9,24 +9,30 @@
 // byte-level discriminative Patricia trie. Each node stores one
 // discriminating byte offset and a sorted, exact-fit edge array (fanout
 // up to 257: 256 byte values plus end-of-key); non-discriminative bytes
-// are skipped entirely, never stored. Leaves hold a pointer to the
-// externally-owned tuple key plus the value; lookups verify against the
-// tuple like HOT's final full-key check. See DESIGN.md §3 for the
-// substitution rationale.
+// are skipped entirely, never stored. Leaves hold a reference to the
+// tuple key plus the value; lookups verify against the tuple like HOT's
+// final full-key check. See DESIGN.md §3 for the substitution rationale.
+//
+// Memory. Nodes, leaves and the tuple key bytes all come from the tree's
+// Arena (common/arena.h): a node that gains or loses an edge moves to a
+// block of its new size and its old block goes on a free list, an erased
+// leaf's block is reused by the next insert, and key bytes are
+// append-only. Destroying the tree frees the arena's chunks, with no walk
+// over the nodes.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/arena.h"
 
 namespace hope {
 
 class Hot {
  public:
   Hot() = default;
-  ~Hot();
 
   Hot(const Hot&) = delete;
   Hot& operator=(const Hot&) = delete;
@@ -48,7 +54,10 @@ class Hot {
   size_t size() const { return size_; }
 
   /// Index memory: nodes + leaves; tuple key bytes excluded (HOT stores
-  /// only partial keys).
+  /// only partial keys). Each node is charged 8 bytes beyond its block,
+  /// for an allocator header the arena does not have: dropping that
+  /// charge would move every reported bytes_per_key, so it waits for
+  /// the accounting itself to be redefined.
   size_t MemoryBytes() const { return memory_; }
 
   /// Average number of node levels above a leaf.
@@ -61,7 +70,7 @@ class Hot {
 
  private:
   struct Leaf {
-    const std::string* key;
+    KeyRef key;  ///< the tuple key, in arena_
     uint64_t value;
   };
 
@@ -104,6 +113,8 @@ class Hot {
   }
   Node* AllocNode(uint32_t offset, uint16_t count);
   void FreeNode(Node* n);
+  Leaf* NewLeaf(std::string_view key, uint64_t value);
+  void FreeLeaf(Leaf* leaf);
   /// Returns a new node with `e` inserted in sorted position; frees `n`.
   Node* WithEdge(Node* n, Edge e);
   /// Returns a new node without the edge for `byte`; frees `n`.
@@ -118,12 +129,11 @@ class Hot {
                  std::vector<uint64_t>* out) const;
   size_t EmitGE(Child c, std::string_view start, size_t count,
                 size_t produced, std::vector<uint64_t>* out) const;
-  void FreeChild(Child c);
   void DepthStats(Child c, size_t depth, size_t* total, size_t* leaves) const;
   std::string CheckRec(Child c, uint32_t min_offset) const;
 
+  Arena arena_;  // nodes, leaves and tuple key bytes
   Child root_ = nullptr;
-  std::deque<std::string> tuples_;
   size_t size_ = 0;
   size_t memory_ = 0;
 };

@@ -1,8 +1,9 @@
 // ServerLoop<Tree>: shared-nothing serving harness over a
-// ConcurrentShardedIndex. N workers, each pinned to a CPU (best-effort)
-// with its own bounded request queue and its own per-op latency
-// histograms — no cross-worker shared mutable state on the hot path, so
-// adding workers scales reads the way the index's shared locks allow.
+// ConcurrentShardedIndex. N workers, worker i pinned (best-effort) to the
+// i-th CPU of the creating thread's affinity mask, each with its own
+// bounded request queue and its own per-op latency histograms — no
+// cross-worker shared mutable state on the hot path, so adding workers
+// scales reads the way the index's shared locks allow.
 //
 // Requests are routed by shard affinity: Submit() routes the key
 // through the index's wait-free Route() and enqueues on worker
@@ -325,8 +326,7 @@ class ServerLoop {
 
   void WorkerMain(Worker& wk, size_t worker_index) {
     if (opt_.pin_workers &&
-        PinCurrentThreadToCpu(static_cast<unsigned>(worker_index) %
-                              NumCpus()))
+        PinCurrentThreadToCpu(NthCpu(static_cast<unsigned>(worker_index))))
       pinned_.fetch_add(1, std::memory_order_relaxed);
     std::deque<Request> batch;
     for (;;) {

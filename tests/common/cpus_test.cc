@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "serve/cpu_pin.h"
 
@@ -35,6 +36,30 @@ TEST(NumCpusTest, FollowsTheAffinityMask) {
   t.join();
   ASSERT_TRUE(pinned);
   EXPECT_EQ(seen, 1u);
+}
+
+// NthCpu walks the mask's CPU ids in increasing order and wraps around,
+// so it names only CPUs the thread may run on.
+TEST(NumCpusTest, NthCpuWalksTheAffinityMask) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  std::vector<unsigned> ids;
+  for (unsigned cpu = 0; cpu < CPU_SETSIZE; cpu++)
+    if (CPU_ISSET(cpu, &set)) ids.push_back(cpu);
+  for (unsigned i = 0; i < 2 * ids.size() + 1; i++)
+    EXPECT_EQ(NthCpu(i), ids[i % ids.size()]) << i;
+
+  // A thread narrowed to its mask's last CPU gets that CPU for every i.
+  unsigned last = ids.back();
+  std::vector<unsigned> seen;
+  std::thread t([&] {
+    if (!serve::PinCurrentThreadToCpu(last)) return;
+    for (unsigned i = 0; i < 4; i++) seen.push_back(NthCpu(i));
+  });
+  t.join();
+  ASSERT_EQ(seen.size(), 4u);
+  for (unsigned cpu : seen) EXPECT_EQ(cpu, last);
 }
 #endif
 

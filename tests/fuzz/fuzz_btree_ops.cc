@@ -1,7 +1,8 @@
-// Fuzz target: differential BTree operations against std::map.
+// Fuzz target: differential tree operations against std::map.
 //
-// The input is a stream of operations, one selector byte each (an
-// arbitrary key may be empty):
+// The same input drives BTree, Art and Hot in turn, each against its own
+// shadow map. The input is a stream of operations, one selector byte
+// each (an arbitrary key may be empty):
 //   0 append-max  a key past the current maximum (its successor plus a
 //                 short suffix), the path the rightmost-leaf fast path and
 //                 the right-spine append splits serve
@@ -13,19 +14,28 @@
 //   5 scan        up to 32 values from an arbitrary start key
 //   6 long insert 65,533-65,536 copies of one byte plus a short suffix,
 //                 keys on both sides of the arena's 16-bit length tag
-// Every result must match the shadow map; the tree's invariants (order,
-// fill, leaf chain, rightmost leaf) must hold at the end.
+//   7 churn       erase 1-16 consecutive keys from a probe on (wrapping
+//                 to the first key) and insert them again, so the next
+//                 allocations take the freed node and leaf blocks back off
+//                 the arena's free lists
+// Every result must match the shadow map, and the tree's invariants (for
+// BTree: order, fill, leaf chain, rightmost leaf) must hold every
+// kCheckEvery operations and at the end.
 #include <cstdint>
 #include <iterator>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "art/art.h"
 #include "btree/btree.h"
 #include "common/check.h"
+#include "hot/hot.h"
 #include "tests/fuzz/fuzz_input.h"
 
 namespace {
+
+constexpr uint64_t kCheckEvery = 64;
 
 /// A short key greater than `key`: bump its last byte below 0xFF and drop
 /// what follows; a key of 0xFF bytes only (or the empty key) grows by one.
@@ -38,16 +48,15 @@ std::string Successor(const std::string& key) {
   return next;
 }
 
-}  // namespace
-
-extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+template <typename Tree>
+void RunOps(const uint8_t* data, size_t size) {
   hope::fuzz::FuzzInput in(data, size);
-  hope::BTree tree;
+  Tree tree;
   std::map<std::string, uint64_t> shadow;
   uint64_t value = 0;
   while (in.remaining() > 0) {
     value++;
-    switch (in.TakeByte() % 7) {
+    switch (in.TakeByte() % 8) {
       case 0: {
         std::string key = shadow.empty() ? in.TakeString(8)
                                          : Successor(shadow.rbegin()->first) +
@@ -109,6 +118,22 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                        "scan stopped early");
         break;
       }
+      case 7: {
+        size_t n = 1 + in.TakeByte() % 16;
+        auto it = shadow.lower_bound(in.TakeString(8));
+        std::vector<std::string> moved;
+        for (; n > 0 && !shadow.empty(); n--) {
+          if (it == shadow.end()) it = shadow.begin();
+          moved.push_back(it->first);
+          HOPE_CHECK_MSG(tree.Erase(it->first), "churn erase missed a key");
+          it = shadow.erase(it);
+        }
+        for (const auto& key : moved) {
+          tree.Insert(key, value);
+          shadow[key] = value;
+        }
+        break;
+      }
       default: {
         size_t len = 65533 + in.TakeByte() % 4;
         std::string key(len, static_cast<char>(in.TakeByte()));
@@ -122,13 +147,23 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       }
     }
     HOPE_CHECK_MSG(tree.size() == shadow.size(), "size disagrees with map");
+    if (value % kCheckEvery == 0)
+      HOPE_CHECK_MSG(tree.CheckInvariants().empty(), "tree invariant broken");
   }
-  HOPE_CHECK_MSG(tree.CheckInvariants().empty(), "B+tree invariant broken");
+  HOPE_CHECK_MSG(tree.CheckInvariants().empty(), "tree invariant broken");
   std::vector<uint64_t> all;
   tree.Scan("", shadow.size() + 1, &all);
   HOPE_CHECK_MSG(all.size() == shadow.size(), "full scan size disagrees");
   size_t i = 0;
   for (const auto& kv : shadow)
     HOPE_CHECK_MSG(all[i++] == kv.second, "full scan disagrees with map");
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  RunOps<hope::BTree>(data, size);
+  RunOps<hope::Art>(data, size);
+  RunOps<hope::Hot>(data, size);
   return 0;
 }

@@ -197,12 +197,14 @@ def gen_telemetry(d: str):
 
 
 def gen_btree_ops(d: str):
-    # [op][operands...] per operation, op = selector byte % 7:
+    # [op][operands...] per operation, op = selector byte % 8:
     # 0 append-max [len][suffix], 1 insert [len][key], 2 overwrite
     # [len][probe], 3 erase [len][probe][take-next bool], 4 lookup
     # [len][key], 5 scan [len][start][count], 6 long insert
-    # [length selector][fill byte][len][suffix]. A few thousand ascending
-    # appends drive the right-spine append splits through three levels.
+    # [length selector][fill byte][len][suffix], 7 churn
+    # [count][len][probe]. Every input drives BTree, Art and Hot. A few
+    # thousand ascending appends drive the right-spine append splits
+    # through three levels.
     append = bytes([0, 0])
     erase_min = bytes([3, 0, 1])
     tail = bytes([4, 0, 5, 0, 31])
@@ -285,6 +287,42 @@ def gen_btree_ops(d: str):
     ops += [append, bytes([3, 0, 0]), bytes([4, 0]), bytes([5, 0, 31]),
             bytes([1, 0]), bytes([2, 0]), bytes([3, 1, 0, 1])]
     write(d, "empty_and_nul", b"".join(ops) + tail)
+    # Erase and re-insert churn over keys of mixed lengths, so Hot nodes
+    # of many edge counts and every Art node size are freed and taken back
+    # off the arena's free lists: churn runs from random probes, then an
+    # erase of every key from the minimum up, a reload, and more churn.
+    rng = random.Random(18)
+    keys = set()
+    while len(keys) < 600:
+        keys.add(struct.pack(">H", rng.randrange(4000))
+                 + bytes(rng.randrange(256) for _ in range(rng.randrange(3))))
+    keys = sorted(keys)
+    rng.shuffle(keys)
+    load = [bytes([1, len(k)]) + k for k in keys]
+    def churn(n):
+        out = []
+        for _ in range(n):
+            probe = bytes(rng.randrange(256) for _ in range(rng.randrange(3)))
+            out.append(bytes([7, rng.randrange(256), len(probe)]) + probe)
+        return out
+    ops = load + churn(300) + [erase_min] * 600 + [tail] + load + churn(300)
+    write(d, "churn", b"".join(ops) + tail)
+    # The same churn over keys on both sides of the 16-bit length tag:
+    # long keys between short ones, then churn runs that erase and
+    # re-insert them, erases of each long key and long re-inserts.
+    ops = []
+    for sel in range(4):
+        for fill in (0x00, ord("k"), 0xFF):
+            ops.append(bytes([6, sel, fill, 1, sel]))
+            ops.append(bytes([1, 2]) + struct.pack(">H", 97 * sel + fill))
+    for _ in range(3):
+        for probe in (b"", b"\x00", b"k", b"\xff"):
+            ops.append(bytes([7, 15, len(probe)]) + probe)
+        for probe in (b"\x00", b"k", b"\xff"):
+            ops.append(bytes([3, len(probe)]) + probe + bytes([1]))
+        for sel in range(4):
+            ops.append(bytes([6, sel, ord("k"), 1, sel]))
+    write(d, "long_churn", b"".join(ops) + tail)
 
 
 def main():

@@ -5,11 +5,18 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#include <sys/types.h>
+#endif
 
 #include "btree/btree.h"
 #include "dynamic/sharded_manager.h"
@@ -278,6 +285,67 @@ TEST(ServerLoopTest, CompatSnapshotMatchesRegistry) {
   }
   EXPECT_EQ(loop.Snapshot(Request::Op::kScan).latency.count, 10u);
 }
+
+#if defined(__linux__)
+/// Ids of this process's threads.
+std::set<pid_t> ThreadIds() {
+  std::set<pid_t> ids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ids.insert(static_cast<pid_t>(std::stol(entry.path().filename())));
+  return ids;
+}
+
+// Pinning stays inside the CPUs the loop was given: with the creating
+// thread narrowed to one CPU other than CPU 0, every thread the loop
+// starts ends up allowed on that CPU alone. Worker i takes the i-th CPU
+// of the mask, not CPU id i, which would leave the mask (a thread may
+// widen its own affinity).
+TEST(ServerLoopTest, PinnedWorkersStayInsideTheAffinityMask) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  int target = -1;
+  for (int cpu = 1; cpu < CPU_SETSIZE && target < 0; cpu++)
+    if (CPU_ISSET(cpu, &original)) target = cpu;
+  if (target < 0) GTEST_SKIP() << "no CPU other than 0 in the mask";
+  cpu_set_t narrow;
+  CPU_ZERO(&narrow);
+  CPU_SET(target, &narrow);
+  if (sched_setaffinity(0, sizeof(narrow), &narrow) != 0)
+    GTEST_SKIP() << "affinity changes rejected";
+  struct Restore {
+    cpu_set_t* mask;
+    ~Restore() { sched_setaffinity(0, sizeof(*mask), mask); }
+  } restore{&original};
+
+  Fixture fx;
+  const std::set<pid_t> before = ThreadIds();
+  ServerLoop<BTree>::Options opts = SmallLoopOptions();
+  opts.pin_workers = true;
+  ServerLoop<BTree> loop(fx.index.get(), opts);
+  // Each worker pins itself first thing; give them time to start.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (loop.workers_pinned() < loop.num_workers() &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(loop.workers_pinned(), loop.num_workers());
+
+  size_t started = 0;
+  for (pid_t tid : ThreadIds()) {
+    if (before.count(tid) != 0) continue;
+    cpu_set_t got;
+    CPU_ZERO(&got);
+    if (sched_getaffinity(tid, sizeof(got), &got) != 0) continue;  // exited
+    started++;
+    EXPECT_EQ(CPU_COUNT(&got), 1) << "thread " << tid;
+    EXPECT_TRUE(CPU_ISSET(target, &got)) << "thread " << tid;
+  }
+  // The workers and the maintenance thread.
+  EXPECT_GE(started, loop.num_workers() + 1);
+}
+#endif
 
 TEST(ServerLoopTest, DestructorStopsWithQueuedWork) {
   Fixture fx;

@@ -117,5 +117,19 @@ TEST(ArtTest, MemoryExcludesTupleBytes) {
             short_keys.MemoryBytes() * 2);
 }
 
+// Keys of length 0, 65534, 65535, 65536 and 200000 (both sides of the
+// arena's 16-bit length tag, and past a chunk) with their neighbours,
+// through inserts, overwrites, erases and re-inserts.
+TEST(ArtTest, KeyArenaEdgeCases) { RunKeyArenaEdgeCases<Art>(71); }
+
+// Destroying a tree, or erasing every key, and loading again gives the
+// same tree, memory figure included.
+TEST(ArtTest, ReloadAfterDestroyAndAfterEraseAll) {
+  std::vector<std::string> keys = GenerateEmails(20000, 81);
+  auto urls = GenerateUrls(2000, 82);
+  keys.insert(keys.end(), urls.begin(), urls.end());
+  RunReloadCycles<Art>(keys);
+}
+
 }  // namespace
 }  // namespace hope

@@ -87,5 +87,19 @@ TEST(HotTest, MemorySmallerThanArtOnSameKeys) {
   EXPECT_LT(hot.MemoryBytes(), art.MemoryBytes());
 }
 
+// Keys of length 0, 65534, 65535, 65536 and 200000 (both sides of the
+// arena's 16-bit length tag, and past a chunk) with their neighbours,
+// through inserts, overwrites, erases and re-inserts.
+TEST(HotTest, KeyArenaEdgeCases) { RunKeyArenaEdgeCases<Hot>(70); }
+
+// Destroying a tree, or erasing every key, and loading again gives the
+// same tree, memory figure included.
+TEST(HotTest, ReloadAfterDestroyAndAfterEraseAll) {
+  std::vector<std::string> keys = GenerateEmails(20000, 80);
+  auto urls = GenerateUrls(2000, 81);
+  keys.insert(keys.end(), urls.begin(), urls.end());
+  RunReloadCycles<Hot>(keys);
+}
+
 }  // namespace
 }  // namespace hope

@@ -166,4 +166,128 @@ void RunReferenceTest(Tree* tree, const std::vector<std::string>& keys,
   }
 }
 
+/// Checks a tree against its shadow map: invariants, size, a full scan,
+/// and a lookup of every key and of its neighbours one byte longer and
+/// one byte shorter (which are other keys).
+template <typename Tree>
+void MatchShadowKeys(const Tree& t,
+                     const std::map<std::string, uint64_t>& shadow) {
+  ASSERT_EQ(t.CheckInvariants(), "");
+  ASSERT_EQ(t.size(), shadow.size());
+  std::vector<uint64_t> vals;
+  ASSERT_EQ(t.Scan("", shadow.size() + 1, &vals), shadow.size());
+  size_t i = 0;
+  for (const auto& [key, value] : shadow) {
+    ASSERT_EQ(vals[i++], value) << key.size();
+    uint64_t got = 0;
+    ASSERT_TRUE(t.Lookup(key, &got)) << key.size();
+    ASSERT_EQ(got, value) << key.size();
+    std::string longer = key + '\0';
+    ASSERT_EQ(t.Lookup(longer, nullptr), shadow.count(longer) == 1);
+    if (key.empty()) continue;
+    std::string shorter = key.substr(0, key.size() - 1);
+    ASSERT_EQ(t.Lookup(shorter, nullptr), shadow.count(shorter) == 1);
+  }
+}
+
+/// Keys at the edges of the arena's key layout, shuffled and unique: the
+/// empty key, keys of only 0x00 or 0xFF bytes, lengths on both sides of
+/// the 16-bit length tag (65,535 bytes and up carry an 8-byte length
+/// prefix) and past a 64 KiB chunk, their neighbours differing only in
+/// the last byte or the length, and `short_keys` random short keys that
+/// roll the arena over several chunks.
+inline std::vector<std::string> KeyArenaEdgeKeys(size_t short_keys,
+                                                 uint64_t seed) {
+  std::vector<std::string> keys = {"", std::string(1, '\0'),
+                                   std::string(3, '\0'), "\xff",
+                                   std::string(40, '\xff')};
+  for (size_t len : {65534, 65535, 65536, 200000}) {
+    keys.push_back(std::string(len, 'k'));
+    keys.push_back(std::string(len, '\0'));
+    keys.push_back(std::string(len, '\xff'));
+    keys.push_back(std::string(len - 1, 'k') + 'j');
+    keys.push_back(std::string(len, 'k') + '\0');
+  }
+  std::mt19937_64 rng(seed);
+  for (size_t i = 0; i < short_keys; i++) {
+    std::string key = std::to_string(rng() % 1000000);
+    for (uint64_t j = rng() % 4; j > 0; j--)
+      key.push_back(static_cast<char>(rng() % 256));
+    keys.push_back(std::move(key));
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::shuffle(keys.begin(), keys.end(), rng);
+  return keys;
+}
+
+/// Drives a tree against a shadow map over KeyArenaEdgeKeys: load,
+/// overwrite all, erase every other key (twice: the second misses),
+/// re-insert those, erase everything; MatchShadowKeys after each phase.
+template <typename Tree>
+void RunKeyArenaEdgeCases(uint64_t seed) {
+  const std::vector<std::string> keys = KeyArenaEdgeKeys(5000, seed);
+  Tree t;
+  std::map<std::string, uint64_t> shadow;
+  uint64_t value = 0;
+  for (const auto& key : keys) {
+    t.Insert(key, ++value);
+    shadow[key] = value;
+  }
+  ASSERT_NO_FATAL_FAILURE(MatchShadowKeys(t, shadow));
+  for (auto& [key, v] : shadow) {
+    t.Insert(key, ++value);
+    v = value;
+  }
+  ASSERT_NO_FATAL_FAILURE(MatchShadowKeys(t, shadow));
+  for (size_t i = 0; i < keys.size(); i += 2) {
+    ASSERT_TRUE(t.Erase(keys[i])) << keys[i].size();
+    ASSERT_FALSE(t.Erase(keys[i])) << keys[i].size();
+    shadow.erase(keys[i]);
+  }
+  ASSERT_NO_FATAL_FAILURE(MatchShadowKeys(t, shadow));
+  for (size_t i = 0; i < keys.size(); i += 2) {
+    t.Insert(keys[i], ++value);
+    shadow[keys[i]] = value;
+  }
+  ASSERT_NO_FATAL_FAILURE(MatchShadowKeys(t, shadow));
+  for (const auto& key : keys) ASSERT_TRUE(t.Erase(key)) << key.size();
+  shadow.clear();
+  ASSERT_NO_FATAL_FAILURE(MatchShadowKeys(t, shadow));
+}
+
+/// Load -> destroy -> reload, then load -> erase-all -> reload three
+/// times in one tree, whose node and leaf blocks then come back off the
+/// arena's free lists. Every load leaves the same tree: all lookups hit,
+/// a full scan returns the values in key order, the invariants hold, and
+/// MemoryBytes() equals the first load's figure (0 once erased).
+template <typename Tree>
+void RunReloadCycles(const std::vector<std::string>& keys) {
+  std::map<std::string, uint64_t> shadow;
+  for (size_t i = 0; i < keys.size(); i++) shadow[keys[i]] = i + 1;
+  auto load = [&](Tree* t) {
+    for (size_t i = 0; i < keys.size(); i++) t->Insert(keys[i], i + 1);
+  };
+  size_t first = 0;
+  {
+    Tree t;
+    load(&t);
+    ASSERT_NO_FATAL_FAILURE(MatchShadowKeys(t, shadow));
+    first = t.MemoryBytes();
+  }
+  Tree t;
+  load(&t);
+  ASSERT_NO_FATAL_FAILURE(MatchShadowKeys(t, shadow));
+  EXPECT_EQ(t.MemoryBytes(), first);
+  for (int round = 0; round < 3; round++) {
+    SCOPED_TRACE(round);
+    for (const auto& key : keys) ASSERT_TRUE(t.Erase(key));
+    ASSERT_NO_FATAL_FAILURE(MatchShadowKeys(t, {}));
+    EXPECT_EQ(t.MemoryBytes(), 0u);
+    load(&t);
+    ASSERT_NO_FATAL_FAILURE(MatchShadowKeys(t, shadow));
+    EXPECT_EQ(t.MemoryBytes(), first);
+  }
+}
+
 }  // namespace hope
