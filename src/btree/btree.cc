@@ -1,7 +1,12 @@
 #include "btree/btree.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <new>
+#include <stdexcept>
 
 #include "common/simd.h"
 
@@ -9,21 +14,44 @@ namespace hope {
 
 namespace {
 
+// A length byte of this value says an 8-byte length follows.
+constexpr size_t kLenEscape = 0xFF;
+// The reach of a 32-bit offset.
+constexpr size_t kMaxKeyBytes = size_t{1} << 32;
+constexpr size_t kPageBytes = 4096;
+// From kHugeFrom on, the key buffer grows in whole 2 MiB pages and asks
+// for transparent huge pages: a large tree's keys then take one page
+// fault per 2 MiB instead of one per 4 KiB, and the resident tail past
+// the last key (under one huge page) stays small beside the buffer.
+constexpr size_t kHugePageBytes = size_t{2} << 20;
+constexpr size_t kHugeFrom = 4 * kHugePageBytes;
+
+/// The key at `offset` in the key buffer at `base`.
+inline std::string_view KeyAt(const char* base, uint32_t offset) {
+  const char* p = base + offset;
+  size_t len = static_cast<uint8_t>(*p);
+  if (len != kLenEscape) return {p + 1, len};
+  uint64_t n = 0;
+  std::memcpy(&n, p + 1, sizeof(n));
+  return {p + 1 + sizeof(n), n};
+}
+
 /// Starts loading every key of a node, so the probes of the binary
 /// search that follows miss in parallel rather than one after another.
 template <typename KeyArray>
-void PrefetchKeys(const KeyArray& keys, int count) {
-  for (int i = 0; i < count; i++) simd::PrefetchRead(KeyAddress(keys[i]));
+void PrefetchKeys(const char* base, const KeyArray& keys, int count) {
+  for (int i = 0; i < count; i++) simd::PrefetchRead(base + keys[i]);
 }
 
 /// First index in [0, count) with keys[i] > key (upper bound).
 template <typename KeyArray>
-int UpperBound(const KeyArray& keys, int count, std::string_view key) {
-  PrefetchKeys(keys, count);
+int UpperBound(const char* base, const KeyArray& keys, int count,
+               std::string_view key) {
+  PrefetchKeys(base, keys, count);
   int lo = 0, hi = count;
   while (lo < hi) {
     int mid = (lo + hi) / 2;
-    if (KeyAt(keys[mid]) <= key)
+    if (KeyAt(base, keys[mid]) <= key)
       lo = mid + 1;
     else
       hi = mid;
@@ -33,12 +61,13 @@ int UpperBound(const KeyArray& keys, int count, std::string_view key) {
 
 /// First index in [0, count) with keys[i] >= key (lower bound).
 template <typename KeyArray>
-int LowerBound(const KeyArray& keys, int count, std::string_view key) {
-  PrefetchKeys(keys, count);
+int LowerBound(const char* base, const KeyArray& keys, int count,
+               std::string_view key) {
+  PrefetchKeys(base, keys, count);
   int lo = 0, hi = count;
   while (lo < hi) {
     int mid = (lo + hi) / 2;
-    if (KeyAt(keys[mid]) < key)
+    if (KeyAt(base, keys[mid]) < key)
       lo = mid + 1;
     else
       hi = mid;
@@ -46,10 +75,22 @@ int LowerBound(const KeyArray& keys, int count, std::string_view key) {
   return lo;
 }
 
+/// Puts a key and its value at `pos` of a leaf with room.
+template <typename Leaf>
+void InsertAt(Leaf* leaf, int pos, uint32_t key, uint64_t value) {
+  std::copy_backward(leaf->keys + pos, leaf->keys + leaf->count,
+                     leaf->keys + leaf->count + 1);
+  std::copy_backward(leaf->values + pos, leaf->values + leaf->count,
+                     leaf->values + leaf->count + 1);
+  leaf->keys[pos] = key;
+  leaf->values[pos] = value;
+  leaf->count++;
+}
+
 /// Moves the last entry of leaf `l` to the front of its right neighbour
 /// `r`; the separator between them becomes r's new first key.
 template <typename Leaf>
-void ShiftRight(Leaf* l, Leaf* r, uint64_t* separator) {
+void ShiftRight(Leaf* l, Leaf* r, uint32_t* separator) {
   std::copy_backward(r->keys, r->keys + r->count, r->keys + r->count + 1);
   std::copy_backward(r->values, r->values + r->count,
                      r->values + r->count + 1);
@@ -63,7 +104,7 @@ void ShiftRight(Leaf* l, Leaf* r, uint64_t* separator) {
 /// Moves the first entry of leaf `r` to the end of its left neighbour
 /// `l`; the separator between them becomes r's new first key.
 template <typename Leaf>
-void ShiftLeft(Leaf* l, Leaf* r, uint64_t* separator) {
+void ShiftLeft(Leaf* l, Leaf* r, uint32_t* separator) {
   l->keys[l->count] = r->keys[0];
   l->values[l->count] = r->values[0];
   l->count++;
@@ -75,34 +116,90 @@ void ShiftLeft(Leaf* l, Leaf* r, uint64_t* separator) {
 
 }  // namespace
 
-BTree::~BTree() {
-  if (root_) FreeRec(root_);
+BTree::KeyBuffer::~KeyBuffer() {
+  if (base_) munmap(base_, capacity_);
 }
 
-void BTree::FreeRec(Node* node) {
-  if (!node->leaf) {
-    auto* inner = static_cast<InnerNode*>(node);
-    for (int i = 0; i <= inner->count; i++) FreeRec(inner->children[i]);
-    delete inner;
+BTree::KeyOffset BTree::KeyBuffer::Intern(std::string_view key) {
+  size_t head = key.size() < kLenEscape ? 1 : 1 + sizeof(uint64_t);
+  if (head + key.size() > kMaxKeyBytes - size_)
+    throw std::length_error("BTree key bytes past 4 GiB");
+  if (head + key.size() > capacity_ - size_) Grow(size_ + head + key.size());
+  char* p = base_ + size_;
+  if (head == 1) {
+    *p = static_cast<char>(key.size());
   } else {
-    delete static_cast<LeafNode*>(node);
+    *p = static_cast<char>(kLenEscape);
+    uint64_t n = key.size();
+    std::memcpy(p + 1, &n, sizeof(n));
   }
+  // The empty key has no bytes to copy; key.data() may be null.
+  if (!key.empty()) std::memcpy(p + head, key.data(), key.size());
+  auto offset = static_cast<KeyOffset>(size_);
+  size_ += head + key.size();
+  return offset;
 }
 
-KeyRef BTree::Intern(std::string_view key) {
-  key_bytes_ += key.size();
-  return arena_.Intern(key);
+void BTree::KeyBuffer::Grow(size_t need) {
+  // By half: a growth copies nothing, and unused capacity stays under a
+  // third of the buffer.
+  size_t cap = std::max({need, capacity_ + capacity_ / 2, kPageBytes});
+  size_t unit = cap < kHugeFrom ? kPageBytes : kHugePageBytes;
+  cap = std::min((cap + unit - 1) / unit * unit, kMaxKeyBytes);
+  void* p;
+  if (!base_) {
+    p = mmap(nullptr, cap, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  } else {
+#if defined(__linux__)
+    // Moves page table entries, never bytes.
+    p = mremap(base_, capacity_, cap, MREMAP_MAYMOVE);
+#else
+    p = mmap(nullptr, cap, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p != MAP_FAILED) {
+      std::memcpy(p, base_, size_);
+      munmap(base_, capacity_);
+    }
+#endif
+  }
+  if (p == MAP_FAILED) throw std::bad_alloc();
+#if defined(MADV_HUGEPAGE)
+  // Advice only: where the kernel refuses, the buffer keeps 4 KiB pages.
+  if (cap >= kHugeFrom) madvise(p, cap, MADV_HUGEPAGE);
+#endif
+  base_ = static_cast<char*>(p);
+  capacity_ = cap;
+}
+
+BTree::LeafNode* BTree::NewLeaf() {
+  auto* leaf = new (arena_.AllocateBlock(sizeof(LeafNode))) LeafNode();
+  leaf->leaf = true;
+  node_bytes_ += sizeof(LeafNode);
+  return leaf;
+}
+
+BTree::InnerNode* BTree::NewInner() {
+  auto* inner = new (arena_.AllocateBlock(sizeof(InnerNode))) InnerNode();
+  inner->leaf = false;
+  node_bytes_ += sizeof(InnerNode);
+  return inner;
+}
+
+void BTree::FreeNode(Node* node) {
+  // Both node types take 208 bytes, so one free list serves both.
+  arena_.FreeBlock(node, sizeof(LeafNode));
+  node_bytes_ -= sizeof(LeafNode);
 }
 
 void BTree::Insert(std::string_view key, uint64_t value) {
   if (!root_) {
-    auto* leaf = new LeafNode();
-    leaf->leaf = true;
-    leaf->keys[0] = Intern(key);
+    KeyOffset ref = keys_.Intern(key);
+    LeafNode* leaf = NewLeaf();
+    leaf->keys[0] = ref;
     leaf->values[0] = value;
     leaf->count = 1;
     root_ = rightmost_ = leaf;
-    node_bytes_ += sizeof(LeafNode);
     size_ = 1;
     return;
   }
@@ -111,8 +208,8 @@ void BTree::Insert(std::string_view key, uint64_t value) {
   // the maximum only grows. While that leaf has room, skip the descent.
   LeafNode* last = rightmost_;
   if (last->count < kSlots &&
-      key > KeyAt(last->keys[last->count - 1])) {
-    last->keys[last->count] = Intern(key);
+      key > KeyAt(keys_.base(), last->keys[last->count - 1])) {
+    last->keys[last->count] = keys_.Intern(key);
     last->values[last->count] = value;
     last->count++;
     size_++;
@@ -120,14 +217,12 @@ void BTree::Insert(std::string_view key, uint64_t value) {
   }
   SplitResult split = InsertRec(root_, key, value, /*spine=*/true);
   if (split.right) {
-    auto* new_root = new InnerNode();
-    new_root->leaf = false;
+    InnerNode* new_root = NewInner();
     new_root->keys[0] = split.separator;
     new_root->children[0] = root_;
     new_root->children[1] = split.right;
     new_root->count = 1;
     root_ = new_root;
-    node_bytes_ += sizeof(InnerNode);
   }
 }
 
@@ -135,42 +230,38 @@ BTree::SplitResult BTree::InsertRec(Node* node, std::string_view key,
                                     uint64_t value, bool spine) {
   if (node->leaf) {
     auto* leaf = static_cast<LeafNode*>(node);
-    int pos = LowerBound(leaf->keys, leaf->count, key);
-    if (pos < leaf->count && KeyAt(leaf->keys[pos]) == key) {
+    int pos = LowerBound(keys_.base(), leaf->keys, leaf->count, key);
+    if (pos < leaf->count && KeyAt(keys_.base(), leaf->keys[pos]) == key) {
       leaf->values[pos] = value;  // overwrite
       return {};
     }
+    // Before this leaf changes, so a throw leaves the tree's entries as
+    // they were.
+    KeyOffset ref = keys_.Intern(key);
     if (leaf->count < kSlots) {
-      for (int i = leaf->count; i > pos; i--) {
-        leaf->keys[i] = leaf->keys[i - 1];
-        leaf->values[i] = leaf->values[i - 1];
-      }
-      leaf->keys[pos] = Intern(key);
-      leaf->values[pos] = value;
-      leaf->count++;
+      InsertAt(leaf, pos, ref, value);
       size_++;
       return {};
     }
-    auto* right = new LeafNode();
-    right->leaf = true;
-    node_bytes_ += sizeof(LeafNode);
+    LeafNode* right = NewLeaf();
     if (spine && pos == kSlots) {
       // Append split: this leaf stays full, the new one starts with the key.
-      right->keys[0] = Intern(key);
+      right->keys[0] = ref;
       right->values[0] = value;
       right->count = 1;
-      size_++;
     } else {
       // Split in half, then insert into the proper half.
       int half = kSlots / 2;
       right->count = static_cast<uint16_t>(kSlots - half);
-      for (int i = 0; i < right->count; i++) {
-        right->keys[i] = leaf->keys[half + i];
-        right->values[i] = leaf->values[half + i];
-      }
+      std::copy(leaf->keys + half, leaf->keys + kSlots, right->keys);
+      std::copy(leaf->values + half, leaf->values + kSlots, right->values);
       leaf->count = static_cast<uint16_t>(half);
-      InsertRec(pos <= half ? leaf : right, key, value, /*spine=*/false);
+      if (pos <= half)
+        InsertAt(leaf, pos, ref, value);
+      else
+        InsertAt(right, pos - half, ref, value);
     }
+    size_++;
     right->next = leaf->next;
     leaf->next = right;
     if (leaf == rightmost_) rightmost_ = right;
@@ -178,11 +269,11 @@ BTree::SplitResult BTree::InsertRec(Node* node, std::string_view key,
   }
 
   auto* inner = static_cast<InnerNode*>(node);
-  int idx = UpperBound(inner->keys, inner->count, key);
+  int idx = UpperBound(keys_.base(), inner->keys, inner->count, key);
   Node* child = inner->children[idx];
   if (child->leaf && child->count == kSlots &&
       ShiftToSibling(inner, idx, key, spine && idx == inner->count))
-    idx = UpperBound(inner->keys, inner->count, key);
+    idx = UpperBound(keys_.base(), inner->keys, inner->count, key);
   SplitResult child_split = InsertRec(inner->children[idx], key, value,
                                       spine && idx == inner->count);
   if (!child_split.right) return {};
@@ -202,7 +293,7 @@ BTree::SplitResult BTree::InsertRec(Node* node, std::string_view key,
   // the rest to a new right node. An append split on the right spine
   // keeps kSlots - 1 keys and leaves the new right node one key and the
   // last two children; any other split leaves kMinFill keys on each side.
-  KeyRef keys[kSlots + 1];
+  KeyOffset keys[kSlots + 1];
   Node* children[kSlots + 2];
   std::copy(inner->keys, inner->keys + idx, keys);
   keys[idx] = child_split.separator;
@@ -212,9 +303,7 @@ BTree::SplitResult BTree::InsertRec(Node* node, std::string_view key,
   std::copy(inner->children + idx + 1, inner->children + kSlots + 1,
             children + idx + 2);
   int left = spine && idx == kSlots ? kSlots - 1 : kMinFill;
-  auto* right = new InnerNode();
-  right->leaf = false;
-  node_bytes_ += sizeof(InnerNode);
+  InnerNode* right = NewInner();
   right->count = static_cast<uint16_t>(kSlots - left);
   std::copy(keys + left + 1, keys + kSlots + 1, right->keys);
   std::copy(children + left + 1, children + kSlots + 2, right->children);
@@ -228,7 +317,8 @@ bool BTree::ShiftToSibling(InnerNode* parent, int idx, std::string_view key,
                            bool spine) {
   auto* leaf = static_cast<LeafNode*>(parent->children[idx]);
   // An append split keeps the leaf full.
-  if (spine && key > KeyAt(leaf->keys[kSlots - 1])) return false;
+  if (spine && key > KeyAt(keys_.base(), leaf->keys[kSlots - 1]))
+    return false;
   if (idx > 0 && parent->children[idx - 1]->count < kSlots) {
     ShiftLeft(static_cast<LeafNode*>(parent->children[idx - 1]), leaf,
               &parent->keys[idx - 1]);
@@ -250,14 +340,12 @@ bool BTree::Erase(std::string_view key) {
   // single child is replaced by that child.
   if (root_->leaf) {
     if (root_->count == 0) {
-      delete static_cast<LeafNode*>(root_);
-      node_bytes_ -= sizeof(LeafNode);
+      FreeNode(root_);
       root_ = rightmost_ = nullptr;
     }
   } else if (root_->count == 0) {
     Node* child = static_cast<InnerNode*>(root_)->children[0];
-    delete static_cast<InnerNode*>(root_);
-    node_bytes_ -= sizeof(InnerNode);
+    FreeNode(root_);
     root_ = child;
   }
   return true;
@@ -266,8 +354,9 @@ bool BTree::Erase(std::string_view key) {
 bool BTree::EraseRec(Node* node, std::string_view key) {
   if (node->leaf) {
     auto* leaf = static_cast<LeafNode*>(node);
-    int pos = LowerBound(leaf->keys, leaf->count, key);
-    if (pos >= leaf->count || KeyAt(leaf->keys[pos]) != key) return false;
+    int pos = LowerBound(keys_.base(), leaf->keys, leaf->count, key);
+    if (pos >= leaf->count || KeyAt(keys_.base(), leaf->keys[pos]) != key)
+      return false;
     for (int i = pos; i + 1 < leaf->count; i++) {
       leaf->keys[i] = leaf->keys[i + 1];
       leaf->values[i] = leaf->values[i + 1];
@@ -276,7 +365,7 @@ bool BTree::EraseRec(Node* node, std::string_view key) {
     return true;
   }
   auto* inner = static_cast<InnerNode*>(node);
-  int idx = UpperBound(inner->keys, inner->count, key);
+  int idx = UpperBound(keys_.base(), inner->keys, inner->count, key);
   if (!EraseRec(inner->children[idx], key)) return false;
   if (inner->children[idx]->count < kMinFill) RebalanceChild(inner, idx);
   return true;
@@ -313,8 +402,7 @@ void BTree::RebalanceChild(InnerNode* parent, int idx) {
     dst->count = static_cast<uint16_t>(dst->count + src->count);
     dst->next = src->next;
     if (src == rightmost_) rightmost_ = dst;
-    delete src;
-    node_bytes_ -= sizeof(LeafNode);
+    FreeNode(src);
     for (int i = sep; i + 1 < parent->count; i++) {
       parent->keys[i] = parent->keys[i + 1];
       parent->children[i + 1] = parent->children[i + 2];
@@ -360,8 +448,7 @@ void BTree::RebalanceChild(InnerNode* parent, int idx) {
   for (int i = 0; i <= src->count; i++)
     dst->children[dst->count + 1 + i] = src->children[i];
   dst->count = static_cast<uint16_t>(dst->count + 1 + src->count);
-  delete src;
-  node_bytes_ -= sizeof(InnerNode);
+  FreeNode(src);
   for (int i = sep; i + 1 < parent->count; i++) {
     parent->keys[i] = parent->keys[i + 1];
     parent->children[i + 1] = parent->children[i + 2];
@@ -371,10 +458,11 @@ void BTree::RebalanceChild(InnerNode* parent, int idx) {
 
 const BTree::LeafNode* BTree::FindLeaf(std::string_view key) const {
   if (!root_) return nullptr;
+  const char* base = keys_.base();
   const Node* node = root_;
   while (!node->leaf) {
     const auto* inner = static_cast<const InnerNode*>(node);
-    node = inner->children[UpperBound(inner->keys, inner->count, key)];
+    node = inner->children[UpperBound(base, inner->keys, inner->count, key)];
   }
   return static_cast<const LeafNode*>(node);
 }
@@ -382,8 +470,9 @@ const BTree::LeafNode* BTree::FindLeaf(std::string_view key) const {
 bool BTree::Lookup(std::string_view key, uint64_t* value) const {
   const LeafNode* leaf = FindLeaf(key);
   if (!leaf) return false;
-  int pos = LowerBound(leaf->keys, leaf->count, key);
-  if (pos < leaf->count && KeyAt(leaf->keys[pos]) == key) {
+  const char* base = keys_.base();
+  int pos = LowerBound(base, leaf->keys, leaf->count, key);
+  if (pos < leaf->count && KeyAt(base, leaf->keys[pos]) == key) {
     if (value) *value = leaf->values[pos];
     return true;
   }
@@ -395,7 +484,7 @@ size_t BTree::Scan(std::string_view start, size_t count,
   const LeafNode* leaf = FindLeaf(start);
   if (!leaf) return 0;
   size_t produced = 0;
-  int pos = LowerBound(leaf->keys, leaf->count, start);
+  int pos = LowerBound(keys_.base(), leaf->keys, leaf->count, start);
   while (leaf && produced < count) {
     for (; pos < leaf->count && produced < count; pos++) {
       if (out) out->push_back(leaf->values[pos]);
@@ -407,7 +496,7 @@ size_t BTree::Scan(std::string_view start, size_t count,
   return produced;
 }
 
-size_t BTree::MemoryBytes() const { return node_bytes_ + key_bytes_; }
+size_t BTree::MemoryBytes() const { return node_bytes_ + keys_.size(); }
 
 int BTree::Height() const {
   int h = 0;
@@ -420,33 +509,34 @@ int BTree::Height() const {
   return h;
 }
 
-std::string BTree::CheckRec(const Node* node, const KeyRef* lo,
-                            const KeyRef* hi, int depth,
+std::string BTree::CheckRec(const Node* node, const KeyOffset* lo,
+                            const KeyOffset* hi, int depth,
                             int expect_depth, bool spine,
                             std::vector<const LeafNode*>* leaves) const {
   if (node->count == 0) return "empty node";
   if (node != root_ && !spine && node->count < kMinFill)
     return "node below kMinFill off the right spine";
+  auto key = [this](KeyOffset k) { return KeyAt(keys_.base(), k); };
   if (node->leaf) {
     if (depth != expect_depth) return "leaves at different depths";
     const auto* leaf = static_cast<const LeafNode*>(node);
     for (int i = 0; i + 1 < leaf->count; i++)
-      if (!(KeyAt(leaf->keys[i]) < KeyAt(leaf->keys[i + 1])))
+      if (!(key(leaf->keys[i]) < key(leaf->keys[i + 1])))
         return "leaf keys out of order";
-    if (lo && !(KeyAt(*lo) <= KeyAt(leaf->keys[0])))
+    if (lo && !(key(*lo) <= key(leaf->keys[0])))
       return "leaf below lower bound";
-    if (hi && !(KeyAt(leaf->keys[leaf->count - 1]) < KeyAt(*hi)))
+    if (hi && !(key(leaf->keys[leaf->count - 1]) < key(*hi)))
       return "leaf above upper bound";
     leaves->push_back(leaf);
     return "";
   }
   const auto* inner = static_cast<const InnerNode*>(node);
   for (int i = 0; i + 1 < inner->count; i++)
-    if (!(KeyAt(inner->keys[i]) < KeyAt(inner->keys[i + 1])))
+    if (!(key(inner->keys[i]) < key(inner->keys[i + 1])))
       return "inner keys out of order";
   for (int i = 0; i <= inner->count; i++) {
-    const KeyRef* clo = i == 0 ? lo : &inner->keys[i - 1];
-    const KeyRef* chi = i == inner->count ? hi : &inner->keys[i];
+    const KeyOffset* clo = i == 0 ? lo : &inner->keys[i - 1];
+    const KeyOffset* chi = i == inner->count ? hi : &inner->keys[i];
     std::string err = CheckRec(inner->children[i], clo, chi, depth + 1,
                                expect_depth, spine && i == inner->count,
                                leaves);

@@ -1,4 +1,5 @@
-// Per-tree memory arena: the one allocator behind BTree, Art and Hot.
+// Per-tree memory arena: the one node allocator behind BTree, Art and
+// Hot.
 //
 // Storage comes in chunks that double from 1 KiB to 64 KiB, so a small
 // tree holds little slack and a large one few chunks; a request larger
@@ -7,11 +8,12 @@
 //
 //  - Key bytes (Intern) are append-only and unaligned: each key's bytes
 //    sit contiguously with no header, and erasing a key leaves them in
-//    place.
+//    place. Art and Hot keep their keys here; BTree keeps its keys in a
+//    buffer of its own (btree/btree.h), addressed by 4-byte offsets.
 //  - Blocks (AllocateBlock/FreeBlock) are 8-byte aligned and recycled:
 //    a freed block goes onto an intrusive free list for its exact size,
 //    and the next request of that size takes it back. Nodes and leaves
-//    live here.
+//    of all three trees live here.
 //
 // Nothing returns to the system before the arena dies, and then it frees
 // a few hundred chunks rather than one heap object per node, leaf and
@@ -19,9 +21,10 @@
 // stale node or leaf pointer still faults even though the block never
 // goes back to malloc.
 //
-// A key reference (KeyRef) is one tagged word: the address in the low 48
-// bits and the length in the high 16, so a comparison reads a single run
-// of bytes and the length costs no load. A key of 65,535 bytes or more
+// A key reference (KeyRef), the key slot of Art's and Hot's leaves, is
+// one tagged word: the address in the low 48 bits and the length in the
+// high 16, so a comparison reads a single run of bytes and the length
+// costs no load. A key of 65,535 bytes or more
 // carries the escape tag 0xFFFF instead, and its bytes follow an 8-byte
 // length prefix.
 #pragma once

@@ -12,8 +12,10 @@
 //   3 erase       the first key at or after a probe, or the probe itself
 //   4 lookup      an arbitrary probe
 //   5 scan        up to 32 values from an arbitrary start key
-//   6 long insert 65,533-65,536 copies of one byte plus a short suffix,
-//                 keys on both sides of the arena's 16-bit length tag
+//   6 long insert 65,533-65,536 (selector 0-3) or 253-256 (selector
+//                 4-7) copies of one byte plus a short suffix, keys on
+//                 both sides of the arena's 16-bit length tag and of
+//                 BTree's 1-byte length
 //   7 churn       erase 1-16 consecutive keys from a probe on (wrapping
 //                 to the first key) and insert them again, so the next
 //                 allocations take the freed node and leaf blocks back off
@@ -135,7 +137,9 @@ void RunOps(const uint8_t* data, size_t size) {
         break;
       }
       default: {
-        size_t len = 65533 + in.TakeByte() % 4;
+        static constexpr size_t kLens[] = {65533, 65534, 65535, 65536,
+                                           253,   254,   255,   256};
+        size_t len = kLens[in.TakeByte() % 8];
         std::string key(len, static_cast<char>(in.TakeByte()));
         key += in.TakeString(3);
         tree.Insert(key, value);

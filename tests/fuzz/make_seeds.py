@@ -323,6 +323,19 @@ def gen_btree_ops(d: str):
         for sel in range(4):
             ops.append(bytes([6, sel, ord("k"), 1, sel]))
     write(d, "long_churn", b"".join(ops) + tail)
+    # Keys on both sides of BTree's 1-byte length (length selectors 4-7:
+    # 253-256 bytes, plus a 1-byte suffix) and of 65,535 bytes (2-3)
+    # between short keys: churn runs that erase and re-insert them, an
+    # erase of every key from the minimum up, a reload and more churn.
+    load = []
+    for sel in (4, 5, 6, 7, 2, 3):
+        for fill in (0x00, ord("k"), 0xFF):
+            load.append(bytes([6, sel, fill, 1, sel]))
+            load.append(bytes([1, 2]) + struct.pack(">H", 97 * sel + fill))
+    churn_runs = [bytes([7, 15, len(probe)]) + probe
+                  for probe in (b"", b"\x00", b"k", b"\xff")] * 3
+    ops = load + churn_runs + [erase_min] * 40 + [tail] + load + churn_runs
+    write(d, "len_escape", b"".join(ops) + tail)
 
 
 def main():

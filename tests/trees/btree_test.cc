@@ -1,11 +1,13 @@
 #include "btree/btree.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <random>
+#include <stdexcept>
 
 #include "tests/trees/tree_test_utils.h"
 
@@ -100,17 +102,17 @@ void MatchShadow(const BTree& t,
   for (const auto& kv : shadow) ASSERT_EQ(vals[i++], kv.second) << kv.first;
 }
 
-// Keys at the edges of the key arena's layout, driven against a shadow
+// Keys at the edges of the key buffer's layout, driven against a shadow
 // map through inserts, overwrites and erases: the empty key, keys of
-// only 0x00 or 0xFF bytes, lengths on both sides of the 16-bit length
-// tag (65,535 bytes and up carry an 8-byte length prefix), keys larger
-// than a 64 KiB arena chunk, and enough short keys between them to roll
-// over several chunks.
+// only 0x00 or 0xFF bytes, lengths on both sides of the 1-byte length
+// (255 bytes and up carry the escape and an 8-byte length) and of
+// 65,535 bytes, keys larger than 64 KiB, and enough short keys between
+// them to grow the buffer many times.
 TEST(BTreeTest, KeyArenaEdgeCases) {
   std::vector<std::string> keys = {"", std::string(1, '\0'),
                                    std::string(3, '\0'), "\xff",
                                    std::string(40, '\xff')};
-  for (size_t len : {65534, 65535, 65536, 200000}) {
+  for (size_t len : {254, 255, 256, 65534, 65535, 65536, 200000}) {
     keys.push_back(std::string(len, 'k'));
     keys.push_back(std::string(len, '\0'));
     keys.push_back(std::string(len, '\xff'));
@@ -278,22 +280,22 @@ std::vector<std::string> ShuffledEmails(size_t n) {
 }
 
 // A random-order load shifts entries into siblings before it splits, so
-// its leaves end up ~83% full: ~22.2 node bytes per key (MemoryBytes()
-// less the key bytes) on these emails, where splitting every full leaf
-// leaves them ~70% full and needs ~26.3.
+// its leaves end up ~83% full: ~17.0 node bytes per key (MemoryBytes()
+// less the key bytes and their length bytes) on these emails, where
+// splitting every full leaf leaves them ~70% full and needs ~20.1.
 TEST(BTreeTest, ShuffledLoadShiftsBeforeSplitting) {
   auto keys = ShuffledEmails(100000);
   BTree t;
   size_t key_bytes = 0;
   for (size_t i = 0; i < keys.size(); i++) {
     t.Insert(keys[i], i);
-    key_bytes += keys[i].size();
+    key_bytes += 1 + keys[i].size();
   }
   ASSERT_EQ(t.CheckInvariants(), "");
   ASSERT_EQ(t.size(), keys.size());
   double node_bytes_per_key =
       static_cast<double>(t.MemoryBytes() - key_bytes) / keys.size();
-  EXPECT_LT(node_bytes_per_key, 24.0);
+  EXPECT_LT(node_bytes_per_key, 18.4);
 }
 
 // A sorted load fills its leaves through the append splits, so it needs
@@ -321,10 +323,11 @@ TEST(BTreeTest, SortedLoadFillsLeaves) {
   EXPECT_LE(sorted_tree.Height(), full_height + 1);
 }
 
-// MemoryBytes() counts node bytes and key payload bytes only, so how the
-// keys are laid out cannot move it, nor the benchmark's bytes_per_key
-// that reads it. Exact figures for a sorted load, a shuffled load, and a
-// mix of inserts, overwrites and erases (whose erased keys stay counted).
+// MemoryBytes() counts 208-byte nodes and the key buffer's used bytes
+// (each key's bytes and its length), and the benchmark's bytes_per_key
+// reads it: a change of node or key layout must show here. Exact figures
+// for a sorted load, a shuffled load, and a mix of inserts, overwrites
+// and erases (whose erased keys stay counted).
 TEST(BTreeTest, MemoryBytesUnchangedByKeyLayout) {
   auto shuffled = ShuffledEmails(100000);
   auto sorted = shuffled;
@@ -342,9 +345,111 @@ TEST(BTreeTest, MemoryBytesUnchangedByKeyLayout) {
     else
       mixed_tree.Insert(key, op);  // an overwrite if present
   }
-  EXPECT_EQ(sorted_tree.MemoryBytes(), size_t{4069931});
-  EXPECT_EQ(shuffled_tree.MemoryBytes(), size_t{4477931});
-  EXPECT_EQ(mixed_tree.MemoryBytes(), size_t{3387536});
+  EXPECT_EQ(sorted_tree.MemoryBytes(), size_t{3743115});
+  EXPECT_EQ(shuffled_tree.MemoryBytes(), size_t{4055115});
+  EXPECT_EQ(mixed_tree.MemoryBytes(), size_t{3132558});
+}
+
+// The bytes a key takes in the key buffer: its length byte, or the
+// escape and an 8-byte length from 255 bytes on, then its bytes.
+size_t BufferBytes(const std::string& key) {
+  return (key.size() < 255 ? 1 : 9) + key.size();
+}
+
+// MemoryBytes() is exactly 208 bytes per node plus BufferBytes() of every
+// key interned. A sorted load's append splits leave every leaf but the
+// last with 16 keys and every inner node but the last at a level with 16
+// children; an overwrite interns nothing; erasing every key frees every
+// node and leaves the key bytes counted; a reload interns them again.
+TEST(BTreeTest, MemoryBytesCountsNodesAndKeyBytesExactly) {
+  std::vector<std::string> keys;
+  std::mt19937_64 rng(63);
+  for (int i = 0; i < 20000; i++)
+    keys.push_back(NumKey(i, &rng) + std::string(rng() % 300, 'p'));
+  for (size_t len : {65534, 65535, 65536})
+    keys.push_back("1" + std::string(len, 'k'));
+  size_t key_bytes = 0;
+  for (const auto& key : keys) key_bytes += BufferBytes(key);
+  // Leaves, then the nodes of each inner level, up to the root.
+  size_t nodes = 0;
+  for (size_t level = (keys.size() + 15) / 16;;
+       level = 1 + (level - 2) / 16) {
+    nodes += level;
+    if (level == 1) break;
+  }
+
+  BTree t;
+  for (size_t i = 0; i < keys.size(); i++) t.Insert(keys[i], i);
+  ASSERT_EQ(t.CheckInvariants(), "");
+  EXPECT_EQ(t.MemoryBytes(), nodes * 208 + key_bytes);
+  for (size_t i = 0; i < keys.size(); i++) t.Insert(keys[i], i + 1);
+  EXPECT_EQ(t.MemoryBytes(), nodes * 208 + key_bytes);
+  std::shuffle(keys.begin(), keys.end(), rng);
+  for (const auto& key : keys) ASSERT_TRUE(t.Erase(key));
+  EXPECT_EQ(t.MemoryBytes(), key_bytes);
+  std::sort(keys.begin(), keys.end());
+  for (size_t i = 0; i < keys.size(); i++) t.Insert(keys[i], i);
+  EXPECT_EQ(t.MemoryBytes(), nodes * 208 + 2 * key_bytes);
+}
+
+// Every key interned before a growth of the key buffer reads back after
+// it, through lookups and a full scan, for 20 growths. The buffer may
+// move when it grows and leave its old range unmapped, so a read through
+// a view of a key held across an insert would fault.
+TEST(BTreeTest, KeysSurviveBufferGrowth) {
+  BTree t;
+  std::map<std::string, uint64_t> shadow;
+  std::mt19937_64 rng(64);
+  size_t capacity = t.KeyCapacity();
+  for (int growths = 0; growths < 20;) {
+    std::string key = NumKey(rng() % 1000000000, &rng);
+    key += std::string(rng() % 2000, static_cast<char>(rng() % 256));
+    t.Insert(key, shadow.size());
+    shadow.emplace(key, shadow.size());
+    if (t.KeyCapacity() == capacity) continue;
+    capacity = t.KeyCapacity();
+    growths++;
+    SCOPED_TRACE(growths);
+    ASSERT_NO_FATAL_FAILURE(MatchShadowKeys(t, shadow));
+  }
+}
+
+// A key that would take the key buffer past 4 GiB, the reach of a 32-bit
+// offset, throws std::length_error and leaves the tree as it was: into an
+// empty tree, into a full leaf that would split, and at one byte over
+// the limit. The huge keys are views of a read-only mapping of zero
+// pages, so they cost no memory.
+TEST(BTreeTest, KeyBytesPast4GiBThrow) {
+  const size_t four_gib = size_t{1} << 32;
+  void* zeros = mmap(nullptr, four_gib, PROT_READ,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (zeros == MAP_FAILED) GTEST_SKIP() << "no 4 GiB of address space";
+  std::string_view huge(static_cast<const char*>(zeros), four_gib);
+
+  BTree t;
+  EXPECT_THROW(t.Insert(huge, 1), std::length_error);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.MemoryBytes(), 0u);
+  std::map<std::string, uint64_t> shadow;
+  std::mt19937_64 rng(65);
+  for (uint64_t i = 0; i < 16; i++) {
+    std::string key = NumKey(i, &rng);
+    t.Insert(key, i);
+    shadow[key] = i;
+  }
+  const size_t bytes = t.MemoryBytes();
+  // The zero key sorts first, into the full leaf.
+  EXPECT_THROW(t.Insert(huge, 99), std::length_error);
+  // Used bytes, the 9-byte length, and one byte more than fits.
+  size_t used = bytes - 208;
+  EXPECT_THROW(t.Insert(huge.substr(0, four_gib - used - 9 + 1), 99),
+               std::length_error);
+  EXPECT_EQ(t.MemoryBytes(), bytes);
+  ASSERT_NO_FATAL_FAILURE(MatchShadowKeys(t, shadow));
+  t.Insert("next", 16);
+  shadow["next"] = 16;
+  ASSERT_NO_FATAL_FAILURE(MatchShadowKeys(t, shadow));
+  munmap(zeros, four_gib);
 }
 
 }  // namespace

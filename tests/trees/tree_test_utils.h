@@ -190,18 +190,20 @@ void MatchShadowKeys(const Tree& t,
   }
 }
 
-/// Keys at the edges of the arena's key layout, shuffled and unique: the
+/// Keys at the edges of the trees' key layouts, shuffled and unique: the
 /// empty key, keys of only 0x00 or 0xFF bytes, lengths on both sides of
-/// the 16-bit length tag (65,535 bytes and up carry an 8-byte length
-/// prefix) and past a 64 KiB chunk, their neighbours differing only in
-/// the last byte or the length, and `short_keys` random short keys that
-/// roll the arena over several chunks.
+/// BTree's 1-byte length (255 bytes and up carry an escape and an 8-byte
+/// length) and of the arena's 16-bit length tag (65,535 bytes and up
+/// carry an 8-byte length prefix) and past a 64 KiB chunk, their
+/// neighbours differing only in the last byte or the length, and
+/// `short_keys` random short keys that roll the arena over several
+/// chunks and grow BTree's key buffer several times.
 inline std::vector<std::string> KeyArenaEdgeKeys(size_t short_keys,
                                                  uint64_t seed) {
   std::vector<std::string> keys = {"", std::string(1, '\0'),
                                    std::string(3, '\0'), "\xff",
                                    std::string(40, '\xff')};
-  for (size_t len : {65534, 65535, 65536, 200000}) {
+  for (size_t len : {254, 255, 256, 65534, 65535, 65536, 200000}) {
     keys.push_back(std::string(len, 'k'));
     keys.push_back(std::string(len, '\0'));
     keys.push_back(std::string(len, '\xff'));
