@@ -121,7 +121,8 @@ class DictionaryManager {
   /// snapshot's Hope instead.
   std::string Encode(std::string_view key, size_t* bit_len = nullptr) const {
     size_t bits = 0;
-    std::string enc = Acquire().hope->Encode(key, &bits);
+    std::string enc;
+    Acquire().hope->EncodeTo(key, &enc, &bits);
     collector_.OnEncode(key, bits);
     if (bit_len) *bit_len = bits;
     return enc;

@@ -29,6 +29,19 @@
 // retired dictionaries and synthetic bursts never reach the EWMA or the
 // reservoir.
 //
+// Every encode, served or maintenance, writes into the calling thread's
+// scratch string (Hope::EncodeTo), which the tree call that follows reads
+// in place; log keys are encoded straight from their arena bytes. So,
+// once the thread's scratch is warm, a lookup makes no heap allocation of
+// its own and an insert pays only the amortized growth of the tree, the
+// log arena and the log vector. (The collector's copy of a sampled key
+// into its reservoir is the collector's cost.)
+//
+// The insert log is a vector of KeyRefs (common/arena.h) into an Arena of
+// the generation's own: a logged key costs its bytes plus one 8-byte
+// reference, not a heap string. Log compaction re-interns the live keys
+// into a fresh arena and frees the old one whole.
+//
 // Tree must provide: Insert(string_view, uint64_t),
 // Lookup(string_view, uint64_t*) const, Erase(string_view), size().
 #pragma once
@@ -42,9 +55,22 @@
 #include <utility>
 #include <vector>
 
+#include "common/arena.h"
 #include "dynamic/dictionary_manager.h"
 
 namespace hope::dynamic {
+
+namespace internal {
+
+/// The calling thread's encode buffer for VersionedIndex: each encode
+/// overwrites it and the tree call right after reads it. Its capacity
+/// grows to the longest encoding the thread has made and stays.
+inline std::string& EncodeScratch() {
+  thread_local std::string scratch;
+  return scratch;
+}
+
+}  // namespace internal
 
 template <typename Tree>
 class VersionedIndex {
@@ -73,8 +99,8 @@ class VersionedIndex {
     for (size_t g = 0; g + 1 < gens_.size(); g++)
       gens_[g]->tree.Erase(gens_[g]->Encode(key));
     Generation& newest = *gens_.back();
-    newest.tree.Insert(EncodeRequest(key), value);
-    newest.log.push_back(key);
+    newest.tree.Insert(ServedEncode(key), value);
+    newest.Log(key);
     CompactLog(newest);
   }
 
@@ -88,8 +114,8 @@ class VersionedIndex {
   bool Peek(const std::string& key, uint64_t* value) const {
     for (size_t g = gens_.size(); g-- > 0;) {
       const Generation& gen = *gens_[g];
-      std::string enc =
-          g + 1 == gens_.size() ? EncodeRequest(key) : gen.Encode(key);
+      const std::string& enc =
+          g + 1 == gens_.size() ? ServedEncode(key) : gen.Encode(key);
       uint64_t v = 0;
       if (gen.tree.Lookup(enc, &v)) {
         if (value) *value = v;
@@ -121,7 +147,7 @@ class VersionedIndex {
     }
     Generation& newest = *gens_.back();
     newest.tree.Insert(newest.Encode(key), value);
-    newest.log.push_back(key);
+    newest.Log(key);
     CompactLog(newest);
     return true;
   }
@@ -134,7 +160,9 @@ class VersionedIndex {
   std::vector<std::string> CollectRangeKeys(const std::string& begin,
                                             const std::string* end) {
     MigrateAll();
-    std::vector<std::string> out = LiveLogKeys(*gens_.back(), begin, end);
+    std::vector<std::string> out;
+    ForEachLiveLogKey(*gens_.back(), begin, end,
+                      [&](std::string_view key) { out.emplace_back(key); });
     std::sort(out.begin(), out.end());
     return out;
   }
@@ -148,7 +176,7 @@ class VersionedIndex {
     for (const std::string& key : keys) {
       for (size_t g = gens_.size(); g-- > 0;) {
         Generation& gen = *gens_[g];
-        std::string enc = gen.Encode(key);
+        const std::string& enc = gen.Encode(key);
         uint64_t v = 0;
         if (!gen.tree.Lookup(enc, &v)) continue;
         gen.tree.Erase(enc);
@@ -168,8 +196,9 @@ class VersionedIndex {
     size_t moved = 0;
     for (size_t g = 0; g + 1 < gens_.size(); g++) {
       Generation& gen = *gens_[g];
-      for (const std::string& key : gen.log) {
-        std::string enc = gen.Encode(key);
+      for (KeyRef ref : gen.log) {
+        const std::string_view key = KeyAt(ref);
+        const std::string& enc = gen.Encode(key);
         uint64_t v = 0;
         // Logged keys may have been erased or already migrated (the log
         // is append-only); only live entries move.
@@ -177,7 +206,7 @@ class VersionedIndex {
         gen.tree.Erase(enc);
         Generation& newest = *gens_.back();
         newest.tree.Insert(newest.Encode(key), v);
-        newest.log.push_back(key);
+        newest.Log(key);
         moved++;
       }
       // Same bound as the insert append paths; one check per drained
@@ -205,58 +234,80 @@ class VersionedIndex {
   /// NumGenerations() == 1 (call MigrateAll() first).
   const Tree& tree() const { return gens_.back()->tree; }
 
-  /// Encodes a request's key under the newest generation's dictionary
-  /// and feeds the manager's stats collector: the one serving encode,
-  /// used by Insert(), Peek() and a scan's start key (scan through tree()
-  /// with it). Const; the collector is thread-safe.
-  std::string EncodeRequest(const std::string& key) const {
+  /// Encodes a request's key into `*out` (Hope::EncodeTo; `out` must not
+  /// alias `key`) under the newest generation's dictionary and feeds the
+  /// manager's stats collector: the one serving encode, used by Insert(),
+  /// Peek() and a scan's start key (scan through tree() with it). Const;
+  /// the collector is thread-safe.
+  void EncodeRequest(std::string_view key, std::string* out) const {
     size_t bits = 0;
-    std::string enc = gens_.back()->dict.hope->Encode(key, &bits);
+    gens_.back()->dict.hope->EncodeTo(key, out, &bits);
     manager_->stats().OnEncode(key, bits);
-    return enc;
   }
 
  private:
   struct Generation {
     explicit Generation(DictSnapshot snapshot) : dict(std::move(snapshot)) {}
 
-    /// Maintenance encode under this generation's dictionary; feeds no
-    /// stats (see EncodeRequest for the serving encode).
-    std::string Encode(const std::string& key) const {
-      return dict.hope->Encode(key);
+    /// Maintenance encode under this generation's dictionary into the
+    /// calling thread's scratch, valid until that thread's next encode;
+    /// feeds no stats (see EncodeRequest for the serving encode).
+    const std::string& Encode(std::string_view key) const {
+      std::string& out = internal::EncodeScratch();
+      dict.hope->EncodeTo(key, &out);
+      return out;
     }
+
+    /// Appends `key` to the insert log.
+    void Log(std::string_view key) { log.push_back(log_bytes.Intern(key)); }
 
     DictSnapshot dict;
     Tree tree;
-    std::vector<std::string> log;  ///< original keys inserted here
+    Arena log_bytes;          ///< the logged keys' bytes
+    std::vector<KeyRef> log;  ///< original keys inserted here, in order
   };
+
+  /// EncodeRequest into the calling thread's scratch, valid until that
+  /// thread's next encode.
+  const std::string& ServedEncode(std::string_view key) const {
+    std::string& out = internal::EncodeScratch();
+    EncodeRequest(key, &out);
+    return out;
+  }
 
   /// Bounds the append-only insert log: once it outgrows the live entry
   /// count by 4x (overwrites, erased keys, migrated re-appends), rewrite
   /// it with the deduplicated live keys. The geometric trigger keeps the
   /// amortized cost per insert constant, and log size tracks live
-  /// entries, not lifetime inserts.
+  /// entries, not lifetime inserts. The live keys move into a fresh
+  /// arena, and the old one, dead keys and all, is freed whole.
   void CompactLog(Generation& gen) {
     if (gen.log.size() <= 4 * gen.tree.size() + 64) return;
-    gen.log = LiveLogKeys(gen, std::string(), nullptr);
+    Arena bytes;
+    std::vector<KeyRef> log;
+    ForEachLiveLogKey(gen, {}, nullptr, [&](std::string_view key) {
+      log.push_back(bytes.Intern(key));
+    });
+    gen.log_bytes = std::move(bytes);
+    gen.log = std::move(log);
   }
 
-  /// The distinct keys of `gen`'s append-only log (which also holds
-  /// overwritten and erased keys) that lie in [begin, end) — `end ==
-  /// nullptr` means unbounded above — and are still live in its tree, in
-  /// first-logged order.
-  static std::vector<std::string> LiveLogKeys(const Generation& gen,
-                                              const std::string& begin,
-                                              const std::string* end) {
+  /// Calls `fn(key)` on each distinct key of `gen`'s append-only log
+  /// (which also holds overwritten and erased keys) that lies in
+  /// [begin, end) — `end == nullptr` means unbounded above — and is still
+  /// live in its tree, in first-logged order. `key` views the log's own
+  /// bytes.
+  template <typename Fn>
+  static void ForEachLiveLogKey(const Generation& gen, std::string_view begin,
+                                const std::string* end, Fn&& fn) {
     std::unordered_set<std::string_view> seen;
-    std::vector<std::string> live;
-    for (const std::string& key : gen.log) {
+    for (KeyRef ref : gen.log) {
+      const std::string_view key = KeyAt(ref);
       if (!seen.insert(key).second) continue;
       if (key < begin || (end && key >= *end)) continue;
       uint64_t v = 0;
-      if (gen.tree.Lookup(gen.Encode(key), &v)) live.push_back(key);
+      if (gen.tree.Lookup(gen.Encode(key), &v)) fn(key);
     }
-    return live;
   }
 
   void PruneEmpty() {

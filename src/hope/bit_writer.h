@@ -111,6 +111,24 @@ class BitWriter {
     out->append(reinterpret_cast<const char*>(&be), bytes);
   }
 
+  /// Starts an encode whose bytes land in `*out`: the writer takes out's
+  /// string, and with it out's capacity, as its buffer and starts empty.
+  /// PadInto hands the bytes back, so a reused `out` costs no allocation
+  /// once its capacity covers the encoding.
+  void Adopt(std::string* out) {
+    buf_.swap(*out);
+    Clear();
+  }
+
+  /// Zero-pads to a byte boundary in place and moves the bytes into the
+  /// `*out` that Adopt took them from; total_bits() stays valid.
+  void PadInto(std::string* out) {
+    uint64_t be = detail::ToBigEndian64(acc_);
+    buf_.append(reinterpret_cast<const char*>(&be),
+                static_cast<size_t>(acc_bits_ + 7) / 8);
+    buf_.swap(*out);
+  }
+
   size_t total_bits() const { return total_bits_; }
 
   /// Stack-local mirror of the accumulator state for hot append loops.

@@ -96,12 +96,18 @@ size_t EncodeRun(const Dictionary& dict, const Key* keys, size_t n,
 
 }  // namespace
 
-std::string Encoder::Encode(std::string_view key, size_t* bit_len) const {
+void Encoder::EncodeTo(std::string_view key, std::string* out,
+                       size_t* bit_len) const {
   BitWriter writer;
-  writer.ReserveBits(key.size() * 8);
+  writer.Adopt(out);
   dict_->EncodeSpan(key, 0, &writer, nullptr);
-  std::string out = writer.TakeBytes();
+  writer.PadInto(out);
   if (bit_len) *bit_len = writer.total_bits();
+}
+
+std::string Encoder::Encode(std::string_view key, size_t* bit_len) const {
+  std::string out;
+  EncodeTo(key, &out, bit_len);
   return out;
 }
 

@@ -23,8 +23,17 @@ class Encoder {
   explicit Encoder(std::unique_ptr<Dictionary> dict)
       : dict_(std::move(dict)) {}
 
-  /// Encodes one key. The result is the code bit string zero-padded to a
-  /// byte boundary; `bit_len` (optional) receives the exact bit length.
+  /// Encodes one key into caller-owned storage. Afterwards `*out` holds
+  /// exactly the code bit string zero-padded to a byte boundary, whatever
+  /// it held before, and `bit_len` (optional) receives the exact bit
+  /// length. The bytes are written into out's own buffer, so a string
+  /// reused across calls makes no heap allocation once its capacity
+  /// covers the encoding. `out` must not alias `key`: its old contents
+  /// are gone before the first code is written.
+  void EncodeTo(std::string_view key, std::string* out,
+                size_t* bit_len = nullptr) const;
+
+  /// Encodes one key into a new string: EncodeTo on an empty one.
   std::string Encode(std::string_view key, size_t* bit_len = nullptr) const;
 
   /// Encodes a sorted run of keys, skipping re-encoding of shared

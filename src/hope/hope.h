@@ -68,8 +68,20 @@ class Hope {
                                      BuildStats* stats = nullptr,
                                      DictImpl impl = DictImpl::kDefault);
 
+  /// Encodes one key into a new string, the code bit string zero-padded
+  /// to a byte boundary; `bit_len` (optional) receives the exact bit
+  /// length.
   std::string Encode(std::string_view key, size_t* bit_len = nullptr) const {
     return encoder_->Encode(key, bit_len);
+  }
+
+  /// Encode into caller-owned storage: `*out` ends up holding exactly the
+  /// padded encoding, written into out's own buffer, so a string reused
+  /// across calls makes no heap allocation once its capacity covers the
+  /// encoding. `out` must not alias `key`. See Encoder::EncodeTo.
+  void EncodeTo(std::string_view key, std::string* out,
+                size_t* bit_len = nullptr) const {
+    encoder_->EncodeTo(key, out, bit_len);
   }
 
   /// Encodes sorted keys with shared-prefix reuse (Appendix B); output is

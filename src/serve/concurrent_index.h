@@ -203,7 +203,8 @@ class ConcurrentShardedIndex {
       WriterLock lk(shards_[s]->mu);
       dynamic::VersionedIndex<Tree>& shard = shards_[s]->index;
       shard.MigrateAll();
-      std::string enc = s == first ? shard.EncodeRequest(start) : std::string();
+      std::string enc;
+      if (s == first) shard.EncodeRequest(start, &enc);
       produced += shard.tree().Scan(enc, count - produced, out);
     }
     return produced;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -335,6 +336,74 @@ TEST(HotSwapTest, MigrationAppendsKeepInsertLogBounded) {
       EXPECT_EQ(v, i);
     }
   }
+}
+
+// The insert log keeps keys as arena bytes: keys with NULs, the empty key
+// and a key past KeyRef's 16-bit length (its escape) must come back
+// byte-exact through log compaction, MigrateAll, CollectRangeKeys and
+// ExtractKeys, with duplicates and erased-then-reinserted keys logged
+// more than once.
+TEST(HotSwapTest, InsertLogReturnsOddKeysByteExact) {
+  auto drift = MakeDrift();
+  auto phase0 = drift.Phase(0);
+  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), phase0);
+  VersionedIndex<BTree> index(&mgr);
+
+  std::string big(70000, 'k');
+  for (size_t i = 0; i < big.size(); i += 97) big[i] = '\0';
+  // No two keys differ only by trailing NULs, whose zero-padded
+  // encodings may coincide (ROADMAP's padding item).
+  std::vector<std::string> keys = {"", std::string("\0x", 2),
+                                   std::string("a\0b", 3),
+                                   std::string("x\0\0y", 4), big};
+  for (const auto& k : phase0) {
+    if (keys.size() >= 60) break;
+    if (std::find(keys.begin(), keys.end(), k) == keys.end())
+      keys.push_back(k);
+  }
+  std::map<std::string, uint64_t> want;
+  // Six rounds of overwrites log every key six times, past the
+  // compaction trigger (4x live + 64).
+  for (uint64_t round = 0; round < 6; round++) {
+    for (size_t i = 0; i < keys.size(); i++) {
+      index.Insert(keys[i], round * 1000 + i);
+      want[keys[i]] = round * 1000 + i;
+    }
+  }
+  for (size_t i : {size_t{0}, size_t{1}, size_t{4}}) {
+    EXPECT_TRUE(index.Erase(keys[i]));
+    index.Insert(keys[i], 7000 + i);
+    want[keys[i]] = 7000 + i;
+  }
+
+  // Swap: the odd keys sit in the old generation, some re-inserted into
+  // the new one, and MigrateAll re-encodes the rest from the log.
+  mgr.Publish(BuildFrom(drift.Phase(2)));
+  index.Insert(keys[2], 8002);
+  want[keys[2]] = 8002;
+  index.Insert(keys[3], 8003);
+  want[keys[3]] = 8003;
+  EXPECT_EQ(index.NumGenerations(), 2u);
+  EXPECT_EQ(index.MigrateAll(), keys.size() - 2);
+  EXPECT_EQ(index.size(), keys.size());
+  for (const auto& [key, value] : want) {
+    uint64_t v = 0;
+    ASSERT_TRUE(index.Peek(key, &v)) << key.size() << "-byte key";
+    EXPECT_EQ(v, value) << key.size() << "-byte key";
+  }
+
+  std::vector<std::string> range =
+      index.CollectRangeKeys(std::string(), nullptr);
+  std::vector<std::string> sorted;
+  for (const auto& [key, value] : want) sorted.push_back(key);
+  ASSERT_EQ(range, sorted);
+
+  std::vector<std::pair<std::string, uint64_t>> out;
+  EXPECT_EQ(index.ExtractKeys(range, &out), keys.size());
+  EXPECT_EQ(index.size(), 0u);
+  std::map<std::string, uint64_t> got(out.begin(), out.end());
+  EXPECT_EQ(got.size(), out.size());
+  EXPECT_EQ(got, want);
 }
 
 TEST(HotSwapTest, BackgroundRebuilderPublishesUnderDrift) {

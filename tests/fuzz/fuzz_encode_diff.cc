@@ -4,7 +4,9 @@
 // every compatible scheme × dictionary implementation. EncodeBatch over
 // all the input's keys, in input order and sorted, must then match
 // Encode key by key (prefix reuse, prefetching past the batch's end), and
-// the sorted keys split into 2-4 ranges must match one range.
+// the sorted keys split into 2-4 ranges must match one range. EncodeTo
+// into one buffer reused across the input's keys, so each lands in
+// whatever the previous key left there, must match Encode too.
 // This is the fuzzing twin of simd_equivalence_test: the unit test pins
 // curated keys, the fuzzer feeds adversarial ones (NULs, 0xFF runs,
 // boundary straddles) into exactly the same oracle.
@@ -158,6 +160,19 @@ void DiffBatch(const Hope& hope, const std::vector<std::string>& keys) {
                  "EncodeBatch total bits diverged from Encode");
 }
 
+/// EncodeTo through one buffer across all of `keys` against Encode on
+/// each key, bytes and bit length: a key after a longer one is written
+/// into a dirty buffer whose old tail must not survive.
+void DiffEncodeTo(const Hope& hope, const std::vector<std::string>& keys) {
+  std::string buf;
+  for (const std::string& key : keys) {
+    size_t bits = 0, want_bits = 0;
+    hope.EncodeTo(key, &buf, &bits);
+    HOPE_CHECK_MSG(buf == hope.Encode(key, &want_bits) && bits == want_bits,
+                   "EncodeTo into a reused buffer diverged from Encode");
+  }
+}
+
 /// The split entry at 2-4 parts against the sequential pass over the same
 /// keys: each range restarts prefix reuse at its first key, so a key
 /// that shares a prefix with the one across a boundary must still encode
@@ -192,6 +207,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::sort(sorted.begin(), sorted.end());
   for (const auto& hope : AllDicts()) {
     DiffOneDict(*hope, keys);
+    DiffEncodeTo(*hope, keys);
     DiffBatch(*hope, keys);
     DiffBatch(*hope, sorted);
     DiffSplit(*hope, sorted);

@@ -159,6 +159,12 @@ def gen_encode_diff(d: str):
     # target's 2-4 part split cuts a run the sequential pass reuses.
     write(d, "split_shared_prefix", pack(
         [b"com.gmail@user%02d" % i for i in range(12)]))
+    # Encode-into through one reused buffer: each key after the longest
+    # one lands in a dirty buffer, shrinking down to the empty key, with
+    # NULs inside, leading and trailing.
+    write(d, "encode_to_dirty", pack(
+        [b"\xff" * 64, b"com.gmail@a\x00b", b"\x00" * 9, b"",
+         b"x\x00", b"\x00com.y@z", b"m" * 40, b"m"]))
 
 
 def gen_parse(d: str):

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <random>
+#include <thread>
 
 #include "common/str_utils.h"
 #include "datasets/datasets.h"
@@ -229,6 +230,68 @@ TEST_P(SchemeEncoderTest, PairEncodingMatchesIndividual) {
   auto [a, b] = hope_->EncodePair("com.gmail@aaa", "com.gmail@aab");
   EXPECT_EQ(a, hope_->Encode("com.gmail@aaa"));
   EXPECT_EQ(b, hope_->Encode("com.gmail@aab"));
+}
+
+// EncodeTo against Encode and against EncodeBatch's slot for the same key,
+// bytes and bit length. The buffer is reused across every key and first
+// holds the longest encoding of the set, so each shorter key lands in a
+// dirty buffer whose old tail must not survive.
+TEST_P(SchemeEncoderTest, EncodeToMatchesEncodeAndBatch) {
+  std::mt19937_64 rng(35);
+  std::string big(size_t{64} << 10, '\0');
+  for (char& c : big) c = static_cast<char>(rng() % 256);
+  std::vector<std::string> keys = {big, "", std::string(1, '\0'),
+                                   std::string(9, '\0'),
+                                   std::string("com.a\0b@x", 9),
+                                   std::string("\0\0com.gmail@\0", 14)};
+  keys.insert(keys.end(), keys_.begin(), keys_.begin() + 100);
+  std::vector<std::string> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  const auto batch = hope_->EncodeBatch(sorted);
+
+  std::string buf;
+  size_t bits = 0;
+  hope_->EncodeTo(big, &buf, &bits);
+  const size_t dirty = buf.size();
+  for (const std::string& key : keys) {
+    size_t want_bits = 0;
+    const std::string want = hope_->Encode(key, &want_bits);
+    ASSERT_LE(want.size(), dirty);
+    hope_->EncodeTo(key, &buf, &bits);
+    ASSERT_EQ(buf, want) << "key of " << key.size() << " bytes";
+    ASSERT_EQ(bits, want_bits) << "key of " << key.size() << " bytes";
+    ASSERT_EQ(want.size(), (want_bits + 7) / 8);
+    const size_t slot =
+        std::lower_bound(sorted.begin(), sorted.end(), key) - sorted.begin();
+    ASSERT_EQ(batch[slot], want) << "key of " << key.size() << " bytes";
+  }
+  EXPECT_EQ(hope_->Decode(buf, bits), keys.back());
+}
+
+// Four threads point-encode through one shared Hope, each into its own
+// reused buffer, and every result matches the single-threaded encoding.
+TEST_P(SchemeEncoderTest, ConcurrentEncodeToThroughOneHope) {
+  constexpr int kThreads = 4;
+  std::vector<std::string> want(keys_.size());
+  std::vector<size_t> want_bits(keys_.size());
+  for (size_t i = 0; i < keys_.size(); i++)
+    want[i] = hope_->Encode(keys_[i], &want_bits[i]);
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      std::string buf;
+      size_t bits = 0;
+      for (int round = 0; round < 3; round++) {
+        for (size_t i = static_cast<size_t>(t); i < keys_.size(); i++) {
+          hope_->EncodeTo(keys_[i], &buf, &bits);
+          mismatches[t] += buf != want[i] || bits != want_bits[i];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; t++) EXPECT_EQ(mismatches[t], 0u) << t;
 }
 
 TEST_P(SchemeEncoderTest, CompressesRealKeys) {
