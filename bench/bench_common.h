@@ -102,22 +102,6 @@ inline size_t TotalBytes(const std::vector<std::string>& keys) {
   return n;
 }
 
-/// Compression rate over a key set: original bytes / compressed bytes
-/// (byte-padded), as in §6.1.
-inline double MeasureCpr(const Hope& hope,
-                         const std::vector<std::string>& keys) {
-  size_t original = 0, compressed = 0;
-  for (const auto& k : keys) {
-    size_t bits = 0;
-    hope.Encode(k, &bits);
-    original += k.size();
-    compressed += (bits + 7) / 8;
-  }
-  return compressed == 0 ? 1.0
-                         : static_cast<double>(original) /
-                               static_cast<double>(compressed);
-}
-
 /// Encode latency in ns per source character.
 inline double MeasureEncodeNsPerChar(const Hope& hope,
                                      const std::vector<std::string>& keys) {

@@ -28,7 +28,7 @@ void Run() {
           continue;
         }
         auto hope = Hope::Build(scheme, SampleKeys(keys, f), limit);
-        double cpr = MeasureCpr(*hope, keys);
+        double cpr = hope->CompressionRate(keys);
         std::printf(" %9.3f", cpr);
         std::fflush(stdout);
         Report()

@@ -29,10 +29,10 @@ void Run() {
   for (Scheme scheme : AllSchemes()) {
     auto dict_a = Hope::Build(scheme, SampleKeys(part_a, 0.02), limit);
     auto dict_b = Hope::Build(scheme, SampleKeys(part_b, 0.02), limit);
-    double a_on_a = MeasureCpr(*dict_a, part_a);
-    double b_on_b = MeasureCpr(*dict_b, part_b);
-    double a_on_b = MeasureCpr(*dict_a, part_b);
-    double b_on_a = MeasureCpr(*dict_b, part_a);
+    double a_on_a = dict_a->CompressionRate(part_a);
+    double b_on_b = dict_b->CompressionRate(part_b);
+    double a_on_b = dict_a->CompressionRate(part_b);
+    double b_on_a = dict_b->CompressionRate(part_a);
     std::printf("  %-13s %12.3f %12.3f %12.3f %12.3f\n", SchemeName(scheme),
                 a_on_a, b_on_b, a_on_b, b_on_a);
     std::fflush(stdout);

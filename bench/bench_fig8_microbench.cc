@@ -28,7 +28,7 @@ void RunScheme(DatasetId id, Scheme scheme,
   for (size_t limit : sizes) {
     BuildStats stats;
     auto hope = Hope::Build(scheme, sample, limit, &stats);
-    double cpr = MeasureCpr(*hope, keys);
+    double cpr = hope->CompressionRate(keys);
     double ns = MeasureEncodeNsPerChar(*hope, keys);
     std::printf("  %-13s %9zu %8.3f %9.1f %12.1f\n", SchemeName(scheme),
                 stats.num_entries, cpr, ns,

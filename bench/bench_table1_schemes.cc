@@ -35,7 +35,7 @@ void Run() {
     Scheme scheme = AllSchemes()[i];
     BuildStats stats;
     auto hope = Hope::Build(scheme, sample, dict_limit, &stats);
-    double cpr = MeasureCpr(*hope, keys);
+    double cpr = hope->CompressionRate(keys);
     double ns = MeasureEncodeNsPerChar(*hope, keys);
     std::printf("%-14s %-14s %-13s %-12s %9zu %6.2f %10.1f %9.2f\n",
                 rows[i].scheme, rows[i].selector, rows[i].assigner,

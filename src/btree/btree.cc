@@ -10,6 +10,18 @@
 
 #include "common/simd.h"
 
+// ThreadSanitizer does not intercept mremap: a mapping it moves leaves
+// stale shadow state at its old address, and a later mapping there (a
+// tree built on another thread) reports races with the old owner's
+// writes. Under TSan the buffer grows by the copying path instead.
+#if defined(__SANITIZE_THREAD__)
+#define HOPE_BTREE_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define HOPE_BTREE_TSAN 1
+#endif
+#endif
+
 namespace hope {
 
 namespace {
@@ -151,7 +163,7 @@ void BTree::KeyBuffer::Grow(size_t need) {
     p = mmap(nullptr, cap, PROT_READ | PROT_WRITE,
              MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   } else {
-#if defined(__linux__)
+#if defined(__linux__) && !defined(HOPE_BTREE_TSAN)
     // Moves page table entries, never bytes.
     p = mremap(base_, capacity_, cap, MREMAP_MAYMOVE);
 #else

@@ -11,9 +11,10 @@
 //    place. Art and Hot keep their keys here; BTree keeps its keys in a
 //    buffer of its own (btree/btree.h), addressed by 4-byte offsets.
 //    The third user of Intern is VersionedIndex's insert log
-//    (dynamic/versioned_index.h): each generation keeps its original
-//    keys as KeyRefs into an arena of its own, and log compaction copies
-//    the live ones into a fresh arena rather than erasing in place.
+//    (dynamic/versioned_index.h): it keeps its original keys as KeyRefs
+//    into an arena of its own, and a rebuild (a dictionary swap or log
+//    compaction) copies the live ones into a fresh arena rather than
+//    erasing in place.
 //  - Blocks (AllocateBlock/FreeBlock) are 8-byte aligned and recycled:
 //    a freed block goes onto an intrusive free list for its exact size,
 //    and the next request of that size takes it back. Nodes and leaves

@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <string_view>
 
@@ -75,13 +74,10 @@ inline int PopCount64(uint64_t x) {
 // with no call and no per-use branch.
 #if defined(HOPE_SIMD_DYNAMIC_POPCNT)
 inline bool HavePopcnt() {
-  // HOPE_POPCNT=never is the A/B escape hatch (resolved once at first
-  // use, like the cpuid probe). The Hw and portable template legs differ
+  // Resolved once at first use. The Hw and portable template legs differ
   // only in which popcount they inline, and the two popcounts are pinned
   // equal by the SIMD unit tests.
   static const bool have = [] {
-    if (const char* env = std::getenv("HOPE_POPCNT"))
-      if (env[0] == 'n') return false;
     unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
     return __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 &&
            (ecx & (1u << 23)) != 0;

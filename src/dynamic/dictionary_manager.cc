@@ -212,6 +212,7 @@ uint64_t DictionaryManager::PublishLocked(std::unique_ptr<Hope> candidate,
   const Version* old = current_.exchange(
       new Version{epoch, std::move(candidate)},
       std::memory_order_seq_cst);
+  epoch_.store(epoch, std::memory_order_seq_cst);
   reclaimer_.RetireDelete(old);
   baseline_cpr_.store(fresh_cpr);
   collector_.MarkRebuild(fresh_cpr);

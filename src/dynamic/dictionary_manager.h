@@ -111,10 +111,10 @@ class DictionaryManager {
   /// pointer load plus a refcount bump).
   DictSnapshot Acquire() const;
 
-  uint64_t epoch() const {
-    ebr::EpochReclaimer::Guard guard(reclaimer_);
-    return current_.load(std::memory_order_seq_cst)->epoch;
-  }
+  /// The current version's epoch: one atomic load, no guard. Publish
+  /// stores it after the swap, so an epoch read here is never ahead of
+  /// what Acquire() returns.
+  uint64_t epoch() const { return epoch_.load(std::memory_order_seq_cst); }
 
   /// Serving encode through the current version; feeds the stats
   /// collector. Encodes that are not real requests go through a
@@ -196,6 +196,8 @@ class DictionaryManager {
   /// Hot-path publication point. Readers load it inside an ebr::Guard;
   /// PublishLocked swaps it and retires the predecessor.
   HOPE_EBR_PUBLISHED std::atomic<const Version*> current_;
+  /// current_'s epoch, stored by PublishLocked after the swap.
+  std::atomic<uint64_t> epoch_{0};
   Mutex rebuild_mu_;  ///< serializes RebuildNow/Publish
   /// Rejection-backoff deadline, steady_clock nanoseconds since epoch
   /// (atomic so lockless ShouldRebuild()/InBackoff() can read it).

@@ -2,8 +2,8 @@
 // reservoir of recently encoded keys (the rebuild corpus) and an EWMA of
 // the per-key compression rate (the staleness signal). Fed only by the
 // callers that know an encode serves a real request —
-// DictionaryManager::Encode and VersionedIndex's newest-generation
-// encode — so maintenance and measurement encodes never reach it.
+// DictionaryManager::Encode and VersionedIndex's served encode — so
+// maintenance and measurement encodes never reach it.
 //
 // Hot-path cost is kept low by observing only every `sample_every`-th
 // encode; the sampled updates take one mutex. All methods are

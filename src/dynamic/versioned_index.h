@@ -2,16 +2,16 @@
 // stores HOPE-encoded keys and stays correct across dictionary hot-swaps.
 //
 // Encodings from different dictionary versions are not mutually
-// order-consistent, so versions cannot share one ordered structure.
-// Instead the index keeps one *generation* per adopted dictionary epoch:
-// a tree whose keys were all encoded under that generation's snapshot
-// (which the DictSnapshot keeps alive), plus an insert log of original
-// keys that serves as the migration source. New inserts always land in
-// the newest generation; Peek() probes newest-to-oldest and moves
-// nothing. Old generations drain only through MigrateAll(), which
-// re-encodes every live entry under the current dictionary (required
-// before range scans, which only make sense within a single
-// generation's encoding), or shrink as erases and overwrites empty them.
+// order-consistent, so versions cannot share one ordered structure. The
+// index therefore holds exactly one *generation*: a dictionary snapshot
+// (which keeps that version alive), a tree whose keys were all encoded
+// under it, and an insert log of original keys to re-encode from. When
+// the manager's epoch moves, the next Insert() or InsertIfAbsent() (or an
+// explicit Refresh()) adopts it by rebuilding: one pass over the log
+// re-encodes every live entry into a fresh tree under the new snapshot,
+// and the fresh generation replaces the old one whole. Peek() never
+// adopts, so a lookup always encodes under the dictionary its tree was
+// built with, and tree() is always scannable in key order.
 //
 // The adapter is externally synchronized — it never locks. The classic
 // embedding is single-writer: one thread mutates the index while the
@@ -22,12 +22,11 @@
 // concurrently with other Peek()s; every mutating call requires the
 // exclusive lock.
 //
-// Only the encodes that serve a request — the newest-generation encode of
-// Insert() and Peek(), and a caller's EncodeRequest() — feed the
-// manager's stats collector. Old-generation probes, eviction, migration
-// and log compaction re-encode keys mechanically and feed nothing, so
-// retired dictionaries and synthetic bursts never reach the EWMA or the
-// reservoir.
+// Only the encodes that serve a request — the encode of Insert() and
+// Peek(), and a caller's EncodeRequest() — feed the manager's stats
+// collector. Rebuilds, erases, migration inserts and range collection
+// re-encode keys mechanically and feed nothing, so retired dictionaries
+// and synthetic bursts never reach the EWMA or the reservoir.
 //
 // Every encode, served or maintenance, writes into the calling thread's
 // scratch string (Hope::EncodeTo), which the tree call that follows reads
@@ -39,8 +38,10 @@
 //
 // The insert log is a vector of KeyRefs (common/arena.h) into an Arena of
 // the generation's own: a logged key costs its bytes plus one 8-byte
-// reference, not a heap string. Log compaction re-interns the live keys
-// into a fresh arena and frees the old one whole.
+// reference, not a heap string. The log is append-only, so it also holds
+// overwritten and erased keys; once it outgrows the live entries the
+// index rebuilds under its current snapshot, which frees the dead log
+// bytes and the tree's dead key bytes together.
 //
 // Tree must provide: Insert(string_view, uint64_t),
 // Lookup(string_view, uint64_t*) const, Erase(string_view), size().
@@ -51,7 +52,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -76,94 +76,77 @@ template <typename Tree>
 class VersionedIndex {
  public:
   /// `manager` must outlive the index. Adopts the current epoch.
-  explicit VersionedIndex(DictionaryManager* manager) : manager_(manager) {
-    gens_.push_back(std::make_unique<Generation>(manager_->Acquire()));
-  }
+  explicit VersionedIndex(DictionaryManager* manager)
+      : manager_(manager),
+        gen_(std::make_unique<Generation>(manager_->Acquire())) {}
 
-  /// Adopts the manager's current epoch if it moved since the last call;
-  /// inserts and MigrateAll() call this themselves, so explicit calls are
-  /// only needed to pick up a swap eagerly. One Acquire() serves both the
-  /// epoch comparison and the adopted snapshot — a single reader guard
-  /// per refresh, and no TOCTOU window between a separate epoch() probe
-  /// and the acquisition.
-  void Refresh() {
+  /// Adopts the manager's current epoch if it moved, by a Rebuild();
+  /// returns the entries re-encoded (0 when the epoch did not move).
+  /// Inserts call this themselves, so explicit calls are only needed to
+  /// pick up a swap eagerly. The common case is one atomic load: the
+  /// snapshot is acquired only once the epoch has moved.
+  size_t Refresh() {
+    if (manager_->epoch() == gen_->dict.epoch) return 0;
     DictSnapshot snap = manager_->Acquire();
-    if (snap.epoch != gens_.back()->dict.epoch)
-      gens_.push_back(std::make_unique<Generation>(std::move(snap)));
+    if (snap.epoch == gen_->dict.epoch) return 0;
+    return Rebuild(std::move(snap));
   }
 
   void Insert(const std::string& key, uint64_t value) {
     Refresh();
-    // Evict any stale copy so an old generation can never shadow the
-    // fresh value after this one migrates or is erased.
-    for (size_t g = 0; g + 1 < gens_.size(); g++)
-      gens_[g]->tree.Erase(gens_[g]->Encode(key));
-    Generation& newest = *gens_.back();
-    newest.tree.Insert(ServedEncode(key), value);
-    newest.Log(key);
-    CompactLog(newest);
+    gen_->tree.Insert(ServedEncode(key), value);
+    gen_->Log(key);
+    CompactLog();
   }
 
-  /// Point lookup: probes every generation newest-to-oldest without
-  /// migrating hits, adopting epochs, or otherwise mutating the index.
-  /// This is the concurrent reader path — safe under a shared lock
-  /// alongside other Peek()s. The newest-generation encode is real
-  /// serving traffic and feeds the stats collector; old-generation probes
-  /// do not. Old generations drain via MigrateAll(), not here, so a
-  /// Peek-only workload leaves generation counts unchanged.
+  /// Point lookup under the adopted dictionary; adopts nothing and
+  /// mutates nothing. This is the concurrent reader path — safe under a
+  /// shared lock alongside other Peek()s. Its encode is real serving
+  /// traffic and feeds the stats collector.
   bool Peek(const std::string& key, uint64_t* value) const {
-    for (size_t g = gens_.size(); g-- > 0;) {
-      const Generation& gen = *gens_[g];
-      const std::string& enc =
-          g + 1 == gens_.size() ? ServedEncode(key) : gen.Encode(key);
-      uint64_t v = 0;
-      if (gen.tree.Lookup(enc, &v)) {
-        if (value) *value = v;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool Erase(const std::string& key) {
-    bool erased = false;
-    for (auto& gen : gens_)
-      erased |= gen->tree.Erase(gen->Encode(key));
-    PruneEmpty();
-    return erased;
-  }
-
-  /// Migration insert that never clobbers: if the key is already live in
-  /// any generation the existing value wins and nothing changes. The
-  /// cross-shard migration path needs this — a concurrent writer may
-  /// have inserted a fresher value into the destination shard after the
-  /// migration batch captured the source entry, and replaying the stale
-  /// copy over it would undo the write. Returns true when inserted.
-  bool InsertIfAbsent(const std::string& key, uint64_t value) {
-    Refresh();
-    for (auto& gen : gens_) {
-      uint64_t v = 0;
-      if (gen->tree.Lookup(gen->Encode(key), &v)) return false;
-    }
-    Generation& newest = *gens_.back();
-    newest.tree.Insert(newest.Encode(key), value);
-    newest.Log(key);
-    CompactLog(newest);
+    uint64_t v = 0;
+    if (!gen_->tree.Lookup(ServedEncode(key), &v)) return false;
+    if (value) *value = v;
     return true;
   }
 
-  /// Sorted live original keys in [begin, end) (`end == nullptr` =
-  /// unbounded above), without removing them. Drains old generations
-  /// first so one tree + log pair answers. This is the migration cursor
-  /// for incremental cross-shard moves: capture the key list once, then
-  /// ExtractKeys() it in bounded batches.
+  bool Erase(const std::string& key) {
+    return gen_->tree.Erase(gen_->Encode(key));
+  }
+
+  /// Migration insert that never clobbers: if the key is already live
+  /// the existing value wins and nothing changes. The cross-shard
+  /// migration path needs this — a concurrent writer may have inserted a
+  /// fresher value into the destination shard after the migration batch
+  /// captured the source entry, and replaying the stale copy over it
+  /// would undo the write. Returns true when inserted.
+  bool InsertIfAbsent(const std::string& key, uint64_t value) {
+    Refresh();
+    const std::string& enc = gen_->Encode(key);
+    uint64_t v = 0;
+    if (gen_->tree.Lookup(enc, &v)) return false;
+    gen_->tree.Insert(enc, value);
+    gen_->Log(key);
+    CompactLog();
+    return true;
+  }
+
+  /// Sorted, distinct live original keys in [begin, end) (`end ==
+  /// nullptr` = unbounded above), without removing them. This is the
+  /// migration cursor for incremental cross-shard moves: capture the key
+  /// list once, then ExtractKeys() it in bounded batches.
   std::vector<std::string> CollectRangeKeys(const std::string& begin,
-                                            const std::string* end) {
-    MigrateAll();
+                                            const std::string* end) const {
     std::vector<std::string> out;
-    ForEachLiveLogKey(*gens_.back(), begin, end,
-                      [&](std::string_view key) { out.emplace_back(key); });
+    for (KeyRef ref : gen_->log) {
+      const std::string_view key = KeyAt(ref);
+      if (key < begin || (end && key >= *end)) continue;
+      uint64_t v = 0;
+      if (gen_->tree.Lookup(gen_->Encode(key), &v)) out.emplace_back(key);
+    }
+    // The log holds a key once per insert.
     std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
   }
 
@@ -174,78 +157,43 @@ class VersionedIndex {
                      std::vector<std::pair<std::string, uint64_t>>* out) {
     size_t extracted = 0;
     for (const std::string& key : keys) {
-      for (size_t g = gens_.size(); g-- > 0;) {
-        Generation& gen = *gens_[g];
-        const std::string& enc = gen.Encode(key);
-        uint64_t v = 0;
-        if (!gen.tree.Lookup(enc, &v)) continue;
-        gen.tree.Erase(enc);
-        out->emplace_back(key, v);
-        extracted++;
-        break;
-      }
+      const std::string& enc = gen_->Encode(key);
+      uint64_t v = 0;
+      if (!gen_->tree.Lookup(enc, &v)) continue;
+      gen_->tree.Erase(enc);
+      out->emplace_back(key, v);
+      extracted++;
     }
-    PruneEmpty();
     return extracted;
   }
 
-  /// Eagerly drains every old generation through its insert log. Returns
-  /// the number of entries moved; afterwards NumGenerations() == 1.
-  size_t MigrateAll() {
-    Refresh();
-    size_t moved = 0;
-    for (size_t g = 0; g + 1 < gens_.size(); g++) {
-      Generation& gen = *gens_[g];
-      for (KeyRef ref : gen.log) {
-        const std::string_view key = KeyAt(ref);
-        const std::string& enc = gen.Encode(key);
-        uint64_t v = 0;
-        // Logged keys may have been erased or already migrated (the log
-        // is append-only); only live entries move.
-        if (!gen.tree.Lookup(enc, &v)) continue;
-        gen.tree.Erase(enc);
-        Generation& newest = *gens_.back();
-        newest.tree.Insert(newest.Encode(key), v);
-        newest.Log(key);
-        moved++;
-      }
-      // Same bound as the insert append paths; one check per drained
-      // generation keeps the drain loop linear.
-      CompactLog(*gens_.back());
-    }
-    gens_.erase(gens_.begin(), gens_.end() - 1);
-    return moved;
-  }
+  size_t size() const { return gen_->tree.size(); }
 
-  size_t size() const {
-    size_t n = 0;
-    for (const auto& gen : gens_) n += gen->tree.size();
-    return n;
-  }
+  /// The epoch of the dictionary every key in tree() is encoded under.
+  uint64_t CurrentEpoch() const { return gen_->dict.epoch; }
 
-  size_t NumGenerations() const { return gens_.size(); }
-  uint64_t CurrentEpoch() const { return gens_.back()->dict.epoch; }
+  /// Insert-log length (diagnostic; stays within a constant factor of
+  /// live entries thanks to compaction).
+  size_t LogSize() const { return gen_->log.size(); }
 
-  /// Newest generation's insert-log length (diagnostic; stays within a
-  /// constant factor of live entries thanks to compaction).
-  size_t LogSize() const { return gens_.back()->log.size(); }
-
-  /// The newest generation's tree — valid for scans once
-  /// NumGenerations() == 1 (call MigrateAll() first).
-  const Tree& tree() const { return gens_.back()->tree; }
+  /// The tree, every key encoded under CurrentEpoch()'s dictionary, so
+  /// it scans in key order (start from an EncodeRequest()).
+  const Tree& tree() const { return gen_->tree; }
 
   /// Encodes a request's key into `*out` (Hope::EncodeTo; `out` must not
-  /// alias `key`) under the newest generation's dictionary and feeds the
-  /// manager's stats collector: the one serving encode, used by Insert(),
-  /// Peek() and a scan's start key (scan through tree() with it). Const;
-  /// the collector is thread-safe.
+  /// alias `key`) under the adopted dictionary and feeds the manager's
+  /// stats collector: the one serving encode, used by Insert(), Peek()
+  /// and a scan's start key (scan through tree() with it). Const; the
+  /// collector is thread-safe.
   void EncodeRequest(std::string_view key, std::string* out) const {
     size_t bits = 0;
-    gens_.back()->dict.hope->EncodeTo(key, out, &bits);
+    gen_->dict.hope->EncodeTo(key, out, &bits);
     manager_->stats().OnEncode(key, bits);
   }
 
  private:
+  /// A dictionary snapshot with the tree and insert log encoded under
+  /// it. Held behind a unique_ptr: trees are not movable.
   struct Generation {
     explicit Generation(DictSnapshot snapshot) : dict(std::move(snapshot)) {}
 
@@ -264,7 +212,7 @@ class VersionedIndex {
     DictSnapshot dict;
     Tree tree;
     Arena log_bytes;          ///< the logged keys' bytes
-    std::vector<KeyRef> log;  ///< original keys inserted here, in order
+    std::vector<KeyRef> log;  ///< original keys inserted, in order
   };
 
   /// EncodeRequest into the calling thread's scratch, valid until that
@@ -275,51 +223,42 @@ class VersionedIndex {
     return out;
   }
 
-  /// Bounds the append-only insert log: once it outgrows the live entry
-  /// count by 4x (overwrites, erased keys, migrated re-appends), rewrite
-  /// it with the deduplicated live keys. The geometric trigger keeps the
-  /// amortized cost per insert constant, and log size tracks live
-  /// entries, not lifetime inserts. The live keys move into a fresh
-  /// arena, and the old one, dead keys and all, is freed whole.
-  void CompactLog(Generation& gen) {
-    if (gen.log.size() <= 4 * gen.tree.size() + 64) return;
-    Arena bytes;
-    std::vector<KeyRef> log;
-    ForEachLiveLogKey(gen, {}, nullptr, [&](std::string_view key) {
-      log.push_back(bytes.Intern(key));
-    });
-    gen.log_bytes = std::move(bytes);
-    gen.log = std::move(log);
-  }
-
-  /// Calls `fn(key)` on each distinct key of `gen`'s append-only log
-  /// (which also holds overwritten and erased keys) that lies in
-  /// [begin, end) — `end == nullptr` means unbounded above — and is still
-  /// live in its tree, in first-logged order. `key` views the log's own
-  /// bytes.
-  template <typename Fn>
-  static void ForEachLiveLogKey(const Generation& gen, std::string_view begin,
-                                const std::string* end, Fn&& fn) {
-    std::unordered_set<std::string_view> seen;
-    for (KeyRef ref : gen.log) {
+  /// Replaces the generation with one under `snapshot` holding the same
+  /// live entries: one pass over the log re-encodes each live key into a
+  /// fresh tree and log. The log also holds overwritten and erased keys
+  /// and logs a key once per insert, so each entry is looked up under
+  /// the old encoding and erased there as it moves: a key logged twice,
+  /// or two keys whose old encodings coincide, move once. Returns the
+  /// entries moved.
+  size_t Rebuild(DictSnapshot snapshot) {
+    auto next = std::make_unique<Generation>(std::move(snapshot));
+    Generation& old = *gen_;
+    size_t moved = 0;
+    for (KeyRef ref : old.log) {
       const std::string_view key = KeyAt(ref);
-      if (!seen.insert(key).second) continue;
-      if (key < begin || (end && key >= *end)) continue;
+      const std::string& enc = old.Encode(key);
       uint64_t v = 0;
-      if (gen.tree.Lookup(gen.Encode(key), &v)) fn(key);
+      if (!old.tree.Lookup(enc, &v)) continue;
+      old.tree.Erase(enc);
+      next->tree.Insert(next->Encode(key), v);
+      next->Log(key);
+      moved++;
     }
+    gen_ = std::move(next);
+    return moved;
   }
 
-  void PruneEmpty() {
-    // Drop drained old generations (never the newest) so probes and the
-    // per-insert eviction pass stay short.
-    for (size_t g = gens_.size() - 1; g-- > 0;)
-      if (gens_[g]->tree.size() == 0)
-        gens_.erase(gens_.begin() + static_cast<long>(g));
+  /// Bounds the append-only log: once it outgrows the live entry count
+  /// by 4x (overwrites, erased keys), rebuild under the current
+  /// snapshot. The geometric trigger keeps the amortized cost per insert
+  /// constant, and the log and the tree's key bytes track live entries,
+  /// not lifetime inserts.
+  void CompactLog() {
+    if (gen_->log.size() > 4 * gen_->tree.size() + 64) Rebuild(gen_->dict);
   }
 
   DictionaryManager* manager_;
-  std::vector<std::unique_ptr<Generation>> gens_;  ///< oldest .. newest
+  std::unique_ptr<Generation> gen_;
 };
 
 }  // namespace hope::dynamic

@@ -15,7 +15,6 @@
 // and pairs that diverge within those levels collapse to their fully
 // resolved predecessor entry. A parallel 256-entry table answers the
 // 1-byte tail lookups every key ends with.
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -341,12 +340,10 @@ class BitmapTrieDict : public Dictionary {
   /// max-descents — microseconds next to dictionary selection — and the
   /// replay reuses the same candidate rules as LookupEntry, so the table
   /// is correct by construction. The packed slots index with 15 bits, so
-  /// dictionaries too large for them (never hit by the sample-driven gram
-  /// selectors) simply keep the classic walk.
+  /// dictionaries too large for them (more than 32,766 entries, or more
+  /// than 32,767 third-level nodes) simply keep the classic walk.
   void BuildFused() {
     std::memset(fused_single_, -1, sizeof(fused_single_));
-    if (const char* env = std::getenv("HOPE_FUSED"))
-      if (std::strcmp(env, "never") == 0) return;  // A/B escape hatch
     // Single-byte answers are exact entry ids (no packing), so they are
     // built regardless of the 15-bit slot cap below. Replayed with the
     // LookupEntry candidate rules; -1 (incomplete dictionary) defers to

@@ -1,8 +1,8 @@
 // ConcurrentShardedIndex<Tree>: the index counterpart of the
 // ShardedDictionaryManager. One VersionedIndex per shard, each behind its
 // own shared_mutex: keys route through the manager's RouterVersion to the
-// shard that owns their range, so a dictionary swap in shard i only opens
-// a new generation in shard i's index. Within a shard HOPE encodings
+// shard that owns their range, so a dictionary swap in shard i only
+// rebuilds shard i's index. Within a shard HOPE encodings
 // preserve order, and shard i's range precedes shard i+1's, so a scan
 // that walks shards in boundary order comes back in global key order.
 // Built for many reader threads and per-shard serialized writers; a
@@ -41,18 +41,26 @@
 // falls back to probing under the migration lock, which excludes batch
 // commits entirely.
 //
-// Erase double-routes too, and erases in *both* owners (a key can
-// transiently exist in both: a fresh insert into the new owner plus a
-// stale not-yet-migrated copy in the old one; the stale copy must not
-// outlive the erase or the next batch would resurrect the key — though
-// even then InsertIfAbsent, not Insert, is what moves keys, so a
-// migrated copy can never clobber a concurrent writer's fresher value).
+// Erase double-routes too, and erases in *both* owners, the old one
+// first (a key can transiently exist in both: a fresh insert into the
+// new owner plus a stale not-yet-migrated copy in the old one; the stale
+// copy must not outlive the erase or a batch would resurrect the key —
+// though InsertIfAbsent, not Insert, is what moves keys, so a migrated
+// copy can never clobber a concurrent writer's fresher value).
 //
-// Scan() drains: it completes any in-flight plan (cross-shard order is
+// Dictionary swaps: a shard's VersionedIndex holds one generation and
+// adopts its manager's new epoch by rebuilding, under the shard's
+// exclusive lock, at the first insert after the publish or at an idle
+// PollMigration(), whichever comes first. Until then the shard keeps
+// serving under the dictionary its tree was built with.
+//
+// Scan() completes any in-flight plan first (cross-shard order is
 // undefined mid-plan — moved ranges interleave two shards' encodings)
-// and then walks shards in boundary order under exclusive locks. Short
-// scans are therefore heavier than points during a rebalance; that is
-// the documented trade, and bench_serving measures it.
+// and then walks shards in boundary order, each under its shared lock:
+// every shard's tree is encoded under one dictionary, so it scans in
+// key order as it stands. Short scans are therefore heavier than points
+// during a rebalance; that is the documented trade, and bench_serving
+// measures it.
 //
 // Lock order (deadlock freedom): migration_mu_ before any shard mutex;
 // shard mutexes in ascending shard index when two are held (batch
@@ -175,18 +183,14 @@ class ConcurrentShardedIndex {
       const uint64_t seq = migration_seq_.load(std::memory_order_seq_cst);
       size_t primary = 0, fallback = kNoShard;
       RouteBoth(key, &primary, &fallback);
-      bool erased = EraseInShard(primary, key);
-      if (fallback != kNoShard) erased |= EraseInShard(fallback, key);
-      if (erased) return true;
+      if (EraseInBoth(primary, fallback, key)) return true;
       if (migration_seq_.load(std::memory_order_seq_cst) == seq)
         return false;
     }
     MutexLock mlk(migration_mu_);
     size_t primary = 0, fallback = kNoShard;
     RouteBoth(key, &primary, &fallback);
-    bool erased = EraseInShard(primary, key);
-    if (fallback != kNoShard) erased |= EraseInShard(fallback, key);
-    return erased;
+    return EraseInBoth(primary, fallback, key);
   }
 
   /// Ordered scan from the first key >= start, in global key order.
@@ -200,9 +204,8 @@ class ConcurrentShardedIndex {
     size_t produced = 0;
     const size_t first = router_->Route(start);
     for (size_t s = first; s < shards_.size() && produced < count; s++) {
-      WriterLock lk(shards_[s]->mu);
-      dynamic::VersionedIndex<Tree>& shard = shards_[s]->index;
-      shard.MigrateAll();
+      ReaderLock lk(shards_[s]->mu);
+      const dynamic::VersionedIndex<Tree>& shard = shards_[s]->index;
       std::string enc;
       if (s == first) shard.EncodeRequest(start, &enc);
       produced += shard.tree().Scan(enc, count - produced, out);
@@ -221,7 +224,7 @@ class ConcurrentShardedIndex {
     if (!migration_mu_.TryLock()) return 0;
     MutexLock mlk(migration_mu_, std::adopt_lock);
     size_t moved = PollLocked(std::max<size_t>(max_keys, 1));
-    if (!mig_.plan) DrainGenerationsLocked();
+    if (!mig_.plan) RefreshShardsLocked();
     return moved;
   }
 
@@ -249,15 +252,16 @@ class ConcurrentShardedIndex {
 
   size_t num_shards() const { return shards_.size(); }
 
-  /// Sum of per-shard generation counts (== num_shards() once every
-  /// shard is drained to its newest dictionary).
-  size_t TotalGenerations() const {
-    size_t n = 0;
+  /// Each shard's adopted dictionary epoch, in shard order (a shard
+  /// lags its manager's Epochs() until its next insert or idle poll).
+  std::vector<uint64_t> ShardEpochs() const {
+    std::vector<uint64_t> epochs;
+    epochs.reserve(shards_.size());
     for (const auto& shard : shards_) {
       ReaderLock lk(shard->mu);
-      n += shard->index.NumGenerations();
+      epochs.push_back(shard->index.CurrentEpoch());
     }
-    return n;
+    return epochs;
   }
 
   /// Lifetime counters.
@@ -341,6 +345,18 @@ class ConcurrentShardedIndex {
   bool EraseInShard(size_t s, const std::string& key) {
     WriterLock lk(shards_[s]->mu);
     return shards_[s]->index.Erase(key);
+  }
+
+  /// Erases `key` in its previous owner (if double-routed), then in its
+  /// owner. Batches only move entries from the previous owner to the
+  /// owner, so in this order a stale copy cannot slip past the erase:
+  /// one moved before the first step is erased by the second, and none
+  /// is left to move after it. (In the other order a batch could move
+  /// the stale copy into the owner just after its erase there.)
+  bool EraseInBoth(size_t primary, size_t fallback, const std::string& key) {
+    bool erased = fallback != kNoShard && EraseInShard(fallback, key);
+    erased |= EraseInShard(primary, key);
+    return erased;
   }
 
   /// Publishes `next` and retires the previous router reference through
@@ -467,16 +483,16 @@ class ConcurrentShardedIndex {
       PollLocked(~size_t{0} >> 1);
   }
 
-  /// Idle maintenance: drain multi-generation shards (dictionary
-  /// hot-swaps open generations; Peek never drains) so the read path
-  /// stays short. TryLock keeps this off any shard a writer is busy in;
+  /// Idle maintenance: rebuild each shard whose manager published a
+  /// new dictionary (Peek never adopts one), so a swap reaches read-only
+  /// shards too. TryLock keeps this off any shard a writer is busy in;
   /// the adopting WriterLock tells the analysis the success branch
   /// holds the capability.
-  void DrainGenerationsLocked() HOPE_REQUIRES(migration_mu_) {
+  void RefreshShardsLocked() HOPE_REQUIRES(migration_mu_) {
     for (auto& shard : shards_) {
       if (!shard->mu.TryLock()) continue;
       WriterLock lk(shard->mu, std::adopt_lock);
-      if (shard->index.NumGenerations() > 1) shard->index.MigrateAll();
+      shard->index.Refresh();
     }
   }
 

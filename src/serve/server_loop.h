@@ -10,8 +10,8 @@
 // (shard % num_workers), so one shard's writer serialization maps to
 // one queue and workers mostly touch disjoint shards. A maintenance
 // thread applies rebalance plans in bounded batches (PollMigration)
-// and drains dictionary generations while workers keep serving —
-// migration-transparent by construction.
+// and rebuilds shards whose dictionary was swapped while workers keep
+// serving — migration-transparent by construction.
 //
 // Latency is measured end-to-end (enqueue to completion, steady clock),
 // which is what an SLO sees: queueing delay counts — and the queueing

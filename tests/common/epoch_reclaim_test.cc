@@ -160,6 +160,9 @@ TEST(EpochReclaimStressTest, ReadersSurviveHundredsOfPublishes) {
     });
   }
 
+  // Publish only once a reader is running: the publishes must race live
+  // readers, and on a loaded host the threads may start late.
+  while (reads.load() == 0 && failures.load() == 0) std::this_thread::yield();
   for (uint64_t s = 1; s <= kPublishes; s++) {
     Node* fresh = new Node{s, s ^ kMask};
     Node* old = published.exchange(fresh, std::memory_order_seq_cst);

@@ -2,7 +2,8 @@
 // swap keep decoding their own encodings, the CPR-drop trigger fires
 // when it should (and its options clamp), RebuildNow improves
 // compression under drift, and the VersionedIndex stays consistent
-// across epochs.
+// across epochs, re-encoding each live entry once per adopted epoch with
+// its log and tree bytes bounded by the live entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -210,41 +211,46 @@ TEST(HotSwapTest, VersionedIndexSurvivesSwaps) {
   }
   for (size_t i = 0; i < keys.size(); i++) index.Insert(keys[i], i);
   EXPECT_EQ(index.size(), keys.size());
-  EXPECT_EQ(index.NumGenerations(), 1u);
+  EXPECT_EQ(index.CurrentEpoch(), 0u);
 
-  // Swap; index picks the new epoch up lazily.
+  // Swap: lookups adopt nothing and keep finding every key under the
+  // dictionary the tree was built with.
   mgr.Publish(BuildFrom(drift.Phase(2)));
-  index.Refresh();
-  EXPECT_EQ(index.NumGenerations(), 2u);
-  EXPECT_EQ(index.CurrentEpoch(), 1u);
-
-  // Every key is still found through the old generation; lookups move
-  // nothing, so both generations stay.
   for (size_t i = 0; i < keys.size(); i++) {
     uint64_t v = 0;
     ASSERT_TRUE(index.Peek(keys[i], &v)) << keys[i];
     EXPECT_EQ(v, i);
   }
-  EXPECT_EQ(index.NumGenerations(), 2u);
-  EXPECT_EQ(index.size(), keys.size());
+  EXPECT_EQ(index.CurrentEpoch(), 0u);
 
-  // MigrateAll drains the old generation into the newest one.
-  EXPECT_EQ(index.MigrateAll(), keys.size());
-  EXPECT_EQ(index.NumGenerations(), 1u);
+  // Refresh adopts the new epoch, re-encoding every entry once.
+  EXPECT_EQ(index.Refresh(), keys.size());
+  EXPECT_EQ(index.CurrentEpoch(), 1u);
+  EXPECT_EQ(index.Refresh(), 0u);
   EXPECT_EQ(index.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); i++) {
+    uint64_t v = 0;
+    ASSERT_TRUE(index.Peek(keys[i], &v)) << keys[i];
+    EXPECT_EQ(v, i);
+  }
 
-  // Overwrites and erases work across another swap without migration.
+  // Overwrites and erases work across another swap; the overwrite
+  // adopts it.
   mgr.Publish(BuildFrom(drift.Phase(1)));
   index.Insert(keys[0], 999);
   uint64_t v = 0;
   ASSERT_TRUE(index.Peek(keys[0], &v));
   EXPECT_EQ(v, 999u);
+  EXPECT_EQ(index.CurrentEpoch(), 2u);
   EXPECT_TRUE(index.Erase(keys[1]));
   EXPECT_FALSE(index.Peek(keys[1], &v));
   EXPECT_FALSE(index.Erase(keys[1]));
 }
 
-TEST(HotSwapTest, VersionedIndexMigrateAllDrainsGenerations) {
+// The first insert after a swap rebuilds: every entry inserted under the
+// old dictionary moves into the new tree, and the tree stays a valid,
+// order-preserving B+tree under the new encoding.
+TEST(HotSwapTest, VersionedIndexInsertAfterSwapReencodesEveryEntry) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
   DictionaryManager mgr(BuildFrom(phase0), SmallDict(), phase0);
@@ -258,18 +264,15 @@ TEST(HotSwapTest, VersionedIndexMigrateAllDrainsGenerations) {
   for (size_t i = 0; i < half; i++) index.Insert(keys[i], i);
   mgr.Publish(BuildFrom(drift.Phase(2)));
   for (size_t i = half; i < keys.size(); i++) index.Insert(keys[i], i);
-  EXPECT_EQ(index.NumGenerations(), 2u);
-
-  size_t moved = index.MigrateAll();
-  EXPECT_EQ(moved, half);
-  EXPECT_EQ(index.NumGenerations(), 1u);
+  EXPECT_EQ(index.CurrentEpoch(), 1u);
+  EXPECT_EQ(index.Refresh(), 0u);
   EXPECT_EQ(index.size(), keys.size());
+  EXPECT_EQ(index.LogSize(), keys.size());
   for (size_t i = 0; i < keys.size(); i++) {
     uint64_t v = 0;
     ASSERT_TRUE(index.Peek(keys[i], &v));
     EXPECT_EQ(v, i);
   }
-  // Single generation again: the tree is scannable and order-preserving.
   EXPECT_EQ(index.tree().CheckInvariants(), "");
 }
 
@@ -287,9 +290,9 @@ TEST(HotSwapTest, VersionedIndexCompactsInsertLog) {
   EXPECT_EQ(index.size(), 50u);
   EXPECT_LE(index.LogSize(), 4 * 50 + 64 + 1);
 
-  // Compaction must not lose migration sources: swap and drain fully.
+  // Compaction must not lose rebuild sources: swap and re-encode fully.
   mgr.Publish(BuildFrom(drift.Phase(2)));
-  EXPECT_EQ(index.MigrateAll(), 50u);
+  EXPECT_EQ(index.Refresh(), 50u);
   for (size_t i = 0; i < 50; i++) {
     uint64_t v = 0;
     ASSERT_TRUE(index.Peek(phase0[i], &v));
@@ -297,10 +300,9 @@ TEST(HotSwapTest, VersionedIndexCompactsInsertLog) {
   }
 }
 
-// Regression: migration appends must run log compaction like Insert
-// appends do. Erases never shrink the log, so a newest generation whose
-// keys were inserted and then erased carries a dead log; MigrateAll's
-// appends must trigger the compaction that no Insert runs.
+// Erases never shrink the log, so keys inserted and then erased leave a
+// dead log behind; adopting a new epoch logs only the entries it moves,
+// so the rebuilt log holds the live keys alone.
 TEST(HotSwapTest, MigrationAppendsKeepInsertLogBounded) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
@@ -311,24 +313,19 @@ TEST(HotSwapTest, MigrationAppendsKeepInsertLogBounded) {
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   ASSERT_GT(keys.size(), 500u);
-  const size_t kOld = 10;  // keys left in the old generation
-  for (size_t i = 0; i < kOld; i++) index.Insert(keys[i], i);
-
-  // Swap, then fill and empty the newest generation: its log holds
-  // every erased key while its live count is 0.
-  mgr.Publish(BuildFrom(drift.Phase(1)));
-  for (size_t i = kOld; i < keys.size(); i++) index.Insert(keys[i], i);
+  const size_t kOld = 10;  // keys that stay live across the swap
+  for (size_t i = 0; i < keys.size(); i++) index.Insert(keys[i], i);
   for (size_t i = kOld; i < keys.size(); i++) {
     EXPECT_TRUE(index.Erase(keys[i]));
   }
-  EXPECT_EQ(index.NumGenerations(), 2u);
-  EXPECT_GE(index.LogSize(), keys.size() - kOld);
+  EXPECT_GE(index.LogSize(), keys.size());
 
-  // Without compaction on migration appends the log would keep all
-  // ~550 dead keys next to the 10 migrated ones.
-  EXPECT_EQ(index.MigrateAll(), kOld);
+  // Without a fresh log the ~550 dead keys would stay next to the 10
+  // moved ones.
+  mgr.Publish(BuildFrom(drift.Phase(1)));
+  EXPECT_EQ(index.Refresh(), kOld);
   EXPECT_EQ(index.size(), kOld);
-  EXPECT_LE(index.LogSize(), 4 * index.size() + 64 + 1);
+  EXPECT_EQ(index.LogSize(), kOld);
   for (size_t i = 0; i < keys.size(); i++) {
     uint64_t v = 0;
     ASSERT_EQ(index.Peek(keys[i], &v), i < kOld) << keys[i];
@@ -340,9 +337,9 @@ TEST(HotSwapTest, MigrationAppendsKeepInsertLogBounded) {
 
 // The insert log keeps keys as arena bytes: keys with NULs, the empty key
 // and a key past KeyRef's 16-bit length (its escape) must come back
-// byte-exact through log compaction, MigrateAll, CollectRangeKeys and
-// ExtractKeys, with duplicates and erased-then-reinserted keys logged
-// more than once.
+// byte-exact through log compaction, a rebuild under a new epoch,
+// CollectRangeKeys and ExtractKeys, with duplicates and
+// erased-then-reinserted keys logged more than once.
 TEST(HotSwapTest, InsertLogReturnsOddKeysByteExact) {
   auto drift = MakeDrift();
   auto phase0 = drift.Phase(0);
@@ -376,15 +373,15 @@ TEST(HotSwapTest, InsertLogReturnsOddKeysByteExact) {
     want[keys[i]] = 7000 + i;
   }
 
-  // Swap: the odd keys sit in the old generation, some re-inserted into
-  // the new one, and MigrateAll re-encodes the rest from the log.
+  // Swap: the rebuild re-encodes every key from the log, and two
+  // overwrites after it log those keys twice again.
   mgr.Publish(BuildFrom(drift.Phase(2)));
+  EXPECT_EQ(index.Refresh(), keys.size());
   index.Insert(keys[2], 8002);
   want[keys[2]] = 8002;
   index.Insert(keys[3], 8003);
   want[keys[3]] = 8003;
-  EXPECT_EQ(index.NumGenerations(), 2u);
-  EXPECT_EQ(index.MigrateAll(), keys.size() - 2);
+  EXPECT_EQ(index.LogSize(), keys.size() + 2);
   EXPECT_EQ(index.size(), keys.size());
   for (const auto& [key, value] : want) {
     uint64_t v = 0;
@@ -404,6 +401,41 @@ TEST(HotSwapTest, InsertLogReturnsOddKeysByteExact) {
   std::map<std::string, uint64_t> got(out.begin(), out.end());
   EXPECT_EQ(got.size(), out.size());
   EXPECT_EQ(got, want);
+}
+
+// Erase-all then reload, three times: the log and the tree's key bytes
+// (BTree's key buffer is append-only) must track the live entries, not
+// every key ever inserted, so compaction has to rebuild the tree too.
+TEST(HotSwapTest, VersionedIndexChurnKeepsMemoryBounded) {
+  auto drift = MakeDrift();
+  auto phase0 = drift.Phase(0);
+  DictionaryManager mgr(BuildFrom(phase0), SmallDict(), phase0);
+  VersionedIndex<BTree> index(&mgr);
+
+  std::vector<std::string> keys = phase0;
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  ASSERT_GT(keys.size(), 900u);
+  for (size_t i = 0; i < keys.size(); i++) index.Insert(keys[i], i);
+  const double bytes = static_cast<double>(index.tree().MemoryBytes());
+  const double log = static_cast<double>(index.LogSize());
+
+  for (int round = 1; round <= 3; round++) {
+    for (const auto& k : keys) ASSERT_TRUE(index.Erase(k));
+    ASSERT_EQ(index.size(), 0u);
+    for (size_t i = 0; i < keys.size(); i++) index.Insert(keys[i], i);
+    ASSERT_EQ(index.size(), keys.size());
+    EXPECT_LE(static_cast<double>(index.tree().MemoryBytes()), 1.1 * bytes)
+        << "round " << round;
+    EXPECT_LE(static_cast<double>(index.LogSize()), 1.1 * log)
+        << "round " << round;
+  }
+  for (size_t i = 0; i < keys.size(); i++) {
+    uint64_t v = 0;
+    ASSERT_TRUE(index.Peek(keys[i], &v)) << keys[i];
+    EXPECT_EQ(v, i);
+  }
+  EXPECT_EQ(index.tree().CheckInvariants(), "");
 }
 
 TEST(HotSwapTest, BackgroundRebuilderPublishesUnderDrift) {

@@ -1,6 +1,6 @@
 // Which encodes feed a manager's stats collector: exactly the ones that
-// serve a request — a newest-generation insert, a point lookup, a scan's
-// start key. Maintenance encodes (old-generation probes, eviction,
+// serve a request — an insert, a point lookup, a scan's start key.
+// Maintenance encodes (the rebuild that adopts a new epoch, erases,
 // migration, log compaction) must never reach it, or retired
 // dictionaries and synthetic re-encode bursts would skew the CPR-drop
 // trigger and the rebuild corpus.
@@ -61,18 +61,18 @@ TEST(ObservedTrafficTest, VersionedIndexObservesOnlyServedEncodes) {
                      }),
             100u);
 
-  // A swap: the next insert opens generation 1, and its eviction pass
-  // probes generation 0 unobserved.
+  // A swap: the next insert adopts epoch 1, re-encoding the 100 entries
+  // already there unobserved.
   mgr.Publish(SmallDict(b));
   EXPECT_EQ(Observed(mgr,
                      [&] {
                        for (size_t i = 0; i < 50; i++) index.Insert(b[i], i);
                      }),
             50u);
-  ASSERT_EQ(index.NumGenerations(), 2u);
+  ASSERT_EQ(index.CurrentEpoch(), 1u);
 
-  // One per Peek: a newest-generation hit, an old-generation hit (the
-  // newest generation misses first) and a miss in both.
+  // One per Peek: a hit on a key inserted after the swap, one on a key
+  // re-encoded by it, and a miss.
   uint64_t v = 0;
   EXPECT_EQ(Observed(mgr, [&] { EXPECT_TRUE(index.Peek(b[0], &v)); }), 1u);
   EXPECT_EQ(Observed(mgr, [&] { EXPECT_TRUE(index.Peek(a[0], &v)); }), 1u);
@@ -102,23 +102,17 @@ TEST(ObservedTrafficTest, VersionedIndexObservesOnlyServedEncodes) {
             0u);
 
   // Overwrites count once each, while the log compaction they trigger
-  // re-encodes every logged key unobserved.
+  // re-encodes every live key unobserved.
   const size_t log_before = index.LogSize();
   EXPECT_EQ(Observed(mgr,
                      [&] {
-                       for (uint64_t rep = 0; rep < 300; rep++)
+                       for (uint64_t rep = 0; rep < 1000; rep++)
                          index.Insert(b[0], rep);
                      }),
-            300u);
-  EXPECT_LT(index.LogSize(), log_before + 300);
+            1000u);
+  EXPECT_LT(index.LogSize(), log_before + 1000);
 
-  // Draining generation 0 re-encodes every live entry unobserved.
-  size_t moved = 0;
-  EXPECT_EQ(Observed(mgr, [&] { moved = index.MigrateAll(); }), 0u);
-  EXPECT_GT(moved, 90u);
-  EXPECT_EQ(index.NumGenerations(), 1u);
-
-  // So does the migration cursor, which drains a fresh swap first.
+  // The migration cursor observes nothing, and adopts no fresh swap.
   mgr.Publish(SmallDict(a));
   std::vector<std::string> live;
   EXPECT_EQ(Observed(mgr,
@@ -127,7 +121,13 @@ TEST(ObservedTrafficTest, VersionedIndexObservesOnlyServedEncodes) {
                      }),
             0u);
   EXPECT_EQ(live.size(), index.size());
-  EXPECT_EQ(index.NumGenerations(), 1u);
+  EXPECT_EQ(index.CurrentEpoch(), 1u);
+
+  // Adopting the swap re-encodes every live entry unobserved.
+  size_t moved = 0;
+  EXPECT_EQ(Observed(mgr, [&] { moved = index.Refresh(); }), 0u);
+  EXPECT_EQ(moved, index.size());
+  EXPECT_GT(moved, 90u);
   EXPECT_EQ(index.CurrentEpoch(), 2u);
 }
 
@@ -157,16 +157,16 @@ TEST(ObservedTrafficTest, ShardedIndexObservesInsertLookupAndScanStart) {
             }),
             150u);
 
-  // Swap shard 0's dictionary; an overwrite there opens its second
-  // generation.
+  // Swap shard 0's dictionary; an overwrite there adopts it, re-encoding
+  // the shard's other entries unobserved.
   ASSERT_EQ(index.Route(keys[0]), 0u);
   ASSERT_EQ(index.Route(keys[149]), 1u);
   mgr.shard(0).Publish(SmallDict(keys));
   EXPECT_EQ(observed([&] { index.Insert(keys[0], 1000); }), 1u);
-  EXPECT_EQ(index.TotalGenerations(), 3u);
+  EXPECT_EQ(index.ShardEpochs(), (std::vector<uint64_t>{1, 0}));
 
-  // One per lookup: a hit in shard 0's newest and old generations, a hit
-  // in shard 1, and a miss.
+  // One per lookup: a hit on the overwritten key and on a re-encoded one
+  // in shard 0, a hit in shard 1, and a miss.
   uint64_t v = 0;
   EXPECT_EQ(observed([&] { EXPECT_TRUE(index.Lookup(keys[0], &v)); }), 1u);
   EXPECT_EQ(observed([&] { EXPECT_TRUE(index.Lookup(keys[3], &v)); }), 1u);
@@ -175,12 +175,10 @@ TEST(ObservedTrafficTest, ShardedIndexObservesInsertLookupAndScanStart) {
             1u);
   EXPECT_EQ(observed([&] { EXPECT_TRUE(index.Erase(keys[1])); }), 0u);
 
-  // A scan spanning both shards observes its start key only; the drain
-  // of shard 0's old generation it runs first observes nothing.
+  // A scan spanning both shards observes its start key only.
   std::vector<uint64_t> out;
   EXPECT_EQ(observed([&] { EXPECT_EQ(index.Scan(keys[2], 140, &out), 140u); }),
             1u);
-  EXPECT_EQ(index.TotalGenerations(), 2u);
 }
 
 }  // namespace

@@ -11,11 +11,8 @@
 // curated keys, the fuzzer feeds adversarial ones (NULs, 0xFF runs,
 // boundary straddles) into exactly the same oracle.
 //
-// The CMake registration replays the corpus under HOPE_FUSED=never and
-// HOPE_POPCNT=never (plus the HOPE_NO_SIMD CI build), so each escape
-// hatch's path diffs against the same scalar reference. Env vars are
-// read at dictionary construction / descent time, before any fuzz input
-// arrives.
+// The HOPE_NO_SIMD CI build replays the same corpus, so the portable
+// kernels (and the non-POPCNT rank) diff against the same reference.
 #include <algorithm>
 #include <cstdint>
 #include <memory>

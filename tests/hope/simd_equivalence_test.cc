@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <random>
 #include <string>
@@ -145,33 +144,42 @@ TEST_F(SimdEquivalenceTest, EncodeSpanMatchesLookupLoop) {
   });
 }
 
-/// RAII env toggle for the A/B escape hatches; restores on scope exit so
-/// a failing leg cannot leak configuration into later tests.
-struct EnvGuard {
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    setenv(name, value, 1);
+TEST_F(SimdEquivalenceTest, ClassicWalkOverFusedCapMatchesLookupLoop) {
+  // The bitmap trie's fused (byte0, byte1) table packs entry ids into 15
+  // bits, so a 3-/4-Grams dictionary with more than 32,766 entries skips
+  // it and EncodeSpan runs the classic rank-only walk. Random binary
+  // keys hold enough distinct grams to get there.
+  auto corpus = TestKeys();
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 12000; i++) {
+    std::string k(8 + rng() % 24, '\0');
+    for (auto& c : k) c = static_cast<char>(rng());
+    corpus.push_back(std::move(k));
   }
-  ~EnvGuard() { unsetenv(name_); }
-  const char* name_;
-};
-
-TEST_F(SimdEquivalenceTest, EscapeHatchPathsMatchLookupLoop) {
-  // HOPE_FUSED=never pins the classic rank-only walk (fused dispatch
-  // table off — read at dictionary construction, and ForEachDict builds
-  // fresh), the path the bitmap trie skips by default.
-  EnvGuard fused("HOPE_FUSED", "never");
   const auto keys = TestKeys();
-  ForEachDict([&](const Hope& hope, Scheme, DictImpl) {
-    const Dictionary& dict = hope.dict();
+  for (Scheme scheme : {Scheme::kThreeGrams, Scheme::kFourGrams}) {
+    SCOPED_TRACE(SchemeName(scheme));
+    auto hope = Hope::Build(scheme, corpus, /*dict_size_limit=*/1 << 16,
+                            /*stats=*/nullptr, DictImpl::kBitmapTrie);
+    ASSERT_NE(hope, nullptr);
+    const Dictionary& dict = hope->dict();
+    ASSERT_GT(dict.NumEntries(), 32766u);
     for (const std::string& key : keys) {
       size_t ref_bits = 0;
-      std::string ref = RefEncode(dict, key, &ref_bits);
+      std::vector<EncodeTrace> ref_trace;
+      std::string ref = RefEncode(dict, key, &ref_bits, &ref_trace);
       BitWriter w;
-      dict.EncodeSpan(key, 0, &w, nullptr);
+      std::vector<EncodeTrace> trace;
+      dict.EncodeSpan(key, 0, &w, &trace);
       ASSERT_EQ(w.TakeBytes(), ref) << "key: " << key;
       ASSERT_EQ(w.total_bits(), ref_bits);
+      ASSERT_EQ(trace.size(), ref_trace.size());
+      for (size_t i = 0; i < trace.size(); i++) {
+        ASSERT_EQ(trace[i].src_pos, ref_trace[i].src_pos);
+        ASSERT_EQ(trace[i].bit_pos, ref_trace[i].bit_pos);
+      }
     }
-  });
+  }
 }
 
 TEST_F(SimdEquivalenceTest, BatchPathsMatchPerKeyEncode) {

@@ -5,13 +5,19 @@
 // and a maintenance thread applies the plans in small batches. The
 // invariant under all interleavings: a key that is never erased is
 // always visible with its exact value, scans stay ordered, and nothing
-// trips TSan/ASan.
+// trips TSan/ASan. A third case checks final values: writers that own
+// disjoint keys write unique values and erase while shard dictionaries
+// swap and rebalances move ranges, and at the end each key holds its
+// owner's last write, or is absent if that was an erase.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,7 +63,7 @@ TEST(ServeStressTest, ReadersStayConsistentUnderContinuousRebalance) {
   opts.traffic_ewma_alpha = 1.0;
   opts.min_rebalance_corpus = 16;
   // Default retrain stays on: rebalances also swap dictionaries on the
-  // moved shards, so readers cross generation boundaries mid-stress.
+  // moved shards, so shards rebuild under new dictionaries mid-stress.
   ShardedDictionaryManager mgr(corpus, opts);
   ConcurrentShardedIndex<BTree> index(&mgr);
 
@@ -230,6 +236,135 @@ TEST(ServeStressTest, ServerLoopServesThroughForcedRebalances) {
   EXPECT_GT(sc.ops, 0u);
   loop.Stop();
   EXPECT_EQ(index.size(), kKeys);
+}
+
+TEST(ServeStressTest, FinalValuesSurviveShardSwaps) {
+  const int kWriters = 3;
+  const size_t kKeysPerWriter = 64;
+  const int kMinOpsPerWriter = 2000;
+  const int kSwaps = 40;
+  constexpr uint64_t kAbsent = ~uint64_t{0};
+
+  std::vector<std::vector<std::string>> owned;
+  std::vector<std::string> corpus;
+  for (int t = 0; t < kWriters; t++) {
+    const std::string prefix = "w" + std::to_string(t) + "-";
+    owned.push_back(PrefixedKeys(prefix.c_str(), kKeysPerWriter));
+    corpus.insert(corpus.end(), owned.back().begin(), owned.back().end());
+  }
+  ShardedDictionaryManager::Options opts;
+  opts.num_shards = 4;
+  opts.shard.scheme = Scheme::kSingleChar;
+  opts.shard.dict_size_limit = 256;
+  opts.shard.stats.sample_every = 1;
+  opts.min_shard_sample = 8;
+  opts.traffic_ewma_alpha = 1.0;
+  opts.min_rebalance_corpus = 16;
+  ShardedDictionaryManager mgr(corpus, opts);
+  ConcurrentShardedIndex<BTree> index(&mgr);
+
+  // Two dictionaries with different codes to swap in turn: one trained
+  // on the keys, one on unrelated text.
+  auto other = PrefixedKeys("zebra/quux?", 200);
+  const std::unique_ptr<Hope> dicts[] = {
+      Hope::Build(Scheme::kSingleChar, corpus, 256),
+      Hope::Build(Scheme::kSingleChar, other, 256)};
+
+  // last[t][k]: the value writer t last wrote to its key k, or kAbsent.
+  std::vector<std::vector<uint64_t>> last(
+      kWriters, std::vector<uint64_t>(kKeysPerWriter, kAbsent));
+  std::atomic<bool> swapping{true};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; t++) {
+    writers.emplace_back([&, t] {
+      std::mt19937_64 rng(100 + static_cast<uint64_t>(t));
+      // Writes keep going until the swaps are over.
+      for (int seq = 0; seq < kMinOpsPerWriter ||
+                        swapping.load(std::memory_order_relaxed);
+           seq++) {
+        const size_t k = rng() % kKeysPerWriter;
+        if (rng() % 5 == 0) {
+          index.Erase(owned[t][k]);
+          last[t][k] = kAbsent;
+        } else {
+          const uint64_t value = (static_cast<uint64_t>(t) << 32) |
+                                 static_cast<uint64_t>(seq);
+          index.Insert(owned[t][k], value);
+          last[t][k] = value;
+        }
+      }
+    });
+  }
+  // Readers and scans run alongside, for the race detectors.
+  std::thread reader([&] {
+    std::vector<uint64_t> out;
+    size_t i = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      uint64_t v = 0;
+      index.Lookup(corpus[i % corpus.size()], &v);
+      if (i % 64 == 0) {
+        out.clear();
+        index.Scan(corpus[(i * 7) % corpus.size()], 32, &out);
+      }
+      i++;
+    }
+  });
+  // Idle polls: apply plans and adopt swaps on shards nobody writes to.
+  std::thread poller([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (index.PollMigration(/*max_keys=*/16) == 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+
+  // Main: force a publish on one shard at a time, and every fourth
+  // round a rebalance toward alternating ends of the key space.
+  for (int round = 0; round < kSwaps; round++) {
+    const size_t s = static_cast<size_t>(round) % mgr.num_shards();
+    mgr.shard(s).Publish(dicts[round % 2]->Clone());
+    if (round % 4 == 3) {
+      const bool low = round % 8 == 3;
+      for (size_t i = 0; i < corpus.size() / 4; i++)
+        mgr.Encode(low ? corpus[i] : corpus[corpus.size() - 1 - i]);
+      mgr.UpdateTrafficWeights();
+      mgr.RebalanceNow(/*force=*/true);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  swapping.store(false);
+  for (auto& w : writers) w.join();
+  stop.store(true);
+  reader.join();
+  poller.join();
+
+  size_t guard = 0;
+  while (!index.MigrationIdle()) {
+    index.PollMigration(1024);
+    ASSERT_LT(++guard, 100000u);
+  }
+  std::map<std::string, uint64_t> want;
+  for (int t = 0; t < kWriters; t++) {
+    for (size_t k = 0; k < kKeysPerWriter; k++) {
+      uint64_t v = kAbsent;
+      const bool found = index.Lookup(owned[t][k], &v);
+      if (last[t][k] == kAbsent) {
+        EXPECT_FALSE(found) << owned[t][k] << " resurrected as " << v;
+      } else {
+        EXPECT_TRUE(found) << owned[t][k] << " lost";
+        EXPECT_EQ(v, last[t][k]) << owned[t][k];
+        want[owned[t][k]] = last[t][k];
+      }
+    }
+  }
+  EXPECT_EQ(index.size(), want.size());
+  // A full scan returns exactly the surviving values, in key order.
+  std::vector<uint64_t> out;
+  EXPECT_EQ(index.Scan("", corpus.size() + 1, &out), want.size());
+  std::vector<uint64_t> expected;
+  for (const auto& [key, value] : want) expected.push_back(value);
+  EXPECT_EQ(out, expected);
+  EXPECT_GT(mgr.rebalances_published(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // ConcurrentShardedIndex driven from one thread, the way the dynamic
-// bench and the CLI demos drive it: routing, per-shard generations that
-// only open where a swap happened, the idle drain, range scans in global
+// bench and the CLI demos drive it: routing, per-shard rebuilds that only
+// happen where a swap happened, the idle refresh, range scans in global
 // key order across shard boundaries, and rebalance plans applied by
 // polling (or by a scan) while point operations keep working. The
 // concurrent paths are in concurrent_index_test.cc.
@@ -98,50 +98,57 @@ TEST(ShardedIndexTest, InsertLookupEraseRouteAcrossShards) {
   EXPECT_EQ(index.size(), fx.keys.size() - 1);
 }
 
-// A swap opens a generation in the swapped shard only, at the first
-// write there after the publish; lookups never open or drain one.
+// A swap rebuilds the swapped shard only, at the first write there after
+// the publish; lookups never adopt the new dictionary.
 TEST(ShardedIndexTest, SwapOpensGenerationOnlyInThatShard) {
   Fixture fx;
   ConcurrentShardedIndex<BTree> index(fx.mgr.get());
   for (size_t i = 0; i < fx.keys.size(); i++) index.Insert(fx.keys[i], i);
   const size_t n = index.num_shards();
-  EXPECT_EQ(index.TotalGenerations(), n);
+  const std::vector<uint64_t> before(n, 0);
+  EXPECT_EQ(index.ShardEpochs(), before);
 
   const size_t swapped = 2;
   fx.SwapShard(swapped);
-  // Writes into every other shard keep their single generation.
+  // Writes into every other shard keep their dictionary.
   for (size_t s = 0; s < n; s++) {
     if (s == swapped) continue;
     const size_t i = fx.FirstKeyOf(s);
     ASSERT_LT(i, fx.keys.size()) << "shard " << s;
     index.Insert(fx.keys[i], i);
-    EXPECT_EQ(index.TotalGenerations(), n) << "shard " << s;
+    EXPECT_EQ(index.ShardEpochs(), before) << "shard " << s;
   }
+  // Lookups stay correct under the old dictionary and adopt nothing.
+  ExpectAllPresent(index, fx.keys);
+  EXPECT_EQ(index.ShardEpochs(), before);
+
   const size_t i = fx.FirstKeyOf(swapped);
   ASSERT_LT(i, fx.keys.size());
   index.Insert(fx.keys[i], i);
-  EXPECT_EQ(index.TotalGenerations(), n + 1);
+  EXPECT_EQ(index.ShardEpochs(), fx.mgr->Epochs());
+  EXPECT_EQ(index.ShardEpochs()[swapped], 1u);
 
-  // Lookups stay correct everywhere and leave the old generation alone.
   ExpectAllPresent(index, fx.keys);
-  EXPECT_EQ(index.TotalGenerations(), n + 1);
   EXPECT_EQ(index.size(), fx.keys.size());
 }
 
-// Two swapped shards, each written after its swap: an idle
-// PollMigration migrates both old generations into the newest one.
-TEST(ShardedIndexTest, MigrateAllDrainsEveryShard) {
+// Two swapped shards nobody writes to: an idle PollMigration rebuilds
+// both under their new dictionaries.
+TEST(ShardedIndexTest, IdlePollRefreshesEveryShard) {
   Fixture fx;
   ConcurrentShardedIndex<BTree> index(fx.mgr.get());
   for (size_t i = 0; i < fx.keys.size(); i += 2) index.Insert(fx.keys[i], i);
   fx.SwapShard(0);
   fx.SwapShard(1);
-  for (size_t i = 1; i < fx.keys.size(); i += 2) index.Insert(fx.keys[i], i);
-  EXPECT_EQ(index.TotalGenerations(), index.num_shards() + 2);
+  EXPECT_EQ(index.ShardEpochs(),
+            std::vector<uint64_t>(index.num_shards(), 0));
 
   ASSERT_TRUE(index.MigrationIdle());
-  EXPECT_EQ(index.PollMigration(), 0u);  // no plan: drain only
-  EXPECT_EQ(index.TotalGenerations(), index.num_shards());
+  EXPECT_EQ(index.PollMigration(), 0u);  // no plan: refresh only
+  EXPECT_EQ(index.ShardEpochs(), fx.mgr->Epochs());
+  EXPECT_EQ(index.ShardEpochs()[0], 1u);
+  EXPECT_EQ(index.ShardEpochs()[1], 1u);
+  for (size_t i = 1; i < fx.keys.size(); i += 2) index.Insert(fx.keys[i], i);
   EXPECT_EQ(index.size(), fx.keys.size());
   ExpectAllPresent(index, fx.keys);
 }
@@ -151,12 +158,9 @@ TEST(ShardedIndexTest, ScanWalksShardsInBoundaryOrder) {
   ConcurrentShardedIndex<BTree> index(fx.mgr.get());
   for (size_t i = 0; i < fx.keys.size(); i++) index.Insert(fx.keys[i], i);
 
-  // Swap one shard and write there so Scan has to drain it first.
+  // Swap one shard without writing there: Scan reads it under the
+  // dictionary its tree was built with.
   fx.SwapShard(1);
-  const size_t first = fx.FirstKeyOf(1);
-  ASSERT_LT(first, fx.keys.size());
-  index.Insert(fx.keys[first], first);
-  EXPECT_EQ(index.TotalGenerations(), index.num_shards() + 1);
 
   // Full scan from below every key: values come back in global key order
   // (fx.keys is sorted, so values must be 0..n-1 in order).
@@ -165,7 +169,17 @@ TEST(ShardedIndexTest, ScanWalksShardsInBoundaryOrder) {
   EXPECT_EQ(produced, fx.keys.size());
   ASSERT_EQ(out.size(), fx.keys.size());
   for (size_t i = 0; i < out.size(); i++) EXPECT_EQ(out[i], i) << i;
-  EXPECT_EQ(index.TotalGenerations(), index.num_shards());
+  EXPECT_EQ(index.ShardEpochs()[1], 0u);
+
+  // After the shard adopts its new dictionary the scan is the same.
+  const size_t first = fx.FirstKeyOf(1);
+  ASSERT_LT(first, fx.keys.size());
+  index.Insert(fx.keys[first], first);
+  EXPECT_EQ(index.ShardEpochs()[1], 1u);
+  out.clear();
+  EXPECT_EQ(index.Scan("", fx.keys.size() + 10, &out), fx.keys.size());
+  ASSERT_EQ(out.size(), fx.keys.size());
+  for (size_t i = 0; i < out.size(); i++) EXPECT_EQ(out[i], i) << i;
 
   // Bounded scan starting mid-corpus, crossing at least one boundary.
   size_t start = fx.keys.size() / 3;

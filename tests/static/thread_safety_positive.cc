@@ -32,7 +32,7 @@ class Annotated {
     BumpLocked();
   }
 
-  /// TryLock + adopting RAII, as DrainGenerationsLocked does.
+  /// TryLock + adopting RAII, as RefreshShardsLocked does.
   bool TryBump() HOPE_EXCLUDES(mu_) {
     if (!mu_.TryLock()) return false;
     hope::MutexLock lock(mu_, std::adopt_lock);
