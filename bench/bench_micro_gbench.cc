@@ -111,17 +111,17 @@ BENCHMARK(BM_TreeLookup<Hot>)->Name("BM_HotLookup");
 BENCHMARK(BM_TreeLookup<BTree>)->Name("BM_BTreeLookup");
 BENCHMARK(BM_TreeLookup<PrefixBTree>)->Name("BM_PrefixBTreeLookup");
 
-// B+tree lookups on a tree too large for the caches, loaded in one
-// random order and probed in another: the variant above walks a
-// cache-resident tree in insertion order and never sees the misses on
-// node keys. The probe keys are copied in probe order, so reading them
-// streams.
-void BM_BTreeLookupShuffled(benchmark::State& state) {
+// Lookups on a tree too large for the caches, loaded in one random order
+// and probed in another: BM_TreeLookup walks a cache-resident tree in
+// insertion order and never sees the misses on nodes and keys. The probe
+// keys are copied in probe order, so reading them streams.
+template <typename Tree>
+void BM_TreeLookupShuffled(benchmark::State& state) {
   static const auto* all = new std::vector<std::string>(
       GenerateEmails(size_t{1} << 20, 47));
   std::vector<std::string> keys(all->begin(), all->begin() + state.range(0));
   std::shuffle(keys.begin(), keys.end(), std::mt19937_64(48));
-  BTree tree;
+  Tree tree;
   for (size_t i = 0; i < keys.size(); i++) tree.Insert(keys[i], i);
   std::shuffle(keys.begin(), keys.end(), std::mt19937_64(49));
   const std::vector<std::string> probes(keys.begin(), keys.end());
@@ -132,28 +132,36 @@ void BM_BTreeLookupShuffled(benchmark::State& state) {
     i = (i + 1) % probes.size();
   }
 }
-BENCHMARK(BM_BTreeLookupShuffled)
+BENCHMARK(BM_TreeLookupShuffled<BTree>)
     ->Name("BM_BTreeLookup/shuffled")
     ->Arg(1 << 20);
+BENCHMARK(BM_TreeLookupShuffled<Hot>)
+    ->Name("BM_HotLookup/shuffled")
+    ->Arg(1 << 20);
 
-// Loads n emails into a B+tree in sorted or shuffled order (the sorted
-// load is the bulk-load case the append fast path and the right-spine
-// splits serve), reporting node + key bytes per key and the height.
-void BM_BTreeLoad(benchmark::State& state, bool sorted) {
+double Height(const BTree& t) { return t.Height(); }
+double Height(const Hot& t) { return t.AverageLeafDepth(); }
+
+// Loads n emails into a tree in sorted or shuffled order (for the B+tree
+// the sorted load is the bulk-load case the append fast path and the
+// right-spine splits serve), reporting MemoryBytes() per key and the
+// height (Hot: the average leaf depth).
+template <typename Tree, bool kSorted>
+void BM_TreeLoad(benchmark::State& state) {
   static const auto* all = new std::vector<std::string>(
       GenerateEmails(size_t{1} << 20, 43));
   std::vector<std::string> keys(all->begin(), all->begin() + state.range(0));
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  if (!sorted) std::shuffle(keys.begin(), keys.end(), std::mt19937_64(44));
+  if (!kSorted) std::shuffle(keys.begin(), keys.end(), std::mt19937_64(44));
   double bytes_per_key = 0, height = 0;
   for (auto _ : state) {
-    auto tree = std::make_unique<BTree>();
+    auto tree = std::make_unique<Tree>();
     for (size_t i = 0; i < keys.size(); i++) tree->Insert(keys[i], i);
     state.PauseTiming();
     bytes_per_key = static_cast<double>(tree->MemoryBytes()) /
                     static_cast<double>(keys.size());
-    height = tree->Height();
+    height = Height(*tree);
     tree.reset();
     state.ResumeTiming();
   }
@@ -162,10 +170,20 @@ void BM_BTreeLoad(benchmark::State& state, bool sorted) {
   state.counters["bytes_per_key"] = bytes_per_key;
   state.counters["height"] = height;
 }
-BENCHMARK_CAPTURE(BM_BTreeLoad, sorted, true)
+BENCHMARK_TEMPLATE(BM_TreeLoad, BTree, true)
+    ->Name("BM_BTreeLoad/sorted")
     ->RangeMultiplier(4)->Range(1 << 14, 1 << 20)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_BTreeLoad, shuffled, false)
+BENCHMARK_TEMPLATE(BM_TreeLoad, BTree, false)
+    ->Name("BM_BTreeLoad/shuffled")
+    ->RangeMultiplier(4)->Range(1 << 14, 1 << 20)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_TreeLoad, Hot, true)
+    ->Name("BM_HotLoad/sorted")
+    ->RangeMultiplier(4)->Range(1 << 14, 1 << 20)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_TreeLoad, Hot, false)
+    ->Name("BM_HotLoad/shuffled")
     ->RangeMultiplier(4)->Range(1 << 14, 1 << 20)
     ->Unit(benchmark::kMillisecond);
 

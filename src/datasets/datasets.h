@@ -8,8 +8,10 @@
 // not redistributable / not available offline; these generators reproduce
 // their structural statistics — provider/host skew, substring-level
 // entropy, length distribution — which is what HOPE's compression rate
-// depends on (see DESIGN.md §3). Generation is deterministic per seed,
-// and keys are unique.
+// depends on: a dictionary learns which symbols are frequent, not which
+// keys exist, so matching those statistics is what makes the CPRs and
+// tree sizes comparable to the paper's. Generation is deterministic per
+// seed, and keys are unique.
 #pragma once
 
 #include <cstdint>

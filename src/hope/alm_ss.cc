@@ -4,7 +4,7 @@
 // ALM scores substring patterns by len(s) * freq(s) and selects the top
 // ones (equivalent to the paper's threshold W, found by binary search: the
 // top-k cutoff *is* that threshold). ALM counts every substring of every
-// length (capped at kMaxAlmSubstring bytes, see DESIGN.md §3); the
+// length (capped at kMaxAlmSubstring bytes, see below); the
 // ALM-Improved variant only counts sample-string suffixes, which is the
 // paper's build-time optimization.
 //

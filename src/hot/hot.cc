@@ -1,11 +1,19 @@
 #include "hot/hot.h"
 
-#include <algorithm>
 #include <cassert>
+#include <cstddef>
 
 namespace hope {
 
+// The layout is pinned: a padding change fails the build here.
+static_assert(Hot::NodeBytes(2) == 32);
+static_assert(Hot::NodeBytes(3) == 40);
+static_assert(Hot::NodeBytes(4) == 48);
+static_assert(Hot::NodeBytes(5) == 56);
+static_assert(Hot::NodeBytes(257) == 2576);
+
 Hot::Node* Hot::AllocNode(uint32_t offset, uint16_t count) {
+  static_assert(offsetof(Node, bytes) == kHeaderBytes);
   Node* n = static_cast<Node*>(arena_.AllocateBlock(NodeBytes(count)));
   n->offset = offset;
   n->count = count;
@@ -33,43 +41,62 @@ void Hot::FreeLeaf(Leaf* leaf) {
   size_--;
 }
 
-Hot::Node* Hot::WithEdge(Node* n, Edge e) {
+Hot::Node* Hot::WithEdge(Node* n, int byte, Child child) {
+  // One pass over both arrays: per-array std::copy calls cost more than
+  // they move on nodes of a few edges.
   Node* bigger = AllocNode(n->offset, static_cast<uint16_t>(n->count + 1));
-  uint16_t pos = 0;
-  while (pos < n->count && n->edges[pos].byte < e.byte) pos++;
-  assert(pos == n->count || n->edges[pos].byte != e.byte);
-  std::copy(n->edges, n->edges + pos, bigger->edges);
-  bigger->edges[pos] = e;
-  std::copy(n->edges + pos, n->edges + n->count, bigger->edges + pos + 1);
+  const Child* from = n->children();
+  Child* to = bigger->children();
+  uint16_t i = 0;
+  for (; i < n->count && n->bytes[i] < byte; i++) {
+    bigger->bytes[i] = n->bytes[i];
+    to[i] = from[i];
+  }
+  assert(i == n->count || n->bytes[i] != byte);
+  bigger->bytes[i] = static_cast<int16_t>(byte);
+  to[i] = child;
+  for (; i < n->count; i++) {
+    bigger->bytes[i + 1] = n->bytes[i];
+    to[i + 1] = from[i];
+  }
   FreeNode(n);
   return bigger;
 }
 
-const Hot::Edge* Hot::FindEdge(const Node* n, int byte) {
-  // Binary search over the sorted edge array.
+uint16_t Hot::LowerBound(const Node* n, int byte) {
+  // Binary search over the sorted edge bytes.
   uint16_t lo = 0, hi = n->count;
   while (lo < hi) {
     uint16_t mid = static_cast<uint16_t>((lo + hi) / 2);
-    if (n->edges[mid].byte < byte)
+    if (n->bytes[mid] < byte)
       lo = static_cast<uint16_t>(mid + 1);
     else
       hi = mid;
   }
-  return lo < n->count && n->edges[lo].byte == byte ? &n->edges[lo] : nullptr;
+  return lo;
+}
+
+int Hot::FindEdge(const Node* n, int byte) {
+  uint16_t i = LowerBound(n, byte);
+  return i < n->count && n->bytes[i] == byte ? i : -1;
 }
 
 const Hot::Leaf* Hot::DescendBestEffort(std::string_view key) const {
+  // Any leaf below a node agrees with the key's path up to the node's
+  // offset, so on a miss any edge gives a valid candidate. The nearest
+  // one does: a sorted load then follows the rightmost path it just
+  // built, which is still in cache.
   Child c = root_;
   while (!IsLeaf(c)) {
     const Node* n = AsNode(c);
-    const Edge* exact = FindEdge(n, ByteAt(key, n->offset));
-    c = exact ? exact->child : n->edges[0].child;
+    uint16_t i = LowerBound(n, ByteAt(key, n->offset));
+    c = n->children()[i < n->count ? i : n->count - 1];
   }
   return AsLeaf(c);
 }
 
 const Hot::Leaf* Hot::MinLeaf(Child c) const {
-  while (!IsLeaf(c)) c = AsNode(c)->edges[0].child;
+  while (!IsLeaf(c)) c = AsNode(c)->children()[0];
   return AsLeaf(c);
 }
 
@@ -100,40 +127,38 @@ void Hot::Insert(std::string_view key, uint64_t value) {
   while (!IsLeaf(*slot)) {
     Node* n = AsNode(*slot);
     if (n->offset >= o) break;
-    Edge* e = const_cast<Edge*>(FindEdge(n, ByteAt(key, n->offset)));
-    assert(e && "exact child must exist below the first diff offset");
-    slot = &e->child;
+    int i = FindEdge(n, ByteAt(key, n->offset));
+    assert(i >= 0 && "exact child must exist below the first diff offset");
+    slot = &n->children()[i];
   }
 
   Leaf* leaf = NewLeaf(key, value);
 
   if (!IsLeaf(*slot) && AsNode(*slot)->offset == o) {
     // The discriminating position already exists: add a sibling edge.
-    *slot = WithEdge(AsNode(*slot),
-                     Edge{static_cast<int16_t>(new_byte), TagLeaf(leaf)});
+    *slot = WithEdge(AsNode(*slot), new_byte, TagLeaf(leaf));
     return;
   }
   // Split: a new node discriminating at offset o, with the old subtree
   // and the new leaf as its two children.
   Node* n = AllocNode(static_cast<uint32_t>(o), 2);
-  Edge old_edge{static_cast<int16_t>(old_byte), *slot};
-  Edge new_edge{static_cast<int16_t>(new_byte), TagLeaf(leaf)};
-  if (old_edge.byte < new_edge.byte) {
-    n->edges[0] = old_edge;
-    n->edges[1] = new_edge;
-  } else {
-    n->edges[0] = new_edge;
-    n->edges[1] = old_edge;
-  }
+  int old_pos = old_byte < new_byte ? 0 : 1;
+  n->bytes[old_pos] = static_cast<int16_t>(old_byte);
+  n->children()[old_pos] = *slot;
+  n->bytes[1 - old_pos] = static_cast<int16_t>(new_byte);
+  n->children()[1 - old_pos] = TagLeaf(leaf);
   *slot = n;
 }
 
-Hot::Node* Hot::WithoutEdge(Node* n, int byte) {
+Hot::Node* Hot::WithoutEdge(Node* n, uint16_t pos) {
   Node* smaller = AllocNode(n->offset, static_cast<uint16_t>(n->count - 1));
-  uint16_t pos = 0;
-  while (n->edges[pos].byte != byte) pos++;
-  std::copy(n->edges, n->edges + pos, smaller->edges);
-  std::copy(n->edges + pos + 1, n->edges + n->count, smaller->edges + pos);
+  const Child* from = n->children();
+  Child* to = smaller->children();
+  for (uint16_t i = 0, j = 0; i < n->count; i++) {
+    if (i == pos) continue;
+    smaller->bytes[j] = n->bytes[i];
+    to[j++] = from[i];
+  }
   FreeNode(n);
   return smaller;
 }
@@ -148,16 +173,16 @@ bool Hot::EraseRec(Child* slot, std::string_view key) {
     return true;
   }
   Node* n = AsNode(c);
-  int b = ByteAt(key, n->offset);
-  Edge* e = const_cast<Edge*>(FindEdge(n, b));
-  if (!e) return false;
-  if (!EraseRec(&e->child, key)) return false;
-  if (e->child == nullptr) {
-    Node* smaller = WithoutEdge(n, b);
+  int i = FindEdge(n, ByteAt(key, n->offset));
+  if (i < 0) return false;
+  Child* child = &n->children()[i];
+  if (!EraseRec(child, key)) return false;
+  if (*child == nullptr) {
+    Node* smaller = WithoutEdge(n, static_cast<uint16_t>(i));
     if (smaller->count == 1) {
       // Single remaining edge: the child subtree replaces this node
       // (offsets along the path stay strictly increasing).
-      *slot = smaller->edges[0].child;
+      *slot = smaller->children()[0];
       FreeNode(smaller);
     } else {
       *slot = smaller;
@@ -176,9 +201,9 @@ bool Hot::Lookup(std::string_view key, uint64_t* value) const {
   Child c = root_;
   while (!IsLeaf(c)) {
     const Node* n = AsNode(c);
-    const Edge* exact = FindEdge(n, ByteAt(key, n->offset));
-    if (!exact) return false;
-    c = exact->child;
+    int i = FindEdge(n, ByteAt(key, n->offset));
+    if (i < 0) return false;
+    c = n->children()[i];
   }
   const Leaf* leaf = AsLeaf(c);
   if (KeyAt(leaf->key) != key) return false;  // full-key verification
@@ -194,8 +219,9 @@ size_t Hot::EmitAll(Child c, size_t count, size_t produced,
     return produced + 1;
   }
   const Node* n = AsNode(c);
+  const Child* children = n->children();
   for (uint16_t i = 0; i < n->count; i++) {
-    produced = EmitAll(n->edges[i].child, count, produced, out);
+    produced = EmitAll(children[i], count, produced, out);
     if (produced >= count) break;
   }
   return produced;
@@ -223,13 +249,13 @@ size_t Hot::EmitGE(Child c, std::string_view start, size_t count,
     if (sb > rb) return produced;  // whole subtree < start
   }
   int sb = ByteAt(start, n->offset);
+  const Child* children = n->children();
   for (uint16_t i = 0; i < n->count; i++) {
-    const Edge& e = n->edges[i];
-    if (e.byte < sb) continue;
-    if (e.byte == sb)
-      produced = EmitGE(e.child, start, count, produced, out);
+    if (n->bytes[i] < sb) continue;
+    if (n->bytes[i] == sb)
+      produced = EmitGE(children[i], start, count, produced, out);
     else
-      produced = EmitAll(e.child, count, produced, out);
+      produced = EmitAll(children[i], count, produced, out);
     if (produced >= count) break;
   }
   return produced;
@@ -250,7 +276,7 @@ void Hot::DepthStats(Child c, size_t depth, size_t* total,
   }
   const Node* n = AsNode(c);
   for (uint16_t i = 0; i < n->count; i++)
-    DepthStats(n->edges[i].child, depth + 1, total, leaves);
+    DepthStats(n->children()[i], depth + 1, total, leaves);
 }
 
 double Hot::AverageLeafDepth() const {
@@ -266,8 +292,7 @@ std::string Hot::CheckRec(Child c, uint32_t min_offset) const {
   const Node* n = AsNode(c);
   if (n->count < 2) return "node with fewer than two children";
   for (uint16_t i = 0; i + 1 < n->count; i++)
-    if (!(n->edges[i].byte < n->edges[i + 1].byte))
-      return "children out of order";
+    if (!(n->bytes[i] < n->bytes[i + 1])) return "children out of order";
   if (min_offset > 0 && n->offset < min_offset)
     return "offsets not increasing along path";
   // Subtree agreement: every child subtree's min leaf must agree with the
@@ -275,14 +300,14 @@ std::string Hot::CheckRec(Child c, uint32_t min_offset) const {
   // at n->offset.
   std::string_view rep = KeyAt(MinLeaf(c)->key);
   for (uint16_t i = 0; i < n->count; i++) {
-    const Edge& e = n->edges[i];
-    std::string_view ck = KeyAt(MinLeaf(e.child)->key);
+    Child child = n->children()[i];
+    std::string_view ck = KeyAt(MinLeaf(child)->key);
     for (size_t j = 0; j < n->offset; j++)
       if (ByteAt(ck, j) != ByteAt(rep, j))
         return "subtree bytes disagree below discriminating offset";
-    if (ByteAt(ck, n->offset) != e.byte)
+    if (ByteAt(ck, n->offset) != n->bytes[i])
       return "edge byte does not match subtree keys";
-    std::string err = CheckRec(e.child, n->offset + 1);
+    std::string err = CheckRec(child, n->offset + 1);
     if (!err.empty()) return err;
   }
   return "";

@@ -7,11 +7,21 @@
 // height and small memory — and therefore the *least* benefit from key
 // compression (Fig. 7). This reimplementation captures exactly that: a
 // byte-level discriminative Patricia trie. Each node stores one
-// discriminating byte offset and a sorted, exact-fit edge array (fanout
-// up to 257: 256 byte values plus end-of-key); non-discriminative bytes
-// are skipped entirely, never stored. Leaves hold a reference to the
-// tuple key plus the value; lookups verify against the tuple like HOT's
-// final full-key check. See DESIGN.md §3 for the substitution rationale.
+// discriminating byte offset and its sorted, exact-fit edges (fanout up
+// to 257: 256 byte values plus end-of-key); non-discriminative bytes are
+// skipped entirely, never stored. Leaves hold a reference to the tuple
+// key plus the value; lookups verify against the tuple like HOT's final
+// full-key check. It substitutes byte-level discriminators for HOT's
+// bit-level ones and its SIMD partial-key search: the height and the
+// bytes per key, which Fig. 7 compares, keep HOT's shape, while absolute
+// lookup speed is not HOT's.
+//
+// Node layout. A node is one block: a 6-byte header (offset, count),
+// then the `count` edge bytes as int16_t (-1 for end-of-key, else
+// 0..255, sorted), padded to 8 bytes, then the `count` child pointers,
+// so NodeBytes(c) = round8(6 + 2c) + 8c: 32 bytes for two edges, 48 for
+// four. A search reads the header and the edge bytes, which for up to
+// 29 edges share the node's first 64 bytes, then the one child it takes.
 //
 // Memory. Nodes, leaves and the tuple key bytes all come from the tree's
 // Arena (common/arena.h): a node that gains or loses an edge moves to a
@@ -63,6 +73,12 @@ class Hot {
   /// Average number of node levels above a leaf.
   double AverageLeafDepth() const;
 
+  /// Bytes of a node block with `count` edges: the header and the edge
+  /// bytes rounded up to 8, then one child pointer per edge.
+  static constexpr size_t NodeBytes(size_t count) {
+    return ChildrenOffset(count) + count * sizeof(void*);
+  }
+
   /// Validates Patricia invariants: strictly increasing offsets along
   /// every path, sorted children, and subtree byte agreement below each
   /// node's offset. Returns "" when consistent.
@@ -76,19 +92,27 @@ class Hot {
 
   using Child = void*;  // tagged: bit 0 set = Leaf
 
-  struct Edge {
-    int16_t byte;  ///< -1 for end-of-key, else 0..255
-    Child child;
-  };
-
-  /// Exact-fit node: header plus a trailing sorted edge array, sized to
-  /// the edge count (no vector headers or capacity slack; this is what a
-  /// compact linearized trie node layout occupies).
+  /// One arena block of NodeBytes(count) bytes: this header, the sorted
+  /// edge bytes, and at ChildrenOffset(count) the children in the same
+  /// order.
   struct Node {
     uint32_t offset;  ///< discriminating byte position
     uint16_t count;
-    Edge edges[];  // NOLINT: flexible array (GNU extension)
+    int16_t bytes[];  // NOLINT: flexible array (GNU extension)
+
+    Child* children() {
+      return reinterpret_cast<Child*>(reinterpret_cast<char*>(this) +
+                                      ChildrenOffset(count));
+    }
+    const Child* children() const {
+      return const_cast<Node*>(this)->children();
+    }
   };
+
+  static constexpr size_t kHeaderBytes = 6;  // offsetof(Node, bytes)
+  static constexpr size_t ChildrenOffset(size_t count) {
+    return (kHeaderBytes + count * sizeof(int16_t) + 7) & ~size_t{7};
+  }
 
   static bool IsLeaf(Child c) {
     return (reinterpret_cast<uintptr_t>(c) & 1) != 0;
@@ -108,20 +132,21 @@ class Hot {
     return off < key.size() ? static_cast<uint8_t>(key[off]) : -1;
   }
 
-  static size_t NodeBytes(uint16_t count) {
-    return sizeof(Node) + count * sizeof(Edge);
-  }
   Node* AllocNode(uint32_t offset, uint16_t count);
   void FreeNode(Node* n);
   Leaf* NewLeaf(std::string_view key, uint64_t value);
   void FreeLeaf(Leaf* leaf);
-  /// Returns a new node with `e` inserted in sorted position; frees `n`.
-  Node* WithEdge(Node* n, Edge e);
-  /// Returns a new node without the edge for `byte`; frees `n`.
-  Node* WithoutEdge(Node* n, int byte);
+  /// Returns a new node with the edge (byte, child) inserted in sorted
+  /// position; frees `n`.
+  Node* WithEdge(Node* n, int byte, Child child);
+  /// Returns a new node without edge `pos`; frees `n`.
+  Node* WithoutEdge(Node* n, uint16_t pos);
   bool EraseRec(Child* slot, std::string_view key);
 
-  static const Edge* FindEdge(const Node* n, int byte);
+  /// Index of the first edge whose byte is >= `byte` (count if none).
+  static uint16_t LowerBound(const Node* n, int byte);
+  /// Index of the edge for `byte`, or -1.
+  static int FindEdge(const Node* n, int byte);
 
   const Leaf* DescendBestEffort(std::string_view key) const;
   const Leaf* MinLeaf(Child c) const;

@@ -12,7 +12,9 @@
 // Deviation from the original: labels are 16-bit with value 0 reserved as
 // the key terminator, so arbitrary byte strings — including HOPE-encoded
 // keys with embedded 0x00 — are handled without the original's
-// no-NUL-in-keys assumption (DESIGN.md §3).
+// no-NUL-in-keys assumption. HOPE's codes can put a 0x00 byte anywhere in
+// an encoded key, so no byte value is free to mark a key's end; the cost
+// is a second label byte, charged alike to raw and encoded keys.
 #pragma once
 
 #include <cstdint>

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -171,9 +172,11 @@ TEST(EpochReclaimStressTest, ReadersSurviveHundredsOfPublishes) {
   }
 
   // Memory must be freed WHILE readers still spin — retention is the
-  // bug this subsystem exists to fix. (Bounded wait: guards are brief,
-  // but a loaded single-core runner may need a few extra polls.)
-  for (int i = 0; i < 1000 && ebr.reclaimed() == 0; i++) {
+  // bug this subsystem exists to fix. Guards are brief, but on an
+  // oversubscribed host a preempted reader can hold one for many
+  // scheduler slices, so the poll is bounded by time, not by count.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (ebr.reclaimed() == 0 && std::chrono::steady_clock::now() < deadline) {
     ebr.TryReclaim();
     std::this_thread::yield();
   }

@@ -22,11 +22,14 @@
 //                 the arena's free lists
 // Every result must match the shadow map, and the tree's invariants (for
 // BTree: order, fill, leaf chain, rightmost leaf) must hold every
-// kCheckEvery operations and at the end.
+// kCheckEvery operations and at the end. Finally every key is erased:
+// Art and Hot must then report 0 bytes (BTree keeps its key bytes until
+// it is destroyed, by design).
 #include <cstdint>
 #include <iterator>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "art/art.h"
@@ -161,6 +164,11 @@ void RunOps(const uint8_t* data, size_t size) {
   size_t i = 0;
   for (const auto& kv : shadow)
     HOPE_CHECK_MSG(all[i++] == kv.second, "full scan disagrees with map");
+  for (const auto& kv : shadow)
+    HOPE_CHECK_MSG(tree.Erase(kv.first), "final erase missed a key");
+  HOPE_CHECK_MSG(tree.size() == 0, "tree not empty after erasing all");
+  if constexpr (!std::is_same_v<Tree, hope::BTree>)
+    HOPE_CHECK_MSG(tree.MemoryBytes() == 0, "empty tree reports memory");
 }
 
 }  // namespace

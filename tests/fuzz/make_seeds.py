@@ -342,6 +342,21 @@ def gen_btree_ops(d: str):
                   for probe in (b"", b"\x00", b"k", b"\xff")] * 3
     ops = load + churn_runs + [erase_min] * 40 + [tail] + load + churn_runs
     write(d, "len_escape", b"".join(ops) + tail)
+    # One Hot node of 257 edges: "p" (the end-of-key edge, first in the
+    # node) and "p" + every byte value, inserted in random order, then
+    # erased in another until one edge is left and the node collapses
+    # into its last leaf.
+    rng = random.Random(20)
+    keys = [b"p"] + [b"p" + bytes([b]) for b in range(256)]
+    rng.shuffle(keys)
+    ops = [bytes([1, len(k)]) + k for k in keys]
+    ops.append(bytes([5, 1]) + b"p" + bytes([31]))
+    rng.shuffle(keys)
+    for k in keys[:-1]:
+        ops.append(bytes([3, len(k)]) + k + bytes([0]))
+        ops.append(bytes([4, len(k)]) + k)
+    ops.append(bytes([4, len(keys[-1])]) + keys[-1])
+    write(d, "wide_node", b"".join(ops) + tail)
 
 
 def main():

@@ -87,6 +87,39 @@ TEST(HotTest, MemorySmallerThanArtOnSameKeys) {
   EXPECT_LT(hot.MemoryBytes(), art.MemoryBytes());
 }
 
+// MemoryBytes() is 16 bytes per leaf plus, per node, its block and an
+// 8-byte charge: a padding regression in the node layout fails here.
+TEST(HotTest, MemoryBytesIsLeavesPlusNodeBlocks) {
+  constexpr size_t kLeaf = 16, kCharge = 8;
+  Hot t;
+  t.Insert("a", 1);
+  EXPECT_EQ(t.MemoryBytes(), kLeaf);
+  // One node at offset 0 with edges 'a', 'b', 'c'.
+  t.Insert("b", 2);
+  t.Insert("c", 3);
+  EXPECT_EQ(t.MemoryBytes(), 3 * kLeaf + Hot::NodeBytes(3) + kCharge);
+  // Under 'a', a node at offset 1 with edges end-of-key, 'b', 'c'.
+  t.Insert("ab", 4);
+  t.Insert("ac", 5);
+  EXPECT_EQ(t.MemoryBytes(), 5 * kLeaf + 2 * (Hot::NodeBytes(3) + kCharge));
+  // Under 'b', a two-edge node; the root grows to four edges.
+  t.Insert("ba", 6);
+  t.Insert("d", 7);
+  EXPECT_EQ(t.MemoryBytes(), 7 * kLeaf + Hot::NodeBytes(4) +
+                                 Hot::NodeBytes(3) + Hot::NodeBytes(2) +
+                                 3 * kCharge);
+  EXPECT_EQ(t.CheckInvariants(), "");
+  // One node of 257 edges: "p" (end-of-key first) and "p" + every byte.
+  Hot wide;
+  wide.Insert("p", 0);
+  for (int b = 0; b < 256; b++)
+    wide.Insert(std::string("p") + static_cast<char>(b),
+                static_cast<uint64_t>(b + 1));
+  EXPECT_EQ(wide.AverageLeafDepth(), 1.0);
+  EXPECT_EQ(wide.MemoryBytes(), 257 * kLeaf + Hot::NodeBytes(257) + kCharge);
+  EXPECT_EQ(wide.CheckInvariants(), "");
+}
+
 // Keys of length 0, 65534, 65535, 65536 and 200000 (both sides of the
 // arena's 16-bit length tag, and past a chunk) with their neighbours,
 // through inserts, overwrites, erases and re-inserts.
