@@ -138,14 +138,18 @@ BENCHMARK(BM_TreeLookupShuffled<BTree>)
 BENCHMARK(BM_TreeLookupShuffled<Hot>)
     ->Name("BM_HotLookup/shuffled")
     ->Arg(1 << 20);
+BENCHMARK(BM_TreeLookupShuffled<Art>)
+    ->Name("BM_ArtLookup/shuffled")
+    ->Arg(1 << 20);
 
 double Height(const BTree& t) { return t.Height(); }
 double Height(const Hot& t) { return t.AverageLeafDepth(); }
+double Height(const Art& t) { return t.AverageLeafDepth(); }
 
 // Loads n emails into a tree in sorted or shuffled order (for the B+tree
 // the sorted load is the bulk-load case the append fast path and the
 // right-spine splits serve), reporting MemoryBytes() per key and the
-// height (Hot: the average leaf depth).
+// height (Hot and Art: the average leaf depth).
 template <typename Tree, bool kSorted>
 void BM_TreeLoad(benchmark::State& state) {
   static const auto* all = new std::vector<std::string>(
@@ -184,6 +188,14 @@ BENCHMARK_TEMPLATE(BM_TreeLoad, Hot, true)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_TreeLoad, Hot, false)
     ->Name("BM_HotLoad/shuffled")
+    ->RangeMultiplier(4)->Range(1 << 14, 1 << 20)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_TreeLoad, Art, true)
+    ->Name("BM_ArtLoad/sorted")
+    ->RangeMultiplier(4)->Range(1 << 14, 1 << 20)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_TreeLoad, Art, false)
+    ->Name("BM_ArtLoad/shuffled")
     ->RangeMultiplier(4)->Range(1 << 14, 1 << 20)
     ->Unit(benchmark::kMillisecond);
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <new>
 
+#include "common/simd.h"
 #include "common/str_utils.h"
 
 namespace hope {
@@ -12,6 +13,8 @@ namespace hope {
 namespace {
 enum NodeType : uint8_t { kNode4, kNode16, kNode48, kNode256 };
 constexpr size_t kMaxStoredPrefix = 8;
+// Chunks an Insert or Erase may open: a leaf, its key bytes and a node.
+constexpr size_t kMaxNewChunksPerUpdate = 3;
 }  // namespace
 
 struct Art::Leaf {
@@ -24,7 +27,7 @@ struct Art::Node {
   uint16_t num_children = 0;
   uint32_t prefix_len = 0;  // full length; only 8 bytes stored (optimistic)
   uint8_t prefix[kMaxStoredPrefix];
-  Leaf* term_leaf = nullptr;  // key that ends exactly at this node
+  Child term = kNullRef;  // leaf whose key ends exactly at this node
 };
 
 namespace {
@@ -45,19 +48,30 @@ struct Node256 : Art::Node {
   Art::Child children[256];
 };
 
+/// Arena blocks are multiples of 8 bytes.
+constexpr size_t BlockBytes(size_t bytes) { return (bytes + 7) & ~size_t{7}; }
+
+// The layout is pinned: a padding change fails the build here.
+static_assert(sizeof(Art::Node) == 20);
+static_assert(BlockBytes(sizeof(Node4)) == 40);
+static_assert(BlockBytes(sizeof(Node16)) == 104);
+static_assert(BlockBytes(sizeof(Node48)) == 472);
+static_assert(BlockBytes(sizeof(Node256)) == 1048);
+
 size_t NodeSize(NodeType t) {
   switch (t) {
-    case kNode4: return sizeof(Node4);
-    case kNode16: return sizeof(Node16);
-    case kNode48: return sizeof(Node48);
-    case kNode256: return sizeof(Node256);
+    case kNode4: return BlockBytes(sizeof(Node4));
+    case kNode16: return BlockBytes(sizeof(Node16));
+    case kNode48: return BlockBytes(sizeof(Node48));
+    case kNode256: return BlockBytes(sizeof(Node256));
   }
   return 0;
 }
 
-void FreeNode(Art::Node* n, Arena* arena, size_t* memory) {
+/// Frees node `n`, whose reference is `ref`.
+void FreeNode(Art::Child ref, Art::Node* n, Arena* arena, size_t* memory) {
   *memory -= NodeSize(n->type);
-  arena->FreeBlock(n, NodeSize(n->type));
+  arena->FreeRef(ref, NodeSize(n->type));
 }
 
 Art::Child* FindChildSlot(Art::Node* n, uint8_t b) {
@@ -70,9 +84,8 @@ Art::Child* FindChildSlot(Art::Node* n, uint8_t b) {
     }
     case kNode16: {
       auto* x = static_cast<Node16*>(n);
-      for (int i = 0; i < x->num_children; i++)
-        if (x->keys[i] == b) return &x->children[i];
-      return nullptr;
+      int i = simd::FindByteEq16(x->keys, x->num_children, b);
+      return i < 0 ? nullptr : &x->children[i];
     }
     case kNode48: {
       auto* x = static_cast<Node48*>(n);
@@ -139,26 +152,29 @@ bool ForEachChild(const Art::Node* n, Fn fn) {
 
 }  // namespace
 
-Art::Leaf* Art::NewLeaf(std::string_view key, uint64_t value) {
+Art::Child Art::NewLeaf(std::string_view key, uint64_t value) {
   // Leaf first: in fresh arena space the key's bytes then follow it.
-  auto* leaf = static_cast<Leaf*>(arena_.AllocateBlock(sizeof(Leaf)));
-  *leaf = Leaf{arena_.Intern(key), value};
+  BlockRef ref = arena_.AllocateRef(sizeof(Leaf));
+  *AsLeaf(ref) = Leaf{arena_.Intern(key), value};
   memory_ += sizeof(Leaf);
   size_++;
-  return leaf;
+  return ref | 1;
 }
 
-void Art::FreeLeaf(Leaf* leaf) {
-  arena_.FreeBlock(leaf, sizeof(Leaf));
+void Art::FreeLeaf(Child leaf) {
+  arena_.FreeRef(leaf & ~Child{1}, sizeof(Leaf));
   memory_ -= sizeof(Leaf);
   size_--;
 }
 
 namespace {
 
-Art::Node* NewNode(NodeType t, Arena* arena, size_t* memory) {
+/// A new empty node of type `t`; its reference goes to `*ref`.
+Art::Node* NewNode(NodeType t, Arena* arena, size_t* memory,
+                   Art::Child* ref) {
+  *ref = arena->AllocateRef(NodeSize(t));
   *memory += NodeSize(t);
-  void* block = arena->AllocateBlock(NodeSize(t));
+  void* block = arena->Deref(*ref);
   Art::Node* n = nullptr;
   switch (t) {
     case kNode4: n = new (block) Node4(); break;
@@ -175,9 +191,9 @@ Art::Node* NewNode(NodeType t, Arena* arena, size_t* memory) {
   return n;
 }
 
-template <size_t N, typename ChildT>
-int InsertSorted(uint8_t (&keys)[N], ChildT (&children)[N], int count,
-                 uint8_t b, ChildT child) {
+template <size_t N>
+void InsertSorted(uint8_t (&keys)[N], Art::Child (&children)[N], int count,
+                  uint8_t b, Art::Child child) {
   int pos = count;
   while (pos > 0 && keys[pos - 1] > b) {
     keys[pos] = keys[pos - 1];
@@ -186,15 +202,19 @@ int InsertSorted(uint8_t (&keys)[N], ChildT (&children)[N], int count,
   }
   keys[pos] = b;
   children[pos] = child;
-  return pos;
 }
 
-Art::Node* Grow(Art::Node* old, Arena* arena, size_t* memory) {
+/// Moves node `old`, referenced by `*ref`, to the next size class and
+/// points `*ref` at the new node.
+Art::Node* Grow(Art::Child* ref, Art::Node* old, Arena* arena,
+                size_t* memory) {
   Art::Node* bigger = nullptr;
+  Art::Child bigger_ref = kNullRef;
   switch (old->type) {
     case kNode4: {
       auto* o = static_cast<Node4*>(old);
-      auto* n = static_cast<Node16*>(NewNode(kNode16, arena, memory));
+      auto* n = static_cast<Node16*>(
+          NewNode(kNode16, arena, memory, &bigger_ref));
       std::copy(o->keys, o->keys + 4, n->keys);
       std::copy(o->children, o->children + 4, n->children);
       n->num_children = 4;
@@ -203,7 +223,8 @@ Art::Node* Grow(Art::Node* old, Arena* arena, size_t* memory) {
     }
     case kNode16: {
       auto* o = static_cast<Node16*>(old);
-      auto* n = static_cast<Node48*>(NewNode(kNode48, arena, memory));
+      auto* n = static_cast<Node48*>(
+          NewNode(kNode48, arena, memory, &bigger_ref));
       for (int i = 0; i < 16; i++) {
         n->child_index[o->keys[i]] = static_cast<uint8_t>(i);
         n->children[i] = o->children[i];
@@ -214,7 +235,8 @@ Art::Node* Grow(Art::Node* old, Arena* arena, size_t* memory) {
     }
     case kNode48: {
       auto* o = static_cast<Node48*>(old);
-      auto* n = static_cast<Node256*>(NewNode(kNode256, arena, memory));
+      auto* n = static_cast<Node256*>(
+          NewNode(kNode256, arena, memory, &bigger_ref));
       for (int b = 0; b < 256; b++)
         if (o->child_index[b] != 0xFF)
           n->children[b] = o->children[o->child_index[b]];
@@ -228,41 +250,43 @@ Art::Node* Grow(Art::Node* old, Arena* arena, size_t* memory) {
   }
   bigger->prefix_len = old->prefix_len;
   std::copy(old->prefix, old->prefix + kMaxStoredPrefix, bigger->prefix);
-  bigger->term_leaf = old->term_leaf;
-  FreeNode(old, arena, memory);
+  bigger->term = old->term;
+  FreeNode(*ref, old, arena, memory);
+  *ref = bigger_ref;
   return bigger;
 }
 
-Art::Child* AddChild(Art::Node*& node, uint8_t b, Art::Child child,
-                     Arena* arena, size_t* memory) {
-  if (IsFull(node)) node = Grow(node, arena, memory);
+/// Adds (b, child) to `node`, referenced by `*ref`; a full node grows
+/// first, and `*ref` then points at the grown node.
+void AddChild(Art::Child* ref, Art::Node* node, uint8_t b, Art::Child child,
+              Arena* arena, size_t* memory) {
+  if (IsFull(node)) node = Grow(ref, node, arena, memory);
   switch (node->type) {
     case kNode4: {
       auto* x = static_cast<Node4*>(node);
-      int pos = InsertSorted(x->keys, x->children, x->num_children, b, child);
+      InsertSorted(x->keys, x->children, x->num_children, b, child);
       x->num_children++;
-      return &x->children[pos];
+      return;
     }
     case kNode16: {
       auto* x = static_cast<Node16*>(node);
-      int pos = InsertSorted(x->keys, x->children, x->num_children, b, child);
+      InsertSorted(x->keys, x->children, x->num_children, b, child);
       x->num_children++;
-      return &x->children[pos];
+      return;
     }
     case kNode48: {
       auto* x = static_cast<Node48*>(node);
       x->child_index[b] = static_cast<uint8_t>(x->num_children);
-      x->children[x->num_children] = child;
-      return &x->children[x->num_children++];
+      x->children[x->num_children++] = child;
+      return;
     }
     case kNode256: {
       auto* x = static_cast<Node256*>(node);
       x->children[b] = child;
       x->num_children++;
-      return &x->children[b];
+      return;
     }
   }
-  return nullptr;
 }
 
 void SetStoredPrefix(Art::Node* n, std::string_view full_prefix) {
@@ -276,13 +300,11 @@ void SetStoredPrefix(Art::Node* n, std::string_view full_prefix) {
 const Art::Leaf* Art::MinLeaf(Child c) const {
   while (!IsLeaf(c)) {
     const Node* n = AsNode(c);
-    if (n->term_leaf) return n->term_leaf;
-    const Leaf* result = nullptr;
+    if (n->term != kNullRef) return AsLeaf(n->term);
     ForEachChild(n, [&](uint8_t, Child child) {
       c = child;
       return false;  // first (smallest) child only
     });
-    (void)result;
   }
   return AsLeaf(c);
 }
@@ -302,22 +324,23 @@ void Art::InsertIntoSlot(Child* slot, std::string_view key, uint64_t value,
       std::string_view krest = key.substr(depth);
       std::string_view lrest = lkey.substr(depth);
       size_t lcp = LcpLen(krest, lrest);
-      Node* node = NewNode(kNode4, &arena_, &memory_);
+      Child node_ref;
+      Node* node = NewNode(kNode4, &arena_, &memory_, &node_ref);
       SetStoredPrefix(node, krest.substr(0, lcp));
-      Leaf* new_leaf = NewLeaf(key, value);
+      Child new_leaf = NewLeaf(key, value);
       if (depth + lcp == key.size()) {
-        node->term_leaf = new_leaf;
+        node->term = new_leaf;
       } else {
-        AddChild(node, static_cast<uint8_t>(key[depth + lcp]),
-                 TagLeaf(new_leaf), &arena_, &memory_);
+        AddChild(&node_ref, node, static_cast<uint8_t>(key[depth + lcp]),
+                 new_leaf, &arena_, &memory_);
       }
       if (depth + lcp == lkey.size()) {
-        node->term_leaf = leaf;
+        node->term = c;
       } else {
-        AddChild(node, static_cast<uint8_t>(lkey[depth + lcp]), c, &arena_,
-                 &memory_);
+        AddChild(&node_ref, node, static_cast<uint8_t>(lkey[depth + lcp]), c,
+                 &arena_, &memory_);
       }
-      *slot = node;
+      *slot = node_ref;
       return;
     }
 
@@ -348,39 +371,37 @@ void Art::InsertIntoSlot(Child* slot, std::string_view key, uint64_t value,
           rep ? KeyAt(rep->key).substr(depth, plen)
               : std::string_view(reinterpret_cast<const char*>(node->prefix),
                                  plen);
-      Node* parent = NewNode(kNode4, &arena_, &memory_);
+      Child parent_ref;
+      Node* parent = NewNode(kNode4, &arena_, &memory_, &parent_ref);
       SetStoredPrefix(parent, full_prefix.substr(0, m));
       // Old node keeps the tail of the prefix (after the branch byte).
       uint8_t old_branch = static_cast<uint8_t>(full_prefix[m]);
       std::string old_tail(full_prefix.substr(m + 1));
       SetStoredPrefix(node, old_tail);
-      AddChild(parent, old_branch, c, &arena_, &memory_);
-      Leaf* new_leaf = NewLeaf(key, value);
+      AddChild(&parent_ref, parent, old_branch, c, &arena_, &memory_);
+      Child new_leaf = NewLeaf(key, value);
       if (depth + m == key.size()) {
-        parent->term_leaf = new_leaf;
+        parent->term = new_leaf;
       } else {
-        AddChild(parent, static_cast<uint8_t>(key[depth + m]),
-                 TagLeaf(new_leaf), &arena_, &memory_);
+        AddChild(&parent_ref, parent, static_cast<uint8_t>(key[depth + m]),
+                 new_leaf, &arena_, &memory_);
       }
-      *slot = parent;
+      *slot = parent_ref;
       return;
     }
     depth += plen;
     if (depth == key.size()) {
-      if (node->term_leaf) {
-        node->term_leaf->value = value;
+      if (node->term != kNullRef) {
+        AsLeaf(node->term)->value = value;
       } else {
-        node->term_leaf = NewLeaf(key, value);
+        node->term = NewLeaf(key, value);
       }
       return;
     }
     uint8_t b = static_cast<uint8_t>(key[depth]);
     Child* child_slot = FindChildSlot(node, b);
     if (!child_slot) {
-      Leaf* leaf = NewLeaf(key, value);
-      Node* grown = node;
-      AddChild(grown, b, TagLeaf(leaf), &arena_, &memory_);
-      if (grown != node) *slot = grown;
+      AddChild(slot, node, b, NewLeaf(key, value), &arena_, &memory_);
       return;
     }
     slot = child_slot;
@@ -389,8 +410,9 @@ void Art::InsertIntoSlot(Child* slot, std::string_view key, uint64_t value,
 }
 
 void Art::Insert(std::string_view key, uint64_t value) {
-  if (!root_) {
-    root_ = TagLeaf(NewLeaf(key, value));
+  arena_.EnsureRefReach(kMaxNewChunksPerUpdate);
+  if (root_ == kNullRef) {
+    root_ = NewLeaf(key, value);
     return;
   }
   InsertIntoSlot(&root_, key, value, 0);
@@ -441,7 +463,7 @@ void RemoveChildEntry(Art::Node* node, uint8_t b) {
     }
     case kNode256: {
       auto* x = static_cast<Node256*>(node);
-      x->children[b] = nullptr;
+      x->children[b] = kNullRef;
       x->num_children--;
       break;
     }
@@ -451,7 +473,7 @@ void RemoveChildEntry(Art::Node* node, uint8_t b) {
 /// The single remaining (byte, child) entry of a node with exactly one
 /// child and no terminator.
 std::pair<uint8_t, Art::Child> OnlyChild(const Art::Node* n) {
-  std::pair<uint8_t, Art::Child> result{0, nullptr};
+  std::pair<uint8_t, Art::Child> result{0, kNullRef};
   ForEachChild(n, [&](uint8_t b, Art::Child c) {
     result = {b, c};
     return false;
@@ -459,21 +481,25 @@ std::pair<uint8_t, Art::Child> OnlyChild(const Art::Node* n) {
   return result;
 }
 
-/// Shrinks a node to the next-smaller size class when sparse enough
-/// (with slack so alternating insert/erase does not thrash).
-Art::Node* MaybeShrink(Art::Node* n, Arena* arena, size_t* memory) {
+/// Shrinks node `n`, referenced by `*ref`, to the next-smaller size
+/// class when sparse enough (with slack so alternating insert/erase does
+/// not thrash), pointing `*ref` at the smaller node.
+void MaybeShrink(Art::Child* ref, Art::Node* n, Arena* arena,
+                 size_t* memory) {
+  Art::Child smaller_ref = kNullRef;
   auto transplant = [&](Art::Node* smaller) {
     smaller->prefix_len = n->prefix_len;
     std::copy(n->prefix, n->prefix + kMaxStoredPrefix, smaller->prefix);
-    smaller->term_leaf = n->term_leaf;
-    FreeNode(n, arena, memory);
-    return smaller;
+    smaller->term = n->term;
+    FreeNode(*ref, n, arena, memory);
+    *ref = smaller_ref;
   };
   switch (n->type) {
     case kNode16: {
-      if (n->num_children > 3) return n;
+      if (n->num_children > 3) return;
       auto* x = static_cast<Node16*>(n);
-      auto* s = static_cast<Node4*>(NewNode(kNode4, arena, memory));
+      auto* s =
+          static_cast<Node4*>(NewNode(kNode4, arena, memory, &smaller_ref));
       for (int i = 0; i < x->num_children; i++) {
         s->keys[i] = x->keys[i];
         s->children[i] = x->children[i];
@@ -482,9 +508,10 @@ Art::Node* MaybeShrink(Art::Node* n, Arena* arena, size_t* memory) {
       return transplant(s);
     }
     case kNode48: {
-      if (n->num_children > 12) return n;
+      if (n->num_children > 12) return;
       auto* x = static_cast<Node48*>(n);
-      auto* s = static_cast<Node16*>(NewNode(kNode16, arena, memory));
+      auto* s =
+          static_cast<Node16*>(NewNode(kNode16, arena, memory, &smaller_ref));
       int out = 0;
       for (int b = 0; b < 256; b++)
         if (x->child_index[b] != 0xFF) {
@@ -495,9 +522,10 @@ Art::Node* MaybeShrink(Art::Node* n, Arena* arena, size_t* memory) {
       return transplant(s);
     }
     case kNode256: {
-      if (n->num_children > 40) return n;
+      if (n->num_children > 40) return;
       auto* x = static_cast<Node256*>(n);
-      auto* s = static_cast<Node48*>(NewNode(kNode48, arena, memory));
+      auto* s =
+          static_cast<Node48*>(NewNode(kNode48, arena, memory, &smaller_ref));
       int out = 0;
       for (int b = 0; b < 256; b++)
         if (x->children[b]) {
@@ -508,27 +536,26 @@ Art::Node* MaybeShrink(Art::Node* n, Arena* arena, size_t* memory) {
       return transplant(s);
     }
     case kNode4:
-      return n;
+      return;
   }
-  return n;
 }
 
 }  // namespace
 
 void Art::CollapseIfNeeded(Child* slot, size_t /*depth*/) {
-  Node* n = AsNode(*slot);
-  size_t entries = n->num_children + (n->term_leaf ? 1 : 0);
+  Child ref = *slot;
+  Node* n = AsNode(ref);
+  size_t entries = n->num_children + (n->term != kNullRef ? 1 : 0);
   if (entries >= 2) {
-    *slot = MaybeShrink(n, &arena_, &memory_);
+    MaybeShrink(slot, n, &arena_, &memory_);
     return;
   }
   assert(entries == 1);
   if (n->num_children == 0) {
     // Only the terminator remains: the leaf replaces the node (leaves
     // carry their full key, so no prefix bookkeeping is needed).
-    *slot = TagLeaf(n->term_leaf);
-    n->term_leaf = nullptr;
-    FreeNode(n, &arena_, &memory_);
+    *slot = n->term;
+    FreeNode(ref, n, &arena_, &memory_);
     return;
   }
   auto [b, only] = OnlyChild(n);
@@ -551,16 +578,15 @@ void Art::CollapseIfNeeded(Child* slot, size_t /*depth*/) {
     std::copy(stored, stored + pos, c->prefix);
     *slot = only;
   }
-  FreeNode(n, &arena_, &memory_);
+  FreeNode(ref, n, &arena_, &memory_);
 }
 
 bool Art::EraseFromSlot(Child* slot, std::string_view key, size_t depth) {
   Child c = *slot;
   if (IsLeaf(c)) {
-    Leaf* leaf = AsLeaf(c);
-    if (KeyAt(leaf->key) != key) return false;
-    FreeLeaf(leaf);
-    *slot = nullptr;  // the caller unlinks the child entry
+    if (KeyAt(AsLeaf(c)->key) != key) return false;
+    FreeLeaf(c);
+    *slot = kNullRef;  // the caller unlinks the child entry
     return true;
   }
   Node* n = AsNode(c);
@@ -577,9 +603,10 @@ bool Art::EraseFromSlot(Child* slot, std::string_view key, size_t depth) {
   }
   depth += plen;
   if (depth == key.size()) {
-    if (!n->term_leaf || KeyAt(n->term_leaf->key) != key) return false;
-    FreeLeaf(n->term_leaf);
-    n->term_leaf = nullptr;
+    if (n->term == kNullRef || KeyAt(AsLeaf(n->term)->key) != key)
+      return false;
+    FreeLeaf(n->term);
+    n->term = kNullRef;
     CollapseIfNeeded(slot, depth);
     return true;
   }
@@ -587,27 +614,20 @@ bool Art::EraseFromSlot(Child* slot, std::string_view key, size_t depth) {
   Child* child_slot = FindChildSlot(n, b);
   if (!child_slot) return false;
   if (!EraseFromSlot(child_slot, key, depth + 1)) return false;
-  if (*child_slot == nullptr) RemoveChildEntry(n, b);
+  if (*child_slot == kNullRef) RemoveChildEntry(n, b);
   CollapseIfNeeded(slot, depth);
   return true;
 }
 
 bool Art::Erase(std::string_view key) {
-  if (!root_) return false;
-  if (IsLeaf(root_)) {
-    Leaf* leaf = AsLeaf(root_);
-    if (KeyAt(leaf->key) != key) return false;
-    FreeLeaf(leaf);
-    root_ = nullptr;
-    return true;
-  }
-  bool erased = EraseFromSlot(&root_, key, 0);
-  return erased;
+  if (root_ == kNullRef) return false;
+  arena_.EnsureRefReach(kMaxNewChunksPerUpdate);
+  return EraseFromSlot(&root_, key, 0);
 }
 
 bool Art::Lookup(std::string_view key, uint64_t* value) const {
   Child c = root_;
-  if (!c) return false;
+  if (c == kNullRef) return false;
   size_t depth = 0;
   while (!IsLeaf(c)) {
     const Node* n = AsNode(c);
@@ -619,8 +639,10 @@ bool Art::Lookup(std::string_view key, uint64_t* value) const {
       if (static_cast<uint8_t>(key[depth + i]) != n->prefix[i]) return false;
     depth += plen;
     if (depth == key.size()) {
-      if (!n->term_leaf || KeyAt(n->term_leaf->key) != key) return false;
-      if (value) *value = n->term_leaf->value;
+      if (n->term == kNullRef) return false;
+      const Leaf* term = AsLeaf(n->term);
+      if (KeyAt(term->key) != key) return false;
+      if (value) *value = term->value;
       return true;
     }
     const Child* child = FindChild(n, static_cast<uint8_t>(key[depth]));
@@ -642,8 +664,8 @@ size_t Art::EmitAll(Child c, size_t count, size_t produced,
     return produced + 1;
   }
   const Node* n = AsNode(c);
-  if (n->term_leaf) {
-    if (out) out->push_back(n->term_leaf->value);
+  if (n->term != kNullRef) {
+    if (out) out->push_back(AsLeaf(n->term)->value);
     produced++;
   }
   ForEachChild(n, [&](uint8_t, Child child) {
@@ -691,7 +713,8 @@ size_t Art::EmitGE(Child c, std::string_view start, size_t depth,
     return EmitAll(c, count, produced, out);
   }
   depth += plen;
-  // term_leaf's key equals the path, which is shorter than start: skip it.
+  // The terminator's key equals the path, which is shorter than start:
+  // skip it.
   uint8_t sb = static_cast<uint8_t>(start[depth]);
   bool aborted = !ForEachChild(n, [&](uint8_t b, Child child) {
     if (b < sb) return true;
@@ -707,7 +730,7 @@ size_t Art::EmitGE(Child c, std::string_view start, size_t depth,
 
 size_t Art::Scan(std::string_view start, size_t count,
                  std::vector<uint64_t>* out) const {
-  if (!root_) return 0;
+  if (root_ == kNullRef) return 0;
   return EmitGE(root_, start, 0, count, 0, out);
 }
 
@@ -719,7 +742,7 @@ void Art::DepthStats(Child c, size_t depth, size_t* total,
     return;
   }
   const Node* n = AsNode(c);
-  if (n->term_leaf) {
+  if (n->term != kNullRef) {
     *total += depth + 1;
     *leaves += 1;
   }
@@ -730,7 +753,7 @@ void Art::DepthStats(Child c, size_t depth, size_t* total,
 }
 
 double Art::AverageLeafDepth() const {
-  if (!root_) return 0;
+  if (root_ == kNullRef) return 0;
   size_t total = 0, leaves = 0;
   DepthStats(root_, 0, &total, &leaves);
   return leaves == 0 ? 0 : static_cast<double>(total) /
@@ -751,18 +774,18 @@ std::string Art::CheckChild(Child c, std::string* path) const {
     return "";
   }
   const Node* n = AsNode(c);
-  if (!n->term_leaf && n->num_children + (n->term_leaf ? 1 : 0) < 2 &&
-      path->empty() == false)
+  if (n->term != kNullRef && !IsLeaf(n->term))
+    return "terminator is not a leaf";
+  if (n->term == kNullRef && n->num_children < 2 && !path->empty())
     return "non-root node with fewer than two entries";
   size_t base = path->size();
   for (size_t i = 0; i < n->prefix_len; i++)
     path->push_back(i < kMaxStoredPrefix
                         ? static_cast<char>(n->prefix[i])
                         : '\x01');
-  if (n->term_leaf) {
-    if (KeyAt(n->term_leaf->key).size() != path->size())
-      return "terminator key length mismatch";
-  }
+  if (n->term != kNullRef &&
+      KeyAt(AsLeaf(n->term)->key).size() != path->size())
+    return "terminator key length mismatch";
   uint8_t prev = 0;
   bool first = true;
   std::string err;
@@ -783,7 +806,7 @@ std::string Art::CheckChild(Child c, std::string* path) const {
 }
 
 std::string Art::CheckInvariants() const {
-  if (!root_) return "";
+  if (root_ == kNullRef) return "";
   std::string path;
   return CheckChild(root_, &path);
 }

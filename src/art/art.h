@@ -15,6 +15,16 @@
 // append-only. Destroying the tree frees the arena's chunks, with no walk
 // over the nodes.
 //
+// Node layout. Children are 32-bit arena block references (BlockRef),
+// with bit 0 set for a leaf, and 0 for no child. A node starts with a
+// 20-byte header: type, child count, full prefix length, the first 8
+// prefix bytes and the terminator's reference. Blocks are 40 bytes for
+// Node4, 104 for Node16, 472 for Node48 and 1048 for Node256, where
+// 8-byte child pointers took 64/168/664/2072. A leaf is 16 bytes: the
+// tuple key's KeyRef and the value. References reach about 16 GiB of
+// arena per tree; once the arena is that full, Insert and Erase throw
+// std::length_error and leave the tree unchanged.
+//
 // Prefix keys (a key that is a strict prefix of another) are supported
 // via a per-node terminator leaf instead of key padding, so arbitrary
 // byte strings — including HOPE-encoded keys with embedded zeros — are
@@ -39,14 +49,15 @@ class Art {
 
   /// Inserts a key/value pair; overwrites the value if the key exists.
   /// The key is copied into the tree's arena (simulating the record the
-  /// index points at).
+  /// index points at). Throws std::length_error, changing nothing, when
+  /// the arena is at its reference reach.
   void Insert(std::string_view key, uint64_t value);
 
   bool Lookup(std::string_view key, uint64_t* value) const;
 
   /// Removes a key. Returns false if the key was absent. Nodes left with
   /// a single entry are collapsed back into their parent path and
-  /// oversized nodes shrink to the next size class.
+  /// oversized nodes shrink to the next size class. Throws like Insert.
   bool Erase(std::string_view key);
 
   /// Scans up to `count` entries starting at the first key >= start, in
@@ -71,24 +82,18 @@ class Art {
   struct Node;
   struct Leaf;
 
-  /// Children are tagged pointers: bit 0 set = Leaf, clear = Node.
-  using Child = void*;
+  /// Children are arena block references: bit 0 set = Leaf, clear =
+  /// Node, kNullRef = none.
+  using Child = BlockRef;
 
  private:
+  static bool IsLeaf(Child c) { return (c & 1) != 0; }
+  Leaf* AsLeaf(Child c) const { return static_cast<Leaf*>(arena_.Deref(c)); }
+  Node* AsNode(Child c) const { return static_cast<Node*>(arena_.Deref(c)); }
 
-  static bool IsLeaf(Child c) {
-    return (reinterpret_cast<uintptr_t>(c) & 1) != 0;
-  }
-  static Leaf* AsLeaf(Child c) {
-    return reinterpret_cast<Leaf*>(reinterpret_cast<uintptr_t>(c) & ~uintptr_t{1});
-  }
-  static Node* AsNode(Child c) { return reinterpret_cast<Node*>(c); }
-  static Child TagLeaf(Leaf* l) {
-    return reinterpret_cast<Child>(reinterpret_cast<uintptr_t>(l) | 1);
-  }
-
-  Leaf* NewLeaf(std::string_view key, uint64_t value);
-  void FreeLeaf(Leaf* leaf);
+  /// A new leaf, as a tagged child.
+  Child NewLeaf(std::string_view key, uint64_t value);
+  void FreeLeaf(Child leaf);
 
   void InsertIntoSlot(Child* slot, std::string_view key, uint64_t value,
                       size_t depth);
@@ -103,7 +108,7 @@ class Art {
   void DepthStats(Child c, size_t depth, size_t* total, size_t* leaves) const;
 
   Arena arena_;  // nodes, leaves and tuple key bytes
-  Child root_ = nullptr;
+  Child root_ = kNullRef;
   size_t size_ = 0;
   size_t memory_ = 0;
 };

@@ -73,13 +73,15 @@ class ArrayDict : public Dictionary {
   void EncodeSpanImpl(std::string_view src, size_t pos, BitWriter* writer,
                       std::vector<EncodeTrace>* trace) const {
     const size_t n = src.size();
+    // The accumulator stays in locals for the whole span (see
+    // BitWriter::Local), as in the bitmap trie's fused loop.
+    BitWriter::Local out(writer);
     if (chars_ == 1) {
       while (pos < n) {
         if constexpr (kTrace)
           trace->push_back({static_cast<uint32_t>(pos),
-                            static_cast<uint32_t>(writer->total_bits())});
-        writer->Append(
-            UnpackEntry(slots_[static_cast<uint8_t>(src[pos])]).code);
+                            static_cast<uint32_t>(out.total_bits())});
+        out.Append(UnpackEntry(slots_[static_cast<uint8_t>(src[pos])]).code);
         pos++;
       }
       return;
@@ -87,13 +89,13 @@ class ArrayDict : public Dictionary {
     while (pos < n) {
       if constexpr (kTrace)
         trace->push_back({static_cast<uint32_t>(pos),
-                          static_cast<uint32_t>(writer->total_bits())});
+                          static_cast<uint32_t>(out.total_bits())});
       size_t c0 = static_cast<uint8_t>(src[pos]);
       size_t idx = n - pos >= 2
                        ? c0 * 257 + static_cast<uint8_t>(src[pos + 1]) + 1
                        : c0 * 257;  // terminator entry
       LookupResult r = UnpackEntry(slots_[idx]);
-      writer->Append(r.code);
+      out.Append(r.code);
       pos += r.consumed;
     }
   }

@@ -5,46 +5,56 @@
 
 namespace hope {
 
-// The layout is pinned: a padding change fails the build here.
-static_assert(Hot::NodeBytes(2) == 32);
-static_assert(Hot::NodeBytes(3) == 40);
-static_assert(Hot::NodeBytes(4) == 48);
-static_assert(Hot::NodeBytes(5) == 56);
-static_assert(Hot::NodeBytes(257) == 2576);
+namespace {
+// Chunks an Insert or Erase may open: a leaf, its key bytes and a node.
+constexpr size_t kMaxNewChunksPerUpdate = 3;
+}  // namespace
 
-Hot::Node* Hot::AllocNode(uint32_t offset, uint16_t count) {
+// The layout is pinned: a padding change fails the build here.
+static_assert(Hot::NodeBytes(2) == 24);
+static_assert(Hot::NodeBytes(3) == 24);
+static_assert(Hot::NodeBytes(4) == 32);
+static_assert(Hot::NodeBytes(5) == 40);
+static_assert(Hot::NodeBytes(257) == 1552);
+
+Hot::Node* Hot::AllocNode(uint32_t offset, uint16_t count, Child* ref) {
   static_assert(offsetof(Node, bytes) == kHeaderBytes);
-  Node* n = static_cast<Node*>(arena_.AllocateBlock(NodeBytes(count)));
+  *ref = arena_.AllocateRef(NodeBytes(count));
+  Node* n = AsNode(*ref);
   n->offset = offset;
   n->count = count;
-  memory_ += NodeBytes(count) + sizeof(void*);  // see MemoryBytes()
+  memory_ += NodeBytes(count) + kNodeCharge;
   return n;
 }
 
-void Hot::FreeNode(Node* n) {
-  memory_ -= NodeBytes(n->count) + sizeof(void*);
-  arena_.FreeBlock(n, NodeBytes(n->count));
+void Hot::FreeNode(Child ref) {
+  size_t bytes = NodeBytes(AsNode(ref)->count);
+  memory_ -= bytes + kNodeCharge;
+  arena_.FreeRef(ref, bytes);
 }
 
-Hot::Leaf* Hot::NewLeaf(std::string_view key, uint64_t value) {
+Hot::Child Hot::NewLeaf(std::string_view key, uint64_t value) {
   // Leaf first: in fresh arena space the key's bytes then follow it.
-  auto* leaf = static_cast<Leaf*>(arena_.AllocateBlock(sizeof(Leaf)));
-  *leaf = Leaf{arena_.Intern(key), value};
+  BlockRef ref = arena_.AllocateRef(sizeof(Leaf));
+  *AsLeaf(ref) = Leaf{arena_.Intern(key), value};
   memory_ += sizeof(Leaf);
   size_++;
-  return leaf;
+  return ref | 1;
 }
 
-void Hot::FreeLeaf(Leaf* leaf) {
-  arena_.FreeBlock(leaf, sizeof(Leaf));
+void Hot::FreeLeaf(Child leaf) {
+  arena_.FreeRef(leaf & ~Child{1}, sizeof(Leaf));
   memory_ -= sizeof(Leaf);
   size_--;
 }
 
-Hot::Node* Hot::WithEdge(Node* n, int byte, Child child) {
+Hot::Child Hot::WithEdge(Child old, int byte, Child child) {
   // One pass over both arrays: per-array std::copy calls cost more than
   // they move on nodes of a few edges.
-  Node* bigger = AllocNode(n->offset, static_cast<uint16_t>(n->count + 1));
+  const Node* n = AsNode(old);
+  Child ref;
+  Node* bigger =
+      AllocNode(n->offset, static_cast<uint16_t>(n->count + 1), &ref);
   const Child* from = n->children();
   Child* to = bigger->children();
   uint16_t i = 0;
@@ -59,8 +69,8 @@ Hot::Node* Hot::WithEdge(Node* n, int byte, Child child) {
     bigger->bytes[i + 1] = n->bytes[i];
     to[i + 1] = from[i];
   }
-  FreeNode(n);
-  return bigger;
+  FreeNode(old);
+  return ref;
 }
 
 uint16_t Hot::LowerBound(const Node* n, int byte) {
@@ -81,16 +91,21 @@ int Hot::FindEdge(const Node* n, int byte) {
   return i < n->count && n->bytes[i] == byte ? i : -1;
 }
 
-const Hot::Leaf* Hot::DescendBestEffort(std::string_view key) const {
+Hot::Leaf* Hot::DescendBestEffort(std::string_view key, Path* path) {
   // Any leaf below a node agrees with the key's path up to the node's
   // offset, so on a miss any edge gives a valid candidate. The nearest
   // one does: a sorted load then follows the rightmost path it just
   // built, which is still in cache.
   Child c = root_;
   while (!IsLeaf(c)) {
-    const Node* n = AsNode(c);
+    Node* n = AsNode(c);
     uint16_t i = LowerBound(n, ByteAt(key, n->offset));
-    c = n->children()[i < n->count ? i : n->count - 1];
+    Child* slot = &n->children()[i < n->count ? i : n->count - 1];
+    if (path->depth < kMaxPath) {
+      path->offset[path->depth] = n->offset;
+      path->taken[path->depth++] = slot;
+    }
+    c = *slot;
   }
   return AsLeaf(c);
 }
@@ -101,17 +116,19 @@ const Hot::Leaf* Hot::MinLeaf(Child c) const {
 }
 
 void Hot::Insert(std::string_view key, uint64_t value) {
-  if (!root_) {
-    root_ = TagLeaf(NewLeaf(key, value));
+  arena_.EnsureRefReach(kMaxNewChunksPerUpdate);
+  if (root_ == kNullRef) {
+    root_ = NewLeaf(key, value);
     return;
   }
   // Phase 1: find a candidate leaf and the first discriminating offset.
-  const Leaf* cand = DescendBestEffort(key);
+  Path path;
+  Leaf* cand = DescendBestEffort(key, &path);
   std::string_view ckey = KeyAt(cand->key);
   size_t o = 0;
   while (ByteAt(key, o) == ByteAt(ckey, o)) {
     if (o >= key.size() && o >= ckey.size()) {  // equal keys
-      const_cast<Leaf*>(cand)->value = value;
+      cand->value = value;
       return;
     }
     o++;
@@ -119,11 +136,14 @@ void Hot::Insert(std::string_view key, uint64_t value) {
   int new_byte = ByteAt(key, o);
   int old_byte = ByteAt(ckey, o);
 
-  // Phase 2: re-descend to the slot where offset o belongs. Every node on
-  // the path with offset < o has an exact child for the key's byte
-  // (because the subtree agrees with `ckey` below its offset and the key
-  // agrees with `ckey` before o).
+  // Phase 2: find the slot where offset o belongs. Every node on the path
+  // with offset < o has an exact child for the key's byte (because the
+  // subtree agrees with `ckey` below its offset and the key agrees with
+  // `ckey` before o), and phase 1 took it: replay phase 1's steps above
+  // o, then walk on past the levels it recorded.
   Child* slot = &root_;
+  for (size_t d = 0; d < path.depth && path.offset[d] < o; d++)
+    slot = path.taken[d];
   while (!IsLeaf(*slot)) {
     Node* n = AsNode(*slot);
     if (n->offset >= o) break;
@@ -132,26 +152,30 @@ void Hot::Insert(std::string_view key, uint64_t value) {
     slot = &n->children()[i];
   }
 
-  Leaf* leaf = NewLeaf(key, value);
+  Child leaf = NewLeaf(key, value);
 
   if (!IsLeaf(*slot) && AsNode(*slot)->offset == o) {
     // The discriminating position already exists: add a sibling edge.
-    *slot = WithEdge(AsNode(*slot), new_byte, TagLeaf(leaf));
+    *slot = WithEdge(*slot, new_byte, leaf);
     return;
   }
   // Split: a new node discriminating at offset o, with the old subtree
   // and the new leaf as its two children.
-  Node* n = AllocNode(static_cast<uint32_t>(o), 2);
+  Child ref;
+  Node* n = AllocNode(static_cast<uint32_t>(o), 2, &ref);
   int old_pos = old_byte < new_byte ? 0 : 1;
   n->bytes[old_pos] = static_cast<int16_t>(old_byte);
   n->children()[old_pos] = *slot;
   n->bytes[1 - old_pos] = static_cast<int16_t>(new_byte);
-  n->children()[1 - old_pos] = TagLeaf(leaf);
-  *slot = n;
+  n->children()[1 - old_pos] = leaf;
+  *slot = ref;
 }
 
-Hot::Node* Hot::WithoutEdge(Node* n, uint16_t pos) {
-  Node* smaller = AllocNode(n->offset, static_cast<uint16_t>(n->count - 1));
+Hot::Child Hot::WithoutEdge(Child old, uint16_t pos) {
+  const Node* n = AsNode(old);
+  Child ref;
+  Node* smaller =
+      AllocNode(n->offset, static_cast<uint16_t>(n->count - 1), &ref);
   const Child* from = n->children();
   Child* to = smaller->children();
   for (uint16_t i = 0, j = 0; i < n->count; i++) {
@@ -159,17 +183,16 @@ Hot::Node* Hot::WithoutEdge(Node* n, uint16_t pos) {
     smaller->bytes[j] = n->bytes[i];
     to[j++] = from[i];
   }
-  FreeNode(n);
-  return smaller;
+  FreeNode(old);
+  return ref;
 }
 
 bool Hot::EraseRec(Child* slot, std::string_view key) {
   Child c = *slot;
   if (IsLeaf(c)) {
-    Leaf* leaf = AsLeaf(c);
-    if (KeyAt(leaf->key) != key) return false;
-    FreeLeaf(leaf);
-    *slot = nullptr;  // the caller unlinks the edge
+    if (KeyAt(AsLeaf(c)->key) != key) return false;
+    FreeLeaf(c);
+    *slot = kNullRef;  // the caller unlinks the edge
     return true;
   }
   Node* n = AsNode(c);
@@ -177,27 +200,26 @@ bool Hot::EraseRec(Child* slot, std::string_view key) {
   if (i < 0) return false;
   Child* child = &n->children()[i];
   if (!EraseRec(child, key)) return false;
-  if (*child == nullptr) {
-    Node* smaller = WithoutEdge(n, static_cast<uint16_t>(i));
-    if (smaller->count == 1) {
-      // Single remaining edge: the child subtree replaces this node
-      // (offsets along the path stay strictly increasing).
-      *slot = smaller->children()[0];
-      FreeNode(smaller);
-    } else {
-      *slot = smaller;
-    }
+  if (*child != kNullRef) return true;
+  if (n->count == 2) {
+    // Single remaining edge: the child subtree replaces this node
+    // (offsets along the path stay strictly increasing).
+    *slot = n->children()[1 - i];
+    FreeNode(c);
+  } else {
+    *slot = WithoutEdge(c, static_cast<uint16_t>(i));
   }
   return true;
 }
 
 bool Hot::Erase(std::string_view key) {
-  if (!root_) return false;
+  if (root_ == kNullRef) return false;
+  arena_.EnsureRefReach(kMaxNewChunksPerUpdate);
   return EraseRec(&root_, key);
 }
 
 bool Hot::Lookup(std::string_view key, uint64_t* value) const {
-  if (!root_) return false;
+  if (root_ == kNullRef) return false;
   Child c = root_;
   while (!IsLeaf(c)) {
     const Node* n = AsNode(c);
@@ -263,7 +285,7 @@ size_t Hot::EmitGE(Child c, std::string_view start, size_t count,
 
 size_t Hot::Scan(std::string_view start, size_t count,
                  std::vector<uint64_t>* out) const {
-  if (!root_) return 0;
+  if (root_ == kNullRef) return 0;
   return EmitGE(root_, start, count, 0, out);
 }
 
@@ -280,7 +302,7 @@ void Hot::DepthStats(Child c, size_t depth, size_t* total,
 }
 
 double Hot::AverageLeafDepth() const {
-  if (!root_) return 0;
+  if (root_ == kNullRef) return 0;
   size_t total = 0, leaves = 0;
   DepthStats(root_, 0, &total, &leaves);
   return leaves == 0 ? 0 : static_cast<double>(total) /
@@ -314,7 +336,7 @@ std::string Hot::CheckRec(Child c, uint32_t min_offset) const {
 }
 
 std::string Hot::CheckInvariants() const {
-  if (!root_) return "";
+  if (root_ == kNullRef) return "";
   return CheckRec(root_, 0);
 }
 

@@ -357,6 +357,27 @@ def gen_btree_ops(d: str):
         ops.append(bytes([4, len(k)]) + k)
     ops.append(bytes([4, len(keys[-1])]) + keys[-1])
     write(d, "wide_node", b"".join(ops) + tail)
+    # Keys that are prefixes of one another: the empty key, and "k", "ka"
+    # and "kab" each with 0-4 trailing NULs, so keys end exactly at an Art
+    # node (its terminator) and take Hot's end-of-key edges. Inserts in
+    # random order; an overwrite, lookup and scan of each key; erases in
+    # another order, each followed by a lookup; then half are inserted
+    # again, for the final erase-all.
+    rng = random.Random(22)
+    keys = [b""] + [base + b"\0" * n for base in (b"k", b"ka", b"kab")
+                    for n in range(5)]
+    rng.shuffle(keys)
+    ops = [bytes([1, len(k)]) + k for k in keys]
+    for k in keys:
+        ops.append(bytes([2, len(k)]) + k)
+        ops.append(bytes([4, len(k)]) + k)
+        ops.append(bytes([5, len(k)]) + k + bytes([31]))
+    rng.shuffle(keys)
+    for k in keys:
+        ops.append(bytes([3, len(k)]) + k + bytes([0]))
+        ops.append(bytes([4, len(k)]) + k)
+    ops += [bytes([1, len(k)]) + k for k in keys[::2]]
+    write(d, "prefix_keys", b"".join(ops) + tail)
 
 
 def main():

@@ -117,6 +117,37 @@ TEST(ArtTest, MemoryExcludesTupleBytes) {
             short_keys.MemoryBytes() * 2);
 }
 
+// MemoryBytes() is 16 bytes per leaf plus each node's block: a padding
+// regression in the node layout fails here. One node with a terminator
+// ("a") and k children ("a" + byte) grows through every size class and
+// shrinks back, then collapses into the terminator.
+TEST(ArtTest, MemoryBytesIsLeavesPlusNodeBlocks) {
+  constexpr size_t kLeaf = 16;
+  Art t;
+  t.Insert("a", 0);
+  EXPECT_EQ(t.MemoryBytes(), kLeaf);
+  auto child = [](int b) { return std::string("a") + static_cast<char>(b); };
+  for (int k = 1; k <= 256; k++) {
+    t.Insert(child(k - 1), static_cast<uint64_t>(k));
+    size_t node = k <= 4 ? 40 : k <= 16 ? 104 : k <= 48 ? 472 : 1048;
+    ASSERT_EQ(t.MemoryBytes(), (k + 1) * kLeaf + node) << k;
+  }
+  EXPECT_EQ(t.CheckInvariants(), "");
+  for (int k = 255; k >= 1; k--) {
+    ASSERT_TRUE(t.Erase(child(k)));
+    size_t node = k > 40 ? 1048 : k > 12 ? 472 : k > 3 ? 104 : 40;
+    ASSERT_EQ(t.MemoryBytes(), (k + 1) * kLeaf + node) << k;
+  }
+  EXPECT_EQ(t.CheckInvariants(), "");
+  ASSERT_TRUE(t.Erase(child(0)));
+  EXPECT_EQ(t.MemoryBytes(), kLeaf);
+  uint64_t v = 9;
+  EXPECT_TRUE(t.Lookup("a", &v));
+  EXPECT_EQ(v, 0u);
+  ASSERT_TRUE(t.Erase("a"));
+  EXPECT_EQ(t.MemoryBytes(), 0u);
+}
+
 // Keys of length 0, 65534, 65535, 65536 and 200000 (both sides of the
 // arena's 16-bit length tag, and past a chunk) with their neighbours,
 // through inserts, overwrites, erases and re-inserts.

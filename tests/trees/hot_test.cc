@@ -120,6 +120,31 @@ TEST(HotTest, MemoryBytesIsLeavesPlusNodeBlocks) {
   EXPECT_EQ(wide.CheckInvariants(), "");
 }
 
+// A chain of keys, each a prefix of the next, makes a path one node per
+// key deep: far past the levels an insert's first descent records, so
+// inserts at the bottom walk on from the last recorded slot.
+TEST(HotTest, PathDeeperThanTheRecordedDescent) {
+  constexpr int kKeys = 100;
+  for (bool ascending : {true, false}) {
+    Hot t;
+    for (int i = 0; i < kKeys; i++) {
+      int len = ascending ? i : kKeys - 1 - i;
+      t.Insert(std::string(static_cast<size_t>(len), 'x'),
+               static_cast<uint64_t>(len));
+    }
+    EXPECT_EQ(t.CheckInvariants(), "");
+    EXPECT_GT(t.AverageLeafDepth(), 40.0);
+    for (int len = 0; len < kKeys; len++) {
+      uint64_t v = 0;
+      ASSERT_TRUE(t.Lookup(std::string(static_cast<size_t>(len), 'x'), &v));
+      ASSERT_EQ(v, static_cast<uint64_t>(len));
+    }
+    for (int len = 0; len < kKeys; len++)
+      ASSERT_TRUE(t.Erase(std::string(static_cast<size_t>(len), 'x')));
+    EXPECT_EQ(t.MemoryBytes(), 0u);
+  }
+}
+
 // Keys of length 0, 65534, 65535, 65536 and 200000 (both sides of the
 // arena's 16-bit length tag, and past a chunk) with their neighbours,
 // through inserts, overwrites, erases and re-inserts.
